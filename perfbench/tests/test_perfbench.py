@@ -143,3 +143,12 @@ def test_knoki_smoke_prints_every_metric(monkeypatch, capsys, trace):
                      and k.count(".") == 2 and not k.startswith(("document.dumps", "cli.verify")))
         assert inside <= metrics["trace.certify_s"]
         assert inside == pytest.approx(metrics["trace.certify_s"], rel=0.05)
+
+
+def test_reference_kernel_does_fixed_work_and_scales_times():
+    import speed
+
+    matrix = speed.reference_matrix()
+    assert matrix == speed.reference_matrix()
+    assert speed.kernel(matrix) == [{i: 1} for i in range(speed.SIZE)]
+    assert speed.slowdown([speed.NOMINAL_S * 2] * 3) == pytest.approx(2.0)
