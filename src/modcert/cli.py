@@ -142,6 +142,9 @@ def cmd_verify(args) -> int:
     except KeyError as exc:
         print(f"cannot parse certificate: unknown node label {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        print(f"cannot parse certificate: {exc}", file=sys.stderr)
+        return 2
     ok, why = verify_certificate(cert, sm)
     if not ok:
         print(f"verification failed: {why}")

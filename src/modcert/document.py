@@ -24,8 +24,14 @@ def frac_str(f: Fraction) -> str:
 
 
 def parse_frac(s: str) -> Fraction:
+    """Parse "num/den" or "num"; ValueError on anything else, a zero denominator included."""
+    if not isinstance(s, str):
+        raise ValueError(f"rational must be a string, got {s!r}")
     num, _, den = s.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
+    d = int(den) if den else 1
+    if d == 0:
+        raise ValueError(f"zero denominator in {s!r}")
+    return Fraction(int(num), d)
 
 
 def network_fingerprint(net: Network) -> dict:

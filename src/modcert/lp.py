@@ -1,11 +1,13 @@
 """Linear programming with exact rational answers.
 
-Solves run in floating point first (scipy/HiGHS, sparse) for speed; the
-basis structure of the float solution is then re-evaluated in exact rational
-arithmetic and certified by a matching primal/dual pair. Whenever that
-certification fails, an exact two-phase simplex over Fractions with Bland's
-rule takes over (with column generation for wide problems), so every number
-that leaves this module is exact.
+Every LP here has one form: maximize c.x subject to sparse rows
+coeffs.x <= rhs with every rhs >= 0, and x >= 0, so the origin is feasible
+and the slack basis is a starting vertex. Solves run in floating point first
+(scipy/HiGHS) for speed; the vertex of the float point is then solved again
+in exact rational arithmetic. Whenever that recovery fails, a single-phase
+exact simplex over Fractions with Bland's rule takes over (with column
+generation for wide problems), so every number that leaves this module is
+exact.
 """
 
 from __future__ import annotations
@@ -22,68 +24,50 @@ from .chains import Chain
 from .scores import Pair, ScoreMatrix, trivial_upper_bound
 from .subnets import Subnetwork
 
-Row = tuple[dict[int, Fraction], Fraction]  # sparse coeffs, rhs; relation <=
+Row = tuple[dict[int, Fraction], Fraction]  # sparse coeffs, rhs >= 0; relation <=
 
 
 # ---------------------------------------------------------------------------
-# exact two-phase simplex (Bland's rule), dense Fractions
+# exact single-phase simplex (Bland's rule), dense Fractions
 
-def exact_simplex(
-    c: Sequence[Fraction],
-    rows: Sequence[tuple[dict[int, Fraction], str, Fraction]],
-    maximize: bool = True,
-):
-    """Solve max/min c.x subject to rows (coeffs, rel, rhs) and x >= 0.
+def exact_simplex(c: Sequence[Fraction], rows: Sequence[Row]):
+    """Solve max c.x subject to rows (coeffs, rhs), coeffs.x <= rhs, and x >= 0.
 
-    rel is one of "<=", ">=", "==". Returns (status, x, objective, duals);
-    duals[i] is meaningful for "<=" rows of a maximization, else None.
+    Every rhs must be >= 0: the simplex starts from the slack basis. Returns
+    (status, x, objective, duals) with status "optimal" or "unbounded";
+    duals[i] is the shadow price of row i.
     """
     n = len(c)
+    m = len(rows)
+    ncols = n + m
     zero = Fraction(0)
-    one = Fraction(1)
-
-    norm_rows = []
-    for coeffs, rel, rhs in rows:
-        coeffs = dict(coeffs)
-        rhs = Fraction(rhs)
-        if rhs < 0:
-            coeffs = {j: -v for j, v in coeffs.items()}
-            rhs = -rhs
-            rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
-        norm_rows.append((coeffs, rel, rhs))
-
-    m = len(norm_rows)
-    slack_idx: dict[int, int] = {}
-    art_idx: dict[int, int] = {}
-    ncols = n
-    for i, (_, rel, _) in enumerate(norm_rows):
-        if rel in ("<=", ">="):
-            slack_idx[i] = ncols
-            ncols += 1
-    for i, (_, rel, _) in enumerate(norm_rows):
-        if rel in (">=", "=="):
-            art_idx[i] = ncols
-            ncols += 1
-    art_cols = set(art_idx.values())
 
     T = [[zero] * (ncols + 1) for _ in range(m)]
-    basis = [0] * m
-    for i, (coeffs, rel, rhs) in enumerate(norm_rows):
+    for i, (coeffs, rhs) in enumerate(rows):
+        if rhs < 0:
+            raise ValueError(f"row {i} has negative rhs {rhs}")
         for j, v in coeffs.items():
             T[i][j] = Fraction(v)
-        T[i][ncols] = rhs
-        if rel == "<=":
-            T[i][slack_idx[i]] = one
-            basis[i] = slack_idx[i]
-        elif rel == ">=":
-            T[i][slack_idx[i]] = -one
-            T[i][art_idx[i]] = one
-            basis[i] = art_idx[i]
-        else:
-            T[i][art_idx[i]] = one
-            basis[i] = art_idx[i]
+        T[i][n + i] = Fraction(1)
+        T[i][ncols] = Fraction(rhs)
+    basis = list(range(n, ncols))
+    obj = [-Fraction(v) for v in c] + [zero] * (m + 1)
 
-    def pivot(row, col, obj):
+    while True:
+        col = next((j for j in range(ncols) if obj[j] < 0), -1)
+        if col < 0:
+            break
+        row = -1
+        best = None
+        for r in range(m):
+            a = T[r][col]
+            if a > 0:
+                ratio = T[r][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[r] < basis[row]):
+                    best = ratio
+                    row = r
+        if row < 0:
+            return "unbounded", None, None, None
         piv = T[row][col]
         T[row] = [v / piv for v in T[row]]
         prow = T[row]
@@ -91,87 +75,18 @@ def exact_simplex(
             if r != row and T[r][col] != 0:
                 f = T[r][col]
                 T[r] = [a - f * b for a, b in zip(T[r], prow)]
-        if obj[col] != 0:
-            f = obj[col]
-            for j in range(ncols + 1):
-                obj[j] -= f * prow[j]
+        f = obj[col]
+        obj = [a - f * b for a, b in zip(obj, prow)]
         basis[row] = col
-
-    def run(obj, allowed):
-        while True:
-            col = -1
-            for j in allowed:
-                if obj[j] < 0:
-                    col = j
-                    break
-            if col < 0:
-                return "optimal"
-            row = -1
-            best = None
-            for r in range(m):
-                a = T[r][col]
-                if a > 0:
-                    ratio = T[r][-1] / a
-                    if best is None or ratio < best or (ratio == best and basis[r] < basis[row]):
-                        best = ratio
-                        row = r
-            if row < 0:
-                return "unbounded"
-            pivot(row, col, obj)
-
-    if art_cols:
-        obj1 = [zero] * (ncols + 1)
-        for i in art_cols:
-            obj1[i] = one
-        for r, b in enumerate(basis):
-            if obj1[b] != 0:
-                f = obj1[b]
-                for j in range(ncols + 1):
-                    obj1[j] -= f * T[r][j]
-        status = run(obj1, list(range(ncols)))
-        if status != "optimal" or obj1[-1] != 0:
-            return "infeasible", None, None, None
-        for r in range(m):
-            if basis[r] in art_cols:
-                for j in range(ncols):
-                    if j not in art_cols and T[r][j] != 0:
-                        pivot(r, j, obj1)
-                        break
-
-    sense = one if maximize else -one
-    obj = [zero] * (ncols + 1)
-    for j in range(n):
-        obj[j] = -sense * Fraction(c[j])
-    for r, b in enumerate(basis):
-        if obj[b] != 0:
-            f = obj[b]
-            for j in range(ncols + 1):
-                obj[j] -= f * T[r][j]
-    status = run(obj, [j for j in range(ncols) if j not in art_cols])
-    if status != "optimal":
-        return status, None, None, None
 
     xfull = [zero] * ncols
     for r, b in enumerate(basis):
         xfull[b] = T[r][-1]
-    values = xfull[:n]
-    objective = sense * obj[-1]
-    duals: list[Fraction | None] = [None] * m
-    for i, (_, rel, _) in enumerate(norm_rows):
-        if rel == "<=" and maximize:
-            duals[i] = obj[slack_idx[i]]
-    return "optimal", values, objective, duals
+    return "optimal", xfull[:n], obj[-1], obj[n:ncols]
 
 
 # ---------------------------------------------------------------------------
 # exact linear systems (sparse-aware Gaussian elimination)
-
-def solve_exact_system(A: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
-    """Solve dense A x = b exactly; None if inconsistent or underdetermined."""
-    rows = [{j: v for j, v in enumerate(row) if v != 0} for row in A]
-    ncols = len(A[0]) if A else 0
-    return solve_sparse_system(rows, list(b), ncols)
-
 
 def solve_sparse_system(rows: list[dict[int, Fraction]], rhs: list[Fraction], ncols: int) -> list[Fraction] | None:
     """Solve a sparse exact linear system; pivots chosen to limit fill-in."""
@@ -244,123 +159,10 @@ def solve_sparse_system(rows: list[dict[int, Fraction]], rhs: list[Fraction], nc
 
 
 # ---------------------------------------------------------------------------
-# reduce-weights helper: min sum(x) s.t. 0 <= x <= ub, sum over sets >= p
-
-def minimize_totals_exact(
-    keys: Sequence[Pair],
-    ub: dict[Pair, Fraction],
-    constraint_sets: Sequence[frozenset],
-    p: Fraction,
-) -> dict[Pair, Fraction] | None:
-    """Exact minimizer of the covering LP used for weight reduction."""
-    keys = list(keys)
-    idx = {k: i for i, k in enumerate(keys)}
-    nv = len(keys)
-    sets = [frozenset(s) for s in constraint_sets]
-    if not sets:
-        return {k: Fraction(0) for k in keys}
-
-    c = np.ones(nv)
-    A = np.zeros((len(sets), nv))
-    for r, s in enumerate(sets):
-        for k in s:
-            A[r, idx[k]] = -1.0
-    b = np.full(len(sets), -float(p))
-    bounds = [(0.0, float(ub[k])) for k in keys]
-    try:
-        res = linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs")
-    except ValueError:
-        res = None
-    if res is not None and res.success:
-        out = _recover_reduce_vertex(keys, ub, sets, p, res.x)
-        if out is not None:
-            return out
-
-    rows = [({idx[k]: Fraction(1) for k in s}, ">=", p) for s in sets]
-    rows += [({idx[k]: Fraction(1)}, "<=", ub[k]) for k in keys]
-    status, vals, _, _ = exact_simplex([Fraction(1)] * nv, rows, maximize=False)
-    if status != "optimal":
-        return None
-    return {k: vals[idx[k]] for k in keys}
-
-
-def _recover_reduce_vertex(keys, ub, sets, p, xf) -> dict[Pair, Fraction] | None:
-    tol = 1e-7
-    idx = {k: i for i, k in enumerate(keys)}
-    fixed: dict[Pair, Fraction] = {}
-    free: list[Pair] = []
-    for i, k in enumerate(keys):
-        if xf[i] <= tol:
-            fixed[k] = Fraction(0)
-        elif xf[i] >= float(ub[k]) - tol:
-            fixed[k] = ub[k]
-        else:
-            free.append(k)
-    if free:
-        eqs, rhs = [], []
-        for s in sets:
-            total = sum(xf[idx[k]] for k in s)
-            if total <= float(p) + tol:
-                eqs.append({free.index(k): Fraction(1) for k in s if k in free})
-                rhs.append(p - sum((fixed[k] for k in s if k in fixed), Fraction(0)))
-        if not eqs:
-            return None
-        sol = solve_sparse_system(eqs, rhs, len(free))
-        if sol is None:
-            return None
-        for k, v in zip(free, sol):
-            fixed[k] = v
-    for k in keys:
-        if fixed[k] < 0 or fixed[k] > ub[k]:
-            return None
-    for s in sets:
-        if sum((fixed[k] for k in s), Fraction(0)) < p:
-            return None
-    return fixed
-
-
-# ---------------------------------------------------------------------------
-# generic LP surface (max c.x, rows <=, x >= 0)
-
-@dataclass
-class LinearProgram:
-    """max objective . x subject to sparse rows (coeffs . x <= rhs), x >= 0."""
-
-    objective: list[Fraction]
-    rows: list[Row]
-
-    def __post_init__(self):
-        for coeffs, _ in self.rows:
-            for j in coeffs:
-                if j < 0 or j >= len(self.objective):
-                    raise ValueError(f"row references unknown variable {j}")
-
-
-def solve_lp(lp: LinearProgram) -> tuple[list[Fraction], Fraction]:
-    """Optimal vertex, exact. Raises ValueError on unbounded problems."""
-    if not lp.objective:
-        return [], Fraction(0)
-    result = _solve_max_leq_exact(lp.objective, lp.rows)
-    if result is None:
-        raise ValueError("LP is unbounded")
-    return result
-
-
-def _solve_max_leq_exact(obj: Sequence[Fraction], rows: Sequence[Row]):
-    """Exact optimum of max obj.x, rows <=, x >= 0; None if unbounded."""
-    nv = len(obj)
-    zero = Fraction(0)
-    if not rows:
-        if any(v > 0 for v in obj):
-            return None
-        return [zero] * nv, zero
-    recovered = _float_then_recover(obj, rows)
-    if recovered is not None:
-        return recovered
-    return _column_generation(obj, rows)
-
+# float solve, exact vertex recovery, exact fallback
 
 def _float_solve(obj, rows):
+    """HiGHS's optimal point of max obj.x, rows <=, x >= 0; None if it has none."""
     nv = len(obj)
     m = len(rows)
     c = np.array([-float(v) for v in obj])
@@ -377,32 +179,27 @@ def _float_solve(obj, rows):
         res = linprog(c, A_ub=A, b_ub=b, bounds=(0, None), method="highs")
     except ValueError:
         return None
-    if not res.success:
-        return None
-    return res
+    return res.x if res.success else None
 
 
-def _float_then_recover(obj, rows):
-    res = _float_solve(obj, rows)
-    if res is None:
-        return None
-    xf = res.x
-    nv = len(obj)
-    m = len(rows)
-    bmax = max((abs(float(r[1])) for r in rows), default=1.0)
-    tol = 1e-8 * max(1.0, bmax)
-    support = [j for j in range(nv) if xf[j] > tol]
-    slack = np.array([float(r[1]) for r in rows])
-    for i, (coeffs, _) in enumerate(rows):
-        slack[i] -= sum(float(v) * xf[j] for j, v in coeffs.items())
-    binding = [i for i in range(m) if slack[i] < tol]
-    if len(support) != len(binding):
-        return None
-    if not support:
-        if all(Fraction(v) <= 0 for v in obj):
-            return [Fraction(0)] * nv, Fraction(0)
-        return None
+def _binding_pattern(rows: Sequence[Row], xf) -> tuple[list[int], list[int]]:
+    """Support of the float point xf and the rows it binds, to a scaled tolerance."""
+    b = [float(rhs) for _, rhs in rows]
+    tol = 1e-8 * max(1.0, max(b, default=1.0))
+    support = [j for j in range(len(xf)) if xf[j] > tol]
+    binding = [
+        i for i, (coeffs, _) in enumerate(rows)
+        if b[i] - sum(float(v) * xf[j] for j, v in coeffs.items()) < tol
+    ]
+    return support, binding
 
+
+def _recover_vertex(rows: Sequence[Row], nv: int, support, binding) -> list[Fraction] | None:
+    """Exact point whose support variables solve the binding rows; None unless feasible.
+
+    The binding rows may outnumber the support variables, as long as they
+    are consistent and determine every one of them.
+    """
     spos = {j: jj for jj, j in enumerate(support)}
     sysrows = [
         {spos[j]: v for j, v in rows[i][0].items() if j in spos} for i in binding
@@ -419,11 +216,37 @@ def _float_then_recover(obj, rows):
         acc = sum((v * x[j] for j, v in coeffs.items() if x[j] != 0), Fraction(0))
         if acc > rhs:
             return None
+    return x
+
+
+def _reduced_profits(obj, rows: Sequence[Row], y: dict[int, Fraction]) -> list[Fraction]:
+    """Each column's objective minus its charge under the row duals y."""
+    profit = [Fraction(v) for v in obj]
+    for i, yv in y.items():
+        if yv == 0:
+            continue
+        for j, v in rows[i][0].items():
+            profit[j] -= yv * v
+    return profit
+
+
+def _float_then_recover(obj, rows, xf):
+    """Exact optimum at the float point's vertex, certified by a matching dual."""
+    nv = len(obj)
+    support, binding = _binding_pattern(rows, xf)
+    if len(support) != len(binding):
+        return None
+    if not support:
+        if all(Fraction(v) <= 0 for v in obj):
+            return [Fraction(0)] * nv, Fraction(0)
+        return None
+    x = _recover_vertex(rows, nv, support, binding)
+    if x is None:
+        return None
     # dual certificate on the same pattern
+    spos = {j: jj for jj, j in enumerate(support)}
     bpos = {i: ii for ii, i in enumerate(binding)}
-    trows = []
-    for j in support:
-        trows.append({})
+    trows: list[dict[int, Fraction]] = [{} for _ in support]
     for i in binding:
         for j, v in rows[i][0].items():
             if j in spos:
@@ -431,36 +254,20 @@ def _float_then_recover(obj, rows):
     y = solve_sparse_system(trows, [Fraction(obj[j]) for j in support], len(binding))
     if y is None or any(v < 0 for v in y):
         return None
-    ydense = {i: v for i, v in zip(binding, y)}
-    if not _prices_out(obj, rows, ydense):
+    if any(g > 0 for g in _reduced_profits(obj, rows, dict(zip(binding, y)))):
         return None
     objective = sum((Fraction(obj[j]) * x[j] for j in support), Fraction(0))
     return x, objective
 
 
-def _prices_out(obj, rows, ydense) -> bool:
-    """True iff no column has positive reduced profit under duals ydense."""
-    nv = len(obj)
-    charge = [Fraction(0)] * nv
-    for i, yv in ydense.items():
-        if yv == 0:
-            continue
-        for j, v in rows[i][0].items():
-            charge[j] += yv * v
-    for j in range(nv):
-        if Fraction(obj[j]) > charge[j]:
-            return False
-    return True
+def _column_generation(obj, rows, xf):
+    """Exact simplex over an active column set, priced against the full pool.
 
-
-def _column_generation(obj, rows):
-    """Exact simplex over an active column set, priced against the full pool."""
+    xf is the caller's float optimum, or None if it has none; its support
+    seeds the active set. Returns (x, objective), or None if unbounded.
+    """
     nv = len(obj)
-    res = _float_solve(obj, rows)
-    if res is not None:
-        active = {j for j in range(nv) if res.x[j] > 1e-10}
-    else:
-        active = set()
+    active = set() if xf is None else {j for j in range(nv) if xf[j] > 1e-10}
     if not active:
         active = {j for j in range(nv) if Fraction(obj[j]) > 0}
         if not active:
@@ -470,34 +277,17 @@ def _column_generation(obj, rows):
     for _round in range(len(obj) + 10):
         cols = sorted(active)
         cmap = {j: jj for jj, j in enumerate(cols)}
-        touched_rows = [
-            i
-            for i, (coeffs, rhs) in enumerate(rows)
-            if rhs < 0 or any(j in active for j in coeffs)
+        touched_rows = [i for i, (coeffs, _) in enumerate(rows) if any(j in active for j in coeffs)]
+        sub_rows = [
+            ({cmap[j]: v for j, v in rows[i][0].items() if j in active}, rows[i][1])
+            for i in touched_rows
         ]
-        sub_rows = []
-        for i in touched_rows:
-            coeffs = {cmap[j]: v for j, v in rows[i][0].items() if j in active}
-            sub_rows.append((coeffs, "<=", rows[i][1]))
-        status, vals, objective, duals = exact_simplex(
-            [Fraction(obj[j]) for j in cols], sub_rows, maximize=True
-        )
+        status, vals, objective, duals = exact_simplex([Fraction(obj[j]) for j in cols], sub_rows)
         if status == "unbounded":
             return None
-        if status != "optimal":
-            raise RuntimeError(f"exact simplex failed: {status}")
-        ydense = {}
-        for irow, i in enumerate(touched_rows):
-            yv = duals[irow]
-            if yv:
-                ydense[i] = yv
         # price the full pool; add the most violated columns
-        charge = [Fraction(0)] * nv
-        for i, yv in ydense.items():
-            for j, v in rows[i][0].items():
-                charge[j] += yv * v
-        violated = [(Fraction(obj[j]) - charge[j], j) for j in range(nv) if j not in active]
-        violated = [(g, j) for g, j in violated if g > 0]
+        profit = _reduced_profits(obj, rows, dict(zip(touched_rows, duals)))
+        violated = [(g, j) for j, g in enumerate(profit) if g > 0 and j not in active]
         if not violated:
             x = [Fraction(0)] * nv
             for j, v in zip(cols, vals):
@@ -507,6 +297,103 @@ def _column_generation(obj, rows):
         for _, j in violated[:100]:
             active.add(j)
     raise RuntimeError("column generation did not converge")
+
+
+# ---------------------------------------------------------------------------
+# generic LP surface (max c.x, rows <= rhs >= 0, x >= 0)
+
+@dataclass
+class LinearProgram:
+    """max objective . x subject to sparse rows (coeffs . x <= rhs), rhs >= 0, x >= 0."""
+
+    objective: list[Fraction]
+    rows: list[Row]
+
+    def __post_init__(self):
+        for i, (coeffs, rhs) in enumerate(self.rows):
+            if rhs < 0:
+                raise ValueError(f"row {i} has negative rhs {rhs}")
+            for j in coeffs:
+                if j < 0 or j >= len(self.objective):
+                    raise ValueError(f"row references unknown variable {j}")
+
+
+def solve_lp(lp: LinearProgram) -> tuple[list[Fraction], Fraction]:
+    """Optimal vertex, exact. Raises ValueError on unbounded problems."""
+    if not lp.objective:
+        return [], Fraction(0)
+    result = _solve_max_leq_exact(lp.objective, lp.rows)
+    if result is None:
+        raise ValueError("LP is unbounded")
+    return result
+
+
+def _solve_max_leq_exact(obj: Sequence[Fraction], rows: Sequence[Row]):
+    """Exact optimum of max obj.x, rows <= rhs >= 0, x >= 0; None if unbounded."""
+    nv = len(obj)
+    zero = Fraction(0)
+    if not rows:
+        if any(v > 0 for v in obj):
+            return None
+        return [zero] * nv, zero
+    xf = _float_solve(obj, rows)
+    if xf is not None:
+        recovered = _float_then_recover(obj, rows, xf)
+        if recovered is not None:
+            return recovered
+    return _column_generation(obj, rows, xf)
+
+
+# ---------------------------------------------------------------------------
+# reduce-weights helper: min sum(x) s.t. 0 <= x <= ub, sum over sets >= p
+
+def minimize_totals_exact(
+    keys: Sequence[Pair],
+    ub: dict[Pair, Fraction],
+    constraint_sets: Sequence[frozenset],
+    p: Fraction,
+) -> dict[Pair, Fraction] | None:
+    """Exact minimizer of the covering LP used for weight reduction.
+
+    The exact solve works on the complement z = ub - x: max sum(z) subject to
+    sum over each set of z <= (sum over the set of ub) - p, and z <= ub. That
+    has this module's LP form exactly when the covering LP is feasible, so a
+    set whose ub sum falls short of p gives None.
+    """
+    keys = list(keys)
+    idx = {k: i for i, k in enumerate(keys)}
+    nv = len(keys)
+    sets = [frozenset(s) for s in constraint_sets]
+    if not sets:
+        return {k: Fraction(0) for k in keys}
+    rows: list[Row] = []
+    for s in sets:
+        cap = sum((ub[k] for k in s), Fraction(0)) - p
+        if cap < 0:
+            return None
+        rows.append(({idx[k]: Fraction(1) for k in s}, cap))
+    rows += [({i: Fraction(1)}, ub[k]) for i, k in enumerate(keys)]
+
+    # HiGHS solves the covering LP itself, with x's box as bounds; on the
+    # complement it can land on a different optimal vertex
+    c = np.ones(nv)
+    A = np.zeros((len(sets), nv))
+    for r, s in enumerate(sets):
+        for k in s:
+            A[r, idx[k]] = -1.0
+    b = np.full(len(sets), -float(p))
+    bounds = [(0.0, float(ub[k])) for k in keys]
+    try:
+        res = linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs")
+    except ValueError:
+        res = None
+    z = zf = None
+    if res is not None and res.success:
+        zf = np.array([hi for _, hi in bounds]) - res.x
+        z = _recover_vertex(rows, nv, *_binding_pattern(rows, zf))
+    if z is None:
+        z, _ = _column_generation([Fraction(1)] * nv, rows, zf)
+    return {k: ub[k] - z[idx[k]] for k in keys}
 
 
 # ---------------------------------------------------------------------------

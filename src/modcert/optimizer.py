@@ -35,7 +35,7 @@ def _float_matrix(sm: ScoreMatrix) -> list[list[float]]:
     return S
 
 
-def _kl_series(S, members, comm_of, src, dst, tol):
+def _kl_series(S, members, src, dst, tol):
     """Best prefix of single-node best-gain moves from community src to dst.
 
     Returns (gain, nodes_to_move) where nodes_to_move is the prefix of the
@@ -119,7 +119,7 @@ def _improve(sm: ScoreMatrix, comm_of: list[int], cfg: OptimizerConfig):
                     continue
                 if dst == new_id and len(members[src]) < 2:
                     continue
-                gain, nodes = _kl_series(S, members, comm_of, src, dst, tol)
+                gain, nodes = _kl_series(S, members, src, dst, tol)
                 if nodes and gain > tol:
                     candidates.append((gain, src, dst, nodes))
         if not candidates:
@@ -141,10 +141,6 @@ def _improve(sm: ScoreMatrix, comm_of: list[int], cfg: OptimizerConfig):
     return comm_of, q_exact
 
 
-def _partition_key(assignment) -> tuple:
-    return tuple(assignment)
-
-
 def optimize(sm: ScoreMatrix, cfg: OptimizerConfig | None = None) -> Partition:
     """Best partition across seeded restarts; deterministic for a given seed.
 
@@ -161,7 +157,7 @@ def optimize(sm: ScoreMatrix, cfg: OptimizerConfig | None = None) -> Partition:
             g = min(sm.n, 2 + r)
             start = [rng.randrange(g) for _ in range(sm.n)]
         assignment, q = _improve(sm, start, cfg)
-        if best is None or q > best[0] or (q == best[0] and _partition_key(assignment) < _partition_key(best[1])):
+        if best is None or q > best[0] or (q == best[0] and tuple(assignment) < tuple(best[1])):
             best = (q, assignment)
     q, assignment = best
     return Partition(assignment=tuple(assignment), num_communities=max(assignment) + 1, modularity=q)

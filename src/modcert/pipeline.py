@@ -75,24 +75,35 @@ def chain_bound(
     fresh = ResidualScores.fresh(sm)
     for k in range(3, max(3, pool_chain_length) + 1):
         chains, _ = find_penalized_chains(fresh, k, path_budget)
-        added = False
-        for ch in chains:
-            comp = CertComponent.from_chain(ch)
-            key = comp.dedupe_key()
-            if key not in seen:
-                seen.add(key)
-                pool.append(comp)
-                added = True
-        if not added:
-            continue
-        combined = combine(pool, sm, achieved=achieved)
-        if combined.bound < result.bound:
-            result.components = [(c, lam) for c, lam in combined.components]
-            result.bound = combined.bound
+        result.components, result.bound = _pool_and_combine(
+            pool, seen, [CertComponent.from_chain(ch) for ch in chains],
+            sm, achieved, (result.components, result.bound),
+        )
         result.pool_size = len(pool)
         if achieved is not None and result.bound == achieved:
             break
     return result
+
+
+def _pool_and_combine(pool, seen, found, sm, achieved, best):
+    """Pool the unseen components of found; if any were new, re-combine the pool.
+
+    best is the current (components, bound); returns the combination's pair
+    if its bound is tighter, else best. pool and seen grow in place.
+    """
+    added = False
+    for comp in found:
+        key = comp.dedupe_key()
+        if key not in seen:
+            seen.add(key)
+            pool.append(comp)
+            added = True
+    if not added:
+        return best
+    combined = combine(pool, sm, achieved=achieved)
+    if combined.bound < best[1]:
+        return list(combined.components), combined.bound
+    return best
 
 
 def certify(
@@ -156,7 +167,7 @@ def certify(
         res = ResidualScores.fresh(sm)
         spent = 0
         for size in range(3, max_subnet_size + 1):
-            grown = False
+            found = []
             for sub in enumerate_subnetworks(res, max_size=size, adjacency="positive"):
                 if len(sub.nodes) != size:
                     continue
@@ -167,19 +178,12 @@ def certify(
                 if resolved is None or resolved.penalty <= 0:
                     continue
                 reduced = reduce_weights(resolved)
-                comp = CertComponent.from_subnetwork(reduced, resolved.penalty)
-                key = comp.dedupe_key()
-                if key not in seen:
-                    seen.add(key)
-                    pool.append(comp)
-                    grown = True
-            if grown:
-                combined = combine(pool, sm, achieved=achieved.modularity)
-                if combined.bound < bound:
-                    components = list(combined.components)
-                    bound = combined.bound
-                if bound == achieved.modularity:
-                    break
+                found.append(CertComponent.from_subnetwork(reduced, resolved.penalty))
+            components, bound = _pool_and_combine(
+                pool, seen, found, sm, achieved.modularity, (components, bound)
+            )
+            if bound == achieved.modularity:
+                break
             if subnet_budget is not None and spent >= subnet_budget:
                 break
         provenance["subnetworks_examined"] = spent

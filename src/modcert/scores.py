@@ -35,7 +35,6 @@ class ScoreMatrix:
     n: int
     s: dict[Pair, Fraction]
     d: tuple[Fraction, ...]
-    eps: Fraction = Fraction(0)
     _scaled: tuple | None = field(default=None, repr=False, compare=False)
 
     def score(self, a: int, b: int) -> Fraction:

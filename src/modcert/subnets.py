@@ -50,7 +50,6 @@ class PartitionRecord:
 class ResolvedSubnetwork:
     sub: Subnetwork
     q_star_best: Fraction
-    upper: Fraction
     penalty: Fraction
     witness_partition: tuple[int, ...]
     proof_partitions: tuple[PartitionRecord, ...]
@@ -240,7 +239,6 @@ def partial_brute_force(
     return ResolvedSubnetwork(
         sub=sub,
         q_star_best=q_star,
-        upper=q_star,
         penalty=penalty,
         witness_partition=Partition.canonical_assignment(best_assignment),
         proof_partitions=tuple(records),

@@ -85,6 +85,22 @@ def test_verify_truncated_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("field,value", [("bound", "1/0"), ("lambda", 1)])
+def test_verify_malformed_rational_exits_2(tmp_path, capsys, field, value):
+    path = write_path_network(tmp_path)
+    cert = str(tmp_path / "cert.json")
+    run(capsys, "certify", path, "--method", "chains", "-o", cert)
+    data = json.loads(open(cert).read())
+    if field == "bound":
+        data["bound"] = value
+    else:
+        data["components"][0]["lambda"] = value
+    open(cert, "w").write(json.dumps(data))
+    code, _, err = run(capsys, "verify", path, cert)
+    assert code == 2
+    assert "cannot parse certificate" in err
+
+
 def test_verify_wrong_network_fingerprint(tmp_path, capsys):
     path = write_path_network(tmp_path)
     other = tmp_path / "other.edges"

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -53,45 +54,26 @@ def test_solve_lp_row_validation():
         LinearProgram(objective=[F(1)], rows=[({3: F(1)}, F(1))])
 
 
-def test_exact_simplex_two_phase():
-    # min x0 + x1 subject to x0 + x1 >= 3, x0 <= 2
-    status, x, obj, _ = exact_simplex(
-        [F(1), F(1)],
-        [({0: F(1), 1: F(1)}, ">=", F(3)), ({0: F(1)}, "<=", F(2))],
-        maximize=False,
-    )
-    assert status == "optimal"
-    assert obj == F(3)
+def test_solve_lp_rejects_negative_rhs():
+    with pytest.raises(ValueError, match="negative rhs"):
+        LinearProgram(objective=[F(1)], rows=[({0: F(1)}, F(-1))])
 
 
 def test_exact_simplex_duals():
     status, x, obj, duals = exact_simplex(
         [F(3), F(5)],
-        [({0: F(1)}, "<=", F(4)), ({1: F(2)}, "<=", F(12)), ({0: F(3), 1: F(2)}, "<=", F(18))],
-        maximize=True,
+        [({0: F(1)}, F(4)), ({1: F(2)}, F(12)), ({0: F(3), 1: F(2)}, F(18))],
     )
     assert status == "optimal"
     assert x == [F(2), F(6)] and obj == 36
     assert duals == [F(0), F(3, 2), F(1)]
 
 
-def test_exact_simplex_infeasible():
-    status, *_ = exact_simplex(
-        [F(1)],
-        [({0: F(1)}, "<=", F(1)), ({0: F(1)}, ">=", F(2))],
-        maximize=True,
-    )
-    assert status == "infeasible"
-
-
-def test_exact_simplex_equality_rows():
-    status, x, obj, _ = exact_simplex(
-        [F(2), F(1)],
-        [({0: F(1), 1: F(1)}, "==", F(4)), ({0: F(1)}, "<=", F(1))],
-        maximize=True,
-    )
-    assert status == "optimal"
-    assert obj == F(1) * 2 + F(3)
+def test_exact_simplex_unbounded():
+    # x1 appears in no row with a positive coefficient
+    status, x, obj, duals = exact_simplex([F(1), F(1)], [({0: F(1), 1: F(-1)}, F(2))])
+    assert status == "unbounded"
+    assert x is None and obj is None and duals is None
 
 
 def test_minimize_totals_exact_triangle():
@@ -100,6 +82,47 @@ def test_minimize_totals_exact_triangle():
     sets = [frozenset({(1, 2)}), frozenset({(0, 1)}), frozenset({(0, 2)})]
     x = minimize_totals_exact(keys, ub, sets, F(1, 10))
     assert x == {(0, 1): F(1, 10), (0, 2): F(1, 10), (1, 2): F(1, 10)}
+
+
+def test_minimize_totals_exact_infeasible_set():
+    keys = [(0, 1), (0, 2)]
+    ub = {(0, 1): F(1, 10), (0, 2): F(1, 5)}
+    sets = [frozenset({(0, 2)}), frozenset({(0, 1)})]  # ub of (0, 1) is below p
+    assert minimize_totals_exact(keys, ub, sets, F(3, 20)) is None
+
+
+def _no_float_solver(*args, **kwargs):
+    raise ValueError("float solver unavailable")
+
+
+def test_minimize_totals_exact_fallback_triangle(monkeypatch):
+    keys = [(0, 1), (0, 2), (1, 2)]
+    ub = {(0, 1): F(1, 5), (0, 2): F(3, 10), (1, 2): F(1, 10)}
+    sets = [frozenset({(1, 2)}), frozenset({(0, 1)}), frozenset({(0, 2)})]
+    float_x = minimize_totals_exact(keys, ub, sets, F(1, 10))
+    monkeypatch.setattr("modcert.lp.linprog", _no_float_solver)
+    assert minimize_totals_exact(keys, ub, sets, F(1, 10)) == float_x
+
+
+def test_minimize_totals_exact_fallback_random(monkeypatch):
+    cases = []
+    for seed in range(20):
+        rng = random.Random(seed)
+        keys = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+        ub = {k: F(rng.randint(1, 12), rng.choice([4, 5, 6, 8])) for k in keys}
+        p = F(rng.randint(1, 6), 4)
+        sets = []
+        for _ in range(rng.randint(1, 6)):
+            s = frozenset(rng.sample(keys, rng.randint(1, 4)))
+            if sum(ub[k] for k in s) >= p:
+                sets.append(s)
+        cases.append((keys, ub, sets, p, minimize_totals_exact(keys, ub, sets, p)))
+    monkeypatch.setattr("modcert.lp.linprog", _no_float_solver)
+    for keys, ub, sets, p, float_x in cases:
+        x = minimize_totals_exact(keys, ub, sets, p)
+        assert all(0 <= x[k] <= ub[k] for k in keys)
+        assert all(sum(x[k] for k in s) >= p for s in sets)
+        assert sum(x.values()) == sum(float_x.values())
 
 
 def test_combine_shared_pair_capacity():
