@@ -67,16 +67,6 @@ class ResidualScores:
     def residual(self, a: int, b: int) -> Fraction:
         return Fraction(self.num[a][b], self.den)
 
-    def delta(self) -> dict[Pair, Fraction]:
-        """Signed adjustment relative to the base scores (mostly for inspection)."""
-        _, S, _ = self.base.scaled()
-        out = {}
-        for a in range(self.n):
-            for b in range(a + 1, self.n):
-                if self.num[a][b] != S[a][b]:
-                    out[(a, b)] = Fraction(self.num[a][b] - S[a][b], self.den)
-        return out
-
     def copy(self) -> "ResidualScores":
         return ResidualScores(base=self.base, num=[row[:] for row in self.num], den=self.den)
 

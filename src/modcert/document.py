@@ -113,6 +113,8 @@ def serialize_component(comp: CertComponent, lam: Fraction, labels) -> dict:
 
 def deserialize_component(entry: dict, label_to_id: dict) -> tuple[CertComponent, Fraction]:
     nodes = tuple(label_to_id[lab] for lab in entry["nodes"])
+    if len(set(nodes)) != len(nodes):
+        raise ValueError(f"component lists a node twice: {entry['nodes']!r}")
     lam = parse_frac(entry["lambda"])
     penalty = parse_frac(entry["penalty"])
     if entry["kind"] == "chain":
@@ -123,7 +125,10 @@ def deserialize_component(entry: dict, label_to_id: dict) -> tuple[CertComponent
         loads = {}
         for la, lb, val in entry["scores"]:
             a, b = label_to_id[la], label_to_id[lb]
-            loads[(a, b) if a < b else (b, a)] = parse_frac(val)
+            key = (a, b) if a < b else (b, a)
+            if key in loads:
+                raise ValueError(f"subnetwork component lists pair ({la}, {lb}) twice")
+            loads[key] = parse_frac(val)
         comp = CertComponent(kind="subnetwork", nodes=nodes, loads=loads, penalty=penalty)
     else:
         raise ValueError(f"unknown component kind: {entry['kind']!r}")
@@ -154,8 +159,24 @@ def build_document(
     )
 
 
+def _claimed_partition(doc: CertificateDocument, label_to_id: dict) -> Partition:
+    """The achieved listing as a partition; ValueError unless it lists every node once."""
+    assignment: list[int | None] = [None] * len(label_to_id)
+    for ci, community in enumerate(doc.achieved_communities):
+        for lab in community:
+            if lab not in label_to_id:
+                raise ValueError(f"achieved listing: unknown node label {lab!r}")
+            if assignment[label_to_id[lab]] is not None:
+                raise ValueError(f"achieved listing: node {lab!r} listed twice")
+            assignment[label_to_id[lab]] = ci
+    if None in assignment:
+        raise ValueError(f"achieved listing: {assignment.count(None)} node(s) not listed")
+    return Partition(assignment=tuple(assignment), num_communities=len(doc.achieved_communities),
+                     modularity=doc.achieved_modularity)
+
+
 def document_to_certificate(doc: CertificateDocument, net: Network) -> CombinedCertificate:
-    """Rebuild a verifiable certificate object from a parsed document."""
+    """Rebuild a verifiable certificate object, document-level claims included."""
     label_to_id = net.label_index()
     comps = []
     for entry in doc.components:
@@ -168,4 +189,5 @@ def document_to_certificate(doc: CertificateDocument, net: Network) -> CombinedC
         bound=doc.bound,
         status=doc.status,
         gap=doc.gap,
+        achieved=_claimed_partition(doc, label_to_id),
     )

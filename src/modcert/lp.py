@@ -21,7 +21,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .chains import Chain
-from .scores import Pair, ScoreMatrix, trivial_upper_bound
+from .scores import Pair, Partition, ScoreMatrix, trivial_upper_bound
 from .subnets import Subnetwork
 
 Row = tuple[dict[int, Fraction], Fraction]  # sparse coeffs, rhs >= 0; relation <=
@@ -428,6 +428,9 @@ class CombinedCertificate:
     bound: Fraction
     status: str = "gap"
     gap: Fraction | None = None
+    # a document's listed partition, its modularity the document's claim;
+    # when set, the verifier also checks that claim, the gap and the status
+    achieved: Partition | None = None
 
 
 def combine(

@@ -13,13 +13,14 @@ from fractions import Fraction
 
 from .scores import Partition, ScoreMatrix, modularity_of_assignment
 
+MAX_PASSES = 1000  # guard on recombination passes per restart
+FLOAT_TOLERANCE = 1e-12
+
 
 @dataclass
 class OptimizerConfig:
     seed: int = 0
     restarts: int = 8
-    max_passes: int = 1000
-    float_tolerance: float = 1e-12
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -35,12 +36,12 @@ def _float_matrix(sm: ScoreMatrix) -> list[list[float]]:
     return S
 
 
-def _kl_series(S, members, src, dst, tol):
+def _kl_series(S, members, src, dst):
     """Best prefix of single-node best-gain moves from community src to dst.
 
     Returns (gain, nodes_to_move) where nodes_to_move is the prefix of the
     move sequence with the highest cumulative float gain, or (0, []) if no
-    prefix beats tol.
+    prefix beats FLOAT_TOLERANCE.
     """
     pool = sorted(members[src])
     if not pool:
@@ -79,7 +80,7 @@ def _kl_series(S, members, src, dst, tol):
         remaining.remove(v)
         moved.append(v)
         cumulative += best_delta
-        if cumulative > best_gain + tol:
+        if cumulative > best_gain + FLOAT_TOLERANCE:
             best_gain = cumulative
             best_len = len(moved)
         row = S[v]
@@ -91,10 +92,6 @@ def _kl_series(S, members, src, dst, tol):
     return best_gain, moved[:best_len]
 
 
-def _normalize(comm_of: list[int]) -> list[int]:
-    return list(Partition.canonical_assignment(comm_of))
-
-
 def _members_map(comm_of) -> dict[int, set[int]]:
     members: dict[int, set[int]] = {}
     for v, c in enumerate(comm_of):
@@ -102,13 +99,12 @@ def _members_map(comm_of) -> dict[int, set[int]]:
     return members
 
 
-def _improve(sm: ScoreMatrix, comm_of: list[int], cfg: OptimizerConfig):
+def _improve(sm: ScoreMatrix, comm_of: list[int]):
     """Apply best-gain recombinations until none improves the exact score."""
     S = _float_matrix(sm)
-    tol = cfg.float_tolerance
-    comm_of = _normalize(comm_of)
+    comm_of = list(Partition.canonical_assignment(comm_of))
     q_exact = modularity_of_assignment(sm, comm_of)
-    for _ in range(cfg.max_passes):
+    for _ in range(MAX_PASSES):
         members = _members_map(comm_of)
         comm_ids = sorted(members)
         new_id = max(comm_ids) + 1
@@ -119,8 +115,8 @@ def _improve(sm: ScoreMatrix, comm_of: list[int], cfg: OptimizerConfig):
                     continue
                 if dst == new_id and len(members[src]) < 2:
                     continue
-                gain, nodes = _kl_series(S, members, src, dst, tol)
-                if nodes and gain > tol:
+                gain, nodes = _kl_series(S, members, src, dst)
+                if nodes and gain > FLOAT_TOLERANCE:
                     candidates.append((gain, src, dst, nodes))
         if not candidates:
             break
@@ -132,7 +128,7 @@ def _improve(sm: ScoreMatrix, comm_of: list[int], cfg: OptimizerConfig):
                 trial[v] = dst
             trial_q = modularity_of_assignment(sm, trial)
             if trial_q > q_exact:
-                comm_of = _normalize(trial)
+                comm_of = list(Partition.canonical_assignment(trial))
                 q_exact = trial_q
                 applied = True
                 break
@@ -156,17 +152,16 @@ def optimize(sm: ScoreMatrix, cfg: OptimizerConfig | None = None) -> Partition:
         else:
             g = min(sm.n, 2 + r)
             start = [rng.randrange(g) for _ in range(sm.n)]
-        assignment, q = _improve(sm, start, cfg)
+        assignment, q = _improve(sm, start)
         if best is None or q > best[0] or (q == best[0] and tuple(assignment) < tuple(best[1])):
             best = (q, assignment)
     q, assignment = best
     return Partition(assignment=tuple(assignment), num_communities=max(assignment) + 1, modularity=q)
 
 
-def refine(sm: ScoreMatrix, p: Partition, cfg: OptimizerConfig | None = None) -> Partition:
+def refine(sm: ScoreMatrix, p: Partition) -> Partition:
     """Improve an existing partition; never returns a worse one."""
-    cfg = cfg or OptimizerConfig()
-    assignment, q = _improve(sm, list(p.assignment), cfg)
+    assignment, q = _improve(sm, list(p.assignment))
     if q < p.modularity:
         return p
     return Partition(assignment=tuple(assignment), num_communities=max(assignment) + 1, modularity=q)

@@ -116,7 +116,6 @@ def certify(
     restarts: int = 8,
     subnet_budget: int | None = None,
     path_budget: int = DEFAULT_PATH_BUDGET,
-    pool_chain_length: int = DEFAULT_POOL_CHAIN_LENGTH,
     mixed_prob: float = 0.5,
 ) -> CertificateDocument:
     """Produce a verified certificate document for a network.
@@ -153,7 +152,6 @@ def certify(
             tries_per_k=tries_per_k,
             mixed_prob=mixed_prob,
             path_budget=path_budget,
-            pool_chain_length=pool_chain_length,
         )
         components = chain_result.components
         bound = chain_result.bound
@@ -175,7 +173,7 @@ def certify(
                     break
                 spent += 1
                 resolved = partial_brute_force(sub)
-                if resolved is None or resolved.penalty <= 0:
+                if resolved.penalty <= 0:
                     continue
                 reduced = reduce_weights(resolved)
                 found.append(CertComponent.from_subnetwork(reduced, resolved.penalty))

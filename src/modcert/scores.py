@@ -68,9 +68,6 @@ class ScoreMatrix:
             self._scaled = (den, S, diag)
         return self._scaled
 
-    def balance_residue(self) -> Fraction:
-        return sum(self.s.values(), Fraction(0)) + sum(self.d, Fraction(0))
-
 
 @dataclass
 class Partition:

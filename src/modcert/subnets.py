@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .chains import ResidualScores
-from .scores import Pair
+from .scores import Pair, Partition
 
 DEFAULT_MAX_SIZE = 6
 
@@ -30,21 +30,6 @@ class Subnetwork:
     def positive_pairs(self) -> list[Pair]:
         return sorted(p for p, v in self.scores.items() if v > 0)
 
-    def negative_pairs(self) -> list[Pair]:
-        return sorted(p for p, v in self.scores.items() if v < 0)
-
-    def positive_total(self) -> Fraction:
-        return sum((v for v in self.scores.values() if v > 0), Fraction(0))
-
-
-@dataclass
-class PartitionRecord:
-    """One evaluated exclusion pattern: which pairs paid for it, and how much."""
-
-    assignment: tuple[int, ...]
-    contributing: tuple[Pair, ...]
-    value: Fraction
-
 
 @dataclass
 class ResolvedSubnetwork:
@@ -52,7 +37,9 @@ class ResolvedSubnetwork:
     q_star_best: Fraction
     penalty: Fraction
     witness_partition: tuple[int, ...]
-    proof_partitions: tuple[PartitionRecord, ...]
+    # pairs that cost each evaluated partition value (excluded positives and
+    # negatives caught inside a group), one set per distinct non-empty pattern
+    contributing_sets: frozenset[frozenset[Pair]]
     final_m: int
 
 
@@ -60,7 +47,6 @@ def enumerate_subnetworks(
     res: ResidualScores,
     max_size: int = DEFAULT_MAX_SIZE,
     adjacency: str = "nonzero",
-    budget: int | None = None,
 ) -> Iterator[Subnetwork]:
     """Connected induced subsets of size 3..max_size, each emitted once.
 
@@ -69,8 +55,7 @@ def enumerate_subnetworks(
     reaches every subnetwork able to carry a positive penalty (a penalty needs
     a negative pair inside a positively-connected group, and penalties add
     over positively-connected parts). Only subsets with at least one negative
-    and at least two positive internal pairs are emitted. Deterministic order;
-    `budget` caps the number of emitted subnetworks.
+    and at least two positive internal pairs are emitted. Deterministic order.
     """
     if max_size < 3:
         raise ValueError("max_size must be >= 3")
@@ -85,8 +70,6 @@ def enumerate_subnetworks(
             if keep:
                 adj[a].add(b)
                 adj[b].add(a)
-
-    emitted = 0
 
     def make(sub: list[int]) -> Subnetwork | None:
         nodes = tuple(sorted(sub))
@@ -108,16 +91,10 @@ def enumerate_subnetworks(
     # are exclusive neighbors of the just-added node, so every connected
     # subset appears exactly once
     def extend(sub: list[int], sub_set: set[int], ext: list[int], anchor: int):
-        nonlocal emitted
-        if budget is not None and emitted >= budget:
-            return
         if len(sub) >= 3:
             cand = make(sub)
             if cand is not None:
-                emitted += 1
                 yield cand
-                if budget is not None and emitted >= budget:
-                    return
         if len(sub) == max_size:
             return
         for i, w in enumerate(ext):
@@ -135,8 +112,6 @@ def enumerate_subnetworks(
             sub_set.remove(w)
 
     for v in range(n):
-        if budget is not None and emitted >= budget:
-            return
         ext0 = sorted(u for u in adj[v] if u > v)
         yield from extend([v], {v}, ext0, v)
 
@@ -148,9 +123,7 @@ def _scaled_scores(sub: Subnetwork) -> tuple[int, dict[Pair, int]]:
     return den, {p: v.numerator * (den // v.denominator) for p, v in sub.scores.items()}
 
 
-def partial_brute_force(
-    sub: Subnetwork, exclusion_cap: int = 64, _disable_discard: bool = False
-) -> ResolvedSubnetwork | None:
+def partial_brute_force(sub: Subnetwork, _disable_discard: bool = False) -> ResolvedSubnetwork:
     """Resolve a subnetwork by excluding m positive pairs and merging the rest.
 
     For m = 0, 1, ... every m-subset of positive pairs is dropped, the nodes
@@ -159,8 +132,8 @@ def partial_brute_force(
     Exclusion patterns whose dropped pair ends up inside one merged group
     duplicate a smaller-m pattern and are discarded. The search stops as
     proven-complete once even the cheapest m+1 exclusions cost more than the
-    best value found; if m reaches exclusion_cap first the subnetwork stays
-    unresolved and None is returned.
+    best value found, which happens by m = number of positive pairs at the
+    latest, so every subnetwork is resolved.
     """
     nodes = sub.nodes
     local = {v: i for i, v in enumerate(nodes)}
@@ -174,7 +147,7 @@ def partial_brute_force(
     singleton = tuple(range(nn))
     best_val = 0
     best_assignment = singleton
-    records: list[PartitionRecord] = []
+    contributing_sets: set[frozenset[Pair]] = set()
 
     def evaluate(excluded: tuple[Pair, ...]) -> None:
         nonlocal best_val, best_assignment
@@ -205,52 +178,34 @@ def partial_brute_force(
             if find(local[p[0]]) == find(local[p[1]]):
                 value += scaled[p]
                 contributing.append(p)
-        assignment = tuple(find(i) for i in range(nn))
-        records.append(
-            PartitionRecord(
-                assignment=assignment,
-                contributing=tuple(sorted(contributing)),
-                value=Fraction(value, den),
-            )
-        )
+        if contributing:
+            contributing_sets.add(frozenset(contributing))
         if value > best_val:
             best_val = value
-            best_assignment = assignment
+            best_assignment = tuple(find(i) for i in range(nn))
 
-    resolved = False
-    final_m = 0
-    for m in range(0, len(positives) + 1):
-        if m > exclusion_cap:
-            return None
+    # m = len(positives) leaves nothing to exclude, so the loop always breaks
+    for m in range(len(positives) + 1):
         for combo in itertools.combinations(positives, m):
             evaluate(combo)
-        final_m = m
-        remaining = pos_total - sum(pos_sorted_vals[: m + 1])
-        if remaining <= best_val:
-            resolved = True
+        if pos_total - sum(pos_sorted_vals[: m + 1]) <= best_val:
             break
-    if not resolved:
-        return None
 
     q_star = Fraction(best_val, den)
-    penalty = Fraction(pos_total, den) - q_star
-    from .scores import Partition
-
     return ResolvedSubnetwork(
         sub=sub,
         q_star_best=q_star,
-        penalty=penalty,
+        penalty=Fraction(pos_total, den) - q_star,
         witness_partition=Partition.canonical_assignment(best_assignment),
-        proof_partitions=tuple(records),
-        final_m=final_m,
+        contributing_sets=frozenset(contributing_sets),
+        final_m=m,
     )
 
 
 def _minimal_constraint_sets(rs: ResolvedSubnetwork) -> list[frozenset[Pair]]:
-    """Deduplicated, inclusion-minimal contributing sets from the proof records."""
-    sets = {frozenset(r.contributing) for r in rs.proof_partitions if r.contributing}
+    """The inclusion-minimal sets among the resolution's contributing sets."""
     minimal = []
-    for s in sorted(sets, key=lambda s: (len(s), sorted(s))):
+    for s in sorted(rs.contributing_sets, key=lambda s: (len(s), sorted(s))):
         if not any(t < s for t in minimal):
             minimal.append(s)
     return minimal
@@ -298,7 +253,6 @@ def reduce_weights(rs: ResolvedSubnetwork) -> Subnetwork:
         if x[q] != 0:
             reduced_scores[q] = x[q] if sub.scores[q] > 0 else -x[q]
     reduced = Subnetwork(nodes=sub.nodes, scores=reduced_scores)
-    check = partial_brute_force(reduced)
-    if check is None or check.penalty < p:
+    if partial_brute_force(reduced).penalty < p:
         return rs.sub
     return reduced

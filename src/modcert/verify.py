@@ -2,9 +2,11 @@
 
 Deliberately shares no code with certificate construction: permissibility is
 re-accumulated pair by pair, chain penalties are re-derived from the min rule,
-and subnetwork penalties are re-proven by enumerating every partition of the
-component from scratch. A certificate that passes here is a proof regardless
-of how it was produced.
+subnetwork penalties are re-proven by enumerating every partition of the
+component from scratch, and the trivial bound and a document's achieved
+modularity are re-summed from the scores. A certificate that passes here is a
+proof regardless of how it was produced. `modcert verify` and the self-check
+at the end of `certify` both come here, through `document_to_certificate`.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ class Violation:
     PERMISSIBILITY = "permissibility"
     COMPONENT_PENALTY = "component-penalty"
     BOUND_ARITHMETIC = "bound-arithmetic"
+    ACHIEVED_MISMATCH = "achieved-mismatch"
+    STATUS_MISMATCH = "status-mismatch"
 
 
 def _normalize(cert) -> tuple[list[tuple[CertComponent, Fraction]], Fraction]:
@@ -107,13 +111,33 @@ def _subnetwork_penalty_ok(comp: CertComponent) -> bool:
     return comp.penalty <= pos_total - best
 
 
+def _check_claims(cert: CombinedCertificate, sm: ScoreMatrix, diagonal: Fraction) -> str | None:
+    """A document's claims: the listed partition's modularity, the gap and the status."""
+    assignment = cert.achieved.assignment
+    if len(assignment) != sm.n:
+        return f"{Violation.ACHIEVED_MISMATCH}: partition covers {len(assignment)} of {sm.n} nodes"
+    q = diagonal + sum(
+        (v for (a, b), v in sm.s.items() if assignment[a] == assignment[b]), Fraction(0)
+    )
+    if q != cert.achieved.modularity:
+        return f"{Violation.ACHIEVED_MISMATCH}: stated modularity is not the partition's"
+    if cert.gap != cert.bound - q:
+        return f"{Violation.BOUND_ARITHMETIC}: gap field inconsistent"
+    if (cert.status == "optimal-proved") != (cert.gap == 0):
+        return f"{Violation.STATUS_MISMATCH}: status does not match gap"
+    return None
+
+
 def verify_certificate(cert, sm: ScoreMatrix) -> tuple[bool, str | None]:
     """Check a certificate against the score matrix it claims to bound.
 
     Conditions, in order: (a) the lambda-weighted loads stay within every
     pair's score magnitude with matching signs; (b) each component's penalty
     survives independent re-proof; (c) the claimed bound equals the trivial
-    bound minus the weighted penalties. Returns (ok, first_violation).
+    bound minus the weighted penalties; (d) for a certificate read from a
+    document, the listed partition scores the stated modularity, the gap is
+    bound minus that modularity and the status is "optimal-proved" exactly
+    when the gap is 0. Returns (ok, first_violation).
     """
     components, claimed_bound = _normalize(cert)
 
@@ -137,11 +161,16 @@ def verify_certificate(cert, sm: ScoreMatrix) -> tuple[bool, str | None]:
             )
 
     # independent trivial bound: positive pair mass plus all diagonal terms
-    trivial = sum((v for v in sm.s.values() if v > 0), Fraction(0)) + sum(sm.d, Fraction(0))
+    diagonal = sum(sm.d, Fraction(0))
+    trivial = sum((v for v in sm.s.values() if v > 0), Fraction(0)) + diagonal
     total = sum((lam * comp.penalty for comp, lam in components), Fraction(0))
     if trivial - total != claimed_bound:
         return False, (
             f"{Violation.BOUND_ARITHMETIC}: claimed bound {claimed_bound} != "
             f"trivial {trivial} - penalties {total}"
         )
+    if isinstance(cert, CombinedCertificate) and cert.achieved is not None:
+        msg = _check_claims(cert, sm, diagonal)
+        if msg is not None:
+            return False, msg
     return True, None

@@ -163,14 +163,12 @@ def test_criterion_6_partial_brute_force_oracle():
         if sub is None:
             continue
         rs = partial_brute_force(sub)
-        if rs is None:
-            continue
         assert rs.q_star_best == exhaustive_best(sub), f"oracle mismatch at seed {seed}"
         if rs.penalty > 0:
             red = reduce_weights(rs)
             rcheck = partial_brute_force(red)
             pos_total = sum((v for v in red.scores.values() if v > 0), F(0))
-            if rcheck is None or pos_total - rcheck.q_star_best < rs.penalty:
+            if pos_total - rcheck.q_star_best < rs.penalty:
                 reduce_failures += 1
         resolved_checked += 1
     report(6, reduce_failures == 0, f"{resolved_checked} subnetworks, {reduce_failures} reduction failures")

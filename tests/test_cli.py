@@ -12,6 +12,16 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def write_c5_certificate(tmp_path, capsys):
+    path = str(tmp_path / "c5.edges")
+    with open(path, "w") as fh:
+        fh.write("\n".join(f"{i} {(i + 1) % 5}" for i in range(5)) + "\n")
+    cert = str(tmp_path / "c5.cert.json")
+    code, out, _ = run(capsys, "certify", path, "--max-subnet-size", "5", "-o", cert)
+    assert code == 0 and "optimal-proved" in out
+    return path, cert
+
+
 def write_path_network(tmp_path):
     p = tmp_path / "path.edges"
     p.write_text("a b\nb c\n")
@@ -101,6 +111,53 @@ def test_verify_malformed_rational_exits_2(tmp_path, capsys, field, value):
     assert "cannot parse certificate" in err
 
 
+@pytest.mark.parametrize("field", ["pair", "node"])
+def test_verify_repeated_subnetwork_entry_exits_2(tmp_path, capsys, field):
+    path, cert = write_c5_certificate(tmp_path, capsys)
+    data = json.loads(open(cert).read())
+    comp = next(c for c in data["components"] if c["kind"] == "subnetwork")
+    if field == "pair":
+        comp["scores"].append(list(comp["scores"][0]))
+    else:
+        comp["nodes"].append(comp["nodes"][0])
+    open(cert, "w").write(json.dumps(data))
+    code, _, err = run(capsys, "verify", path, cert)
+    assert code == 2
+    assert "twice" in err
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda listing: listing[0].append("a"),  # node listed twice
+    lambda listing: listing[0].append(["a"]),  # a list as a label
+    lambda listing: listing.append(5),  # a number as a community
+])
+def test_verify_malformed_listing_exits_2(tmp_path, capsys, mutate):
+    path = write_path_network(tmp_path)
+    cert = str(tmp_path / "cert.json")
+    run(capsys, "certify", path, "--method", "chains", "-o", cert)
+    data = json.loads(open(cert).read())
+    mutate(data["achieved"]["communities"])
+    open(cert, "w").write(json.dumps(data))
+    code, _, err = run(capsys, "verify", path, cert)
+    assert code == 2
+    assert "cannot parse certificate" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["score", "karate", "--seed", "1"],
+    ["bound", "karate", "--format", "json"],
+    ["certify", "karate", "--format", "json"],
+    ["verify", "karate", "cert.json", "--format", "json"],
+    ["verify", "karate", "cert.json", "--seed", "1"],
+    ["bench", "knoki", "--directed"],
+])
+def test_removed_flags_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_verify_wrong_network_fingerprint(tmp_path, capsys):
     path = write_path_network(tmp_path)
     other = tmp_path / "other.edges"
@@ -146,12 +203,7 @@ def test_bench_csv(capsys):
 
 def test_certify_verify_subnetwork_components(tmp_path, capsys):
     # five-cycle certificates carry a subnetwork component; full file round trip
-    path = str(tmp_path / "c5.edges")
-    with open(path, "w") as fh:
-        fh.write("\n".join(f"{i} {(i + 1) % 5}" for i in range(5)) + "\n")
-    cert = str(tmp_path / "c5.cert.json")
-    code, out, _ = run(capsys, "certify", path, "--max-subnet-size", "5", "-o", cert)
-    assert code == 0 and "optimal-proved" in out
+    path, cert = write_c5_certificate(tmp_path, capsys)
     data = json.loads(open(cert).read())
     assert any(c["kind"] == "subnetwork" for c in data["components"])
     code, out, _ = run(capsys, "verify", path, cert)

@@ -7,7 +7,8 @@ from modcert.brute import brute_force_max
 from modcert.chains import ResidualScores
 from modcert.graph import build_network
 from modcert.lp import CertComponent, combine
-from modcert.pipeline import certify, chain_bound
+from modcert import pipeline
+from modcert.pipeline import CertificationError, certify, chain_bound
 from modcert.scores import ScoreMatrix, score_matrix
 from modcert.subnets import enumerate_subnetworks, partial_brute_force, reduce_weights
 
@@ -73,7 +74,7 @@ def test_pentagon_needs_subnetworks():
     res = ResidualScores.fresh(sm)
     for sub in enumerate_subnetworks(res, max_size=5, adjacency="positive"):
         rs = partial_brute_force(sub)
-        if rs is not None and rs.penalty > 0:
+        if rs.penalty > 0:
             pool.append(CertComponent.from_subnetwork(reduce_weights(rs), rs.penalty))
     combined = combine(pool, sm, achieved=qmax)
     assert combined.bound == qmax
@@ -119,3 +120,17 @@ def test_provenance_recorded():
     assert doc.provenance["seed"] == 3
     assert doc.provenance["method"] == "both"
     assert "tool" in doc.provenance
+
+
+def test_self_check_rejects_wrong_status(monkeypatch):
+    real = pipeline.build_document
+
+    def wrong_status(**kwargs):
+        doc = real(**kwargs)
+        doc.status = "gap" if doc.status == "optimal-proved" else "optimal-proved"
+        return doc
+
+    monkeypatch.setattr(pipeline, "build_document", wrong_status)
+    net = build_network([("a", "b", 1), ("b", "c", 1)])
+    with pytest.raises(CertificationError, match="status-mismatch"):
+        certify(net, method="chains")

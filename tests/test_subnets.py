@@ -119,7 +119,6 @@ def test_positive_adjacency_mode_subset():
 def test_partial_brute_force_triangle():
     sub = Subnetwork(nodes=(0, 1, 2), scores={(0, 1): F(1, 5), (0, 2): F(3, 10), (1, 2): F(-1, 10)})
     rs = partial_brute_force(sub)
-    assert rs is not None
     assert rs.q_star_best == F(2, 5)
     assert rs.penalty == F(1, 10)
     assert rs.witness_partition == (0, 0, 0)
@@ -135,14 +134,7 @@ def test_partial_brute_force_path_pattern():
 def test_star_without_negative_has_zero_penalty():
     sub = Subnetwork(nodes=(0, 1, 2), scores={(0, 1): F(3, 10), (0, 2): F(3, 10)})
     rs = partial_brute_force(sub)
-    assert rs is not None
     assert rs.penalty == 0
-
-
-def test_exclusion_cap_returns_unresolved():
-    sub = random_subnetwork(2, 6)
-    assert sub is not None
-    assert partial_brute_force(sub, exclusion_cap=-1) is None
 
 
 def test_oracle_equivalence_random_subnetworks():
@@ -154,8 +146,6 @@ def test_oracle_equivalence_random_subnetworks():
         if sub is None:
             continue
         rs = partial_brute_force(sub)
-        if rs is None:
-            continue
         assert rs.q_star_best == exhaustive_best(sub), f"seed {seed}"
         checked += 1
 
@@ -167,8 +157,6 @@ def test_discard_rule_never_changes_result():
             continue
         rs = partial_brute_force(sub)
         rs_all = partial_brute_force(sub, _disable_discard=True)
-        if rs is None or rs_all is None:
-            continue
         assert rs.q_star_best == rs_all.q_star_best
         assert rs.penalty == rs_all.penalty
 
@@ -203,7 +191,7 @@ def test_reduction_preserves_penalty_and_definition_bounds():
         if sub is None:
             continue
         rs = partial_brute_force(sub)
-        if rs is None or rs.penalty <= 0:
+        if rs.penalty <= 0:
             continue
         red = reduce_weights(rs)
         for q, v in red.scores.items():
@@ -211,6 +199,5 @@ def test_reduction_preserves_penalty_and_definition_bounds():
             assert v * orig > 0
             assert abs(v) <= abs(orig)
         rcheck = partial_brute_force(red)
-        assert rcheck is not None
         assert F(sum(v for v in red.scores.values() if v > 0)) - rcheck.q_star_best >= rs.penalty
         checked += 1

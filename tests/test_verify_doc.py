@@ -134,3 +134,43 @@ def test_document_certificate_verifies_after_round_trip():
     cert = document_to_certificate(back, net)
     ok, why = verify_certificate(cert, sm)
     assert ok, why
+
+
+def _path_document():
+    net = build_network([("a", "b", 1), ("b", "c", 1), ("c", "d", 1)])
+    return net, score_matrix(net), certify(net, method="chains")
+
+
+def test_document_claims_verify():
+    net, sm, doc = _path_document()
+    cert = document_to_certificate(doc, net)
+    assert cert.achieved.modularity == doc.achieved_modularity
+    ok, why = verify_certificate(cert, sm)
+    assert ok, why
+
+
+@pytest.mark.parametrize("mutate,violation", [
+    (lambda d: setattr(d, "achieved_modularity", d.achieved_modularity - F(1, 1000)),
+     "achieved-mismatch"),
+    (lambda d: setattr(d, "gap", d.gap + F(1, 1000)), "bound-arithmetic: gap"),
+    (lambda d: setattr(d, "status", "gap" if d.status == "optimal-proved" else "optimal-proved"),
+     "status-mismatch"),
+])
+def test_mutated_document_claim_fails(mutate, violation):
+    net, sm, doc = _path_document()
+    mutate(doc)
+    ok, why = verify_certificate(document_to_certificate(doc, net), sm)
+    assert not ok
+    assert why.startswith(violation)
+
+
+@pytest.mark.parametrize("communities,message", [
+    ([["a", "b"], ["c", "x"]], "unknown node label"),
+    ([["a", "b"], ["b", "c", "d"]], "listed twice"),
+    ([["a", "b"], ["c"]], "not listed"),
+])
+def test_bad_achieved_listing_is_malformed(communities, message):
+    net, _, doc = _path_document()
+    doc.achieved_communities = communities
+    with pytest.raises(ValueError, match=message):
+        document_to_certificate(doc, net)
