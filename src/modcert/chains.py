@@ -239,9 +239,6 @@ class ChainCertificate:
     total_penalty: Fraction
     bound: Fraction
     residual: ResidualScores
-    rng_seed: int
-    strategy: str
-    tries_per_k: int = 1
     truncated: bool = False
 
 
@@ -345,8 +342,5 @@ def greedy_certify(
         total_penalty=total,
         bound=trivial - total,
         residual=res,
-        rng_seed=seed,
-        strategy=strategy if strategy != "mixed" else f"mixed:{mixed_prob}",
-        tries_per_k=tries,
         truncated=truncated_any,
     )

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .graph import Network
 from .lp import CertComponent, CombinedCertificate
-from .scores import Partition
+from .scores import Partition, pair_key
 
 FORMAT_VERSION = 1
 
@@ -111,28 +111,35 @@ def serialize_component(comp: CertComponent, lam: Fraction, labels) -> dict:
     return entry
 
 
+def _node_id(lab, label_to_id: dict) -> int:
+    if lab not in label_to_id:
+        raise ValueError(f"unknown node label {lab!r}")
+    return label_to_id[lab]
+
+
 def deserialize_component(entry: dict, label_to_id: dict) -> tuple[CertComponent, Fraction]:
-    nodes = tuple(label_to_id[lab] for lab in entry["nodes"])
+    nodes = tuple(_node_id(lab, label_to_id) for lab in entry["nodes"])
+    if not nodes:
+        raise ValueError("component lists no nodes")
     if len(set(nodes)) != len(nodes):
         raise ValueError(f"component lists a node twice: {entry['nodes']!r}")
     lam = parse_frac(entry["lambda"])
     penalty = parse_frac(entry["penalty"])
+    loads = {}
     if entry["kind"] == "chain":
-        from .chains import Chain
-
-        comp = CertComponent.from_chain(Chain(nodes=nodes, penalty=penalty))
+        # +p on consecutive pairs, -p on the closing pair
+        for u, v in zip(nodes, nodes[1:]):
+            loads[pair_key(u, v)] = penalty
+        loads[pair_key(nodes[0], nodes[-1])] = -penalty
     elif entry["kind"] == "subnetwork":
-        loads = {}
         for la, lb, val in entry["scores"]:
-            a, b = label_to_id[la], label_to_id[lb]
-            key = (a, b) if a < b else (b, a)
+            key = pair_key(_node_id(la, label_to_id), _node_id(lb, label_to_id))
             if key in loads:
                 raise ValueError(f"subnetwork component lists pair ({la}, {lb}) twice")
             loads[key] = parse_frac(val)
-        comp = CertComponent(kind="subnetwork", nodes=nodes, loads=loads, penalty=penalty)
     else:
         raise ValueError(f"unknown component kind: {entry['kind']!r}")
-    return comp, lam
+    return CertComponent(kind=entry["kind"], nodes=nodes, loads=loads, penalty=penalty), lam
 
 
 def build_document(
@@ -164,11 +171,10 @@ def _claimed_partition(doc: CertificateDocument, label_to_id: dict) -> Partition
     assignment: list[int | None] = [None] * len(label_to_id)
     for ci, community in enumerate(doc.achieved_communities):
         for lab in community:
-            if lab not in label_to_id:
-                raise ValueError(f"achieved listing: unknown node label {lab!r}")
-            if assignment[label_to_id[lab]] is not None:
+            v = _node_id(lab, label_to_id)
+            if assignment[v] is not None:
                 raise ValueError(f"achieved listing: node {lab!r} listed twice")
-            assignment[label_to_id[lab]] = ci
+            assignment[v] = ci
     if None in assignment:
         raise ValueError(f"achieved listing: {assignment.count(None)} node(s) not listed")
     return Partition(assignment=tuple(assignment), num_communities=len(doc.achieved_communities),
@@ -178,16 +184,10 @@ def _claimed_partition(doc: CertificateDocument, label_to_id: dict) -> Partition
 def document_to_certificate(doc: CertificateDocument, net: Network) -> CombinedCertificate:
     """Rebuild a verifiable certificate object, document-level claims included."""
     label_to_id = net.label_index()
-    comps = []
-    for entry in doc.components:
-        comps.append(deserialize_component(entry, label_to_id))
-    total = sum((lam * comp.penalty for comp, lam in comps), Fraction(0))
     return CombinedCertificate(
-        components=tuple(comps),
-        trivial_bound=doc.bound + total,
-        total_penalty=total,
+        components=tuple(deserialize_component(entry, label_to_id) for entry in doc.components),
         bound=doc.bound,
-        status=doc.status,
-        gap=doc.gap,
         achieved=_claimed_partition(doc, label_to_id),
+        gap=doc.gap,
+        status=doc.status,
     )

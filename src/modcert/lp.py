@@ -423,21 +423,16 @@ class CertComponent:
 @dataclass
 class CombinedCertificate:
     components: tuple[tuple[CertComponent, Fraction], ...]  # (component, lambda)
-    trivial_bound: Fraction
-    total_penalty: Fraction
     bound: Fraction
-    status: str = "gap"
-    gap: Fraction | None = None
-    # a document's listed partition, its modularity the document's claim;
-    # when set, the verifier also checks that claim, the gap and the status
+    # a document's claims, set only by document_to_certificate: the listed
+    # partition (its modularity the document's), the gap and the status;
+    # when achieved is set, the verifier checks all three
     achieved: Partition | None = None
+    gap: Fraction | None = None
+    status: str | None = None
 
 
-def combine(
-    components: Sequence[CertComponent],
-    sm: ScoreMatrix,
-    achieved: Fraction | None = None,
-) -> CombinedCertificate:
+def combine(components: Sequence[CertComponent], sm: ScoreMatrix) -> CombinedCertificate:
     """Best permissible linear combination of proven components.
 
     One variable per component, one capacity row per touched pair: the
@@ -447,11 +442,7 @@ def combine(
     trivial = trivial_upper_bound(sm)
     comps = list(components)
     if not comps:
-        cert = CombinedCertificate(
-            components=(), trivial_bound=trivial, total_penalty=Fraction(0), bound=trivial
-        )
-        _set_status(cert, achieved)
-        return cert
+        return CombinedCertificate(components=(), bound=trivial)
 
     pairs = sorted({q for comp in comps for q in comp.loads})
     pair_row = {q: i for i, q in enumerate(pairs)}
@@ -467,20 +458,7 @@ def combine(
     if solved is None:
         raise ValueError("combination LP unbounded; some component has empty loads")
     lambdas, total = solved
-    cert = CombinedCertificate(
-        components=tuple((comp, lam) for comp, lam in zip(comps, lambdas)),
-        trivial_bound=trivial,
-        total_penalty=total,
+    return CombinedCertificate(
+        components=tuple(zip(comps, lambdas)),
         bound=trivial - total,
     )
-    _set_status(cert, achieved)
-    return cert
-
-
-def _set_status(cert: CombinedCertificate, achieved: Fraction | None):
-    if achieved is not None and cert.bound == achieved:
-        cert.status = "optimal-proved"
-        cert.gap = Fraction(0)
-    else:
-        cert.status = "gap"
-        cert.gap = None if achieved is None else cert.bound - achieved

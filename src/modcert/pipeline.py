@@ -34,7 +34,6 @@ class BoundResult:
     bound: Fraction
     greedy_bound: Fraction
     chains_applied: int
-    pool_size: int
 
 
 def chain_bound(
@@ -65,7 +64,6 @@ def chain_bound(
         bound=cert.bound,
         greedy_bound=cert.bound,
         chains_applied=len(cert.chains),
-        pool_size=len(cert.chains),
     )
     if achieved is not None and cert.bound == achieved:
         return result
@@ -77,15 +75,14 @@ def chain_bound(
         chains, _ = find_penalized_chains(fresh, k, path_budget)
         result.components, result.bound = _pool_and_combine(
             pool, seen, [CertComponent.from_chain(ch) for ch in chains],
-            sm, achieved, (result.components, result.bound),
+            sm, (result.components, result.bound),
         )
-        result.pool_size = len(pool)
         if achieved is not None and result.bound == achieved:
             break
     return result
 
 
-def _pool_and_combine(pool, seen, found, sm, achieved, best):
+def _pool_and_combine(pool, seen, found, sm, best):
     """Pool the unseen components of found; if any were new, re-combine the pool.
 
     best is the current (components, bound); returns the combination's pair
@@ -100,7 +97,7 @@ def _pool_and_combine(pool, seen, found, sm, achieved, best):
             added = True
     if not added:
         return best
-    combined = combine(pool, sm, achieved=achieved)
+    combined = combine(pool, sm)
     if combined.bound < best[1]:
         return list(combined.components), combined.bound
     return best
@@ -178,7 +175,7 @@ def certify(
                 reduced = reduce_weights(resolved)
                 found.append(CertComponent.from_subnetwork(reduced, resolved.penalty))
             components, bound = _pool_and_combine(
-                pool, seen, found, sm, achieved.modularity, (components, bound)
+                pool, seen, found, sm, (components, bound)
             )
             if bound == achieved.modularity:
                 break

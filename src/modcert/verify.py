@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .chains import ChainCertificate
-from .lp import CertComponent, CombinedCertificate
 from .scores import Pair, ScoreMatrix, pair_key
 
 MAX_EXHAUSTIVE_NODES = 12
@@ -26,16 +24,6 @@ class Violation:
     BOUND_ARITHMETIC = "bound-arithmetic"
     ACHIEVED_MISMATCH = "achieved-mismatch"
     STATUS_MISMATCH = "status-mismatch"
-
-
-def _normalize(cert) -> tuple[list[tuple[CertComponent, Fraction]], Fraction]:
-    """(component, lambda) pairs plus the claimed bound, for either certificate kind."""
-    if isinstance(cert, ChainCertificate):
-        comps = [(CertComponent.from_chain(ch), Fraction(1)) for ch in cert.chains]
-        return comps, cert.bound
-    if isinstance(cert, CombinedCertificate):
-        return list(cert.components), cert.bound
-    raise TypeError(f"cannot verify object of type {type(cert).__name__}")
 
 
 def _check_permissibility(components, sm: ScoreMatrix) -> str | None:
@@ -62,7 +50,7 @@ def _check_permissibility(components, sm: ScoreMatrix) -> str | None:
     return None
 
 
-def _chain_penalty_ok(comp: CertComponent) -> bool:
+def _chain_penalty_ok(comp) -> bool:
     nodes = comp.nodes
     if len(nodes) < 3 or len(set(nodes)) != len(nodes):
         return False
@@ -78,7 +66,7 @@ def _chain_penalty_ok(comp: CertComponent) -> bool:
     return comp.penalty <= min(min(interior), -closing)
 
 
-def _subnetwork_penalty_ok(comp: CertComponent) -> bool:
+def _subnetwork_penalty_ok(comp) -> bool:
     nodes = sorted(set(comp.nodes))
     if len(nodes) > MAX_EXHAUSTIVE_NODES:
         return False  # cannot re-prove; refuse rather than trust
@@ -111,7 +99,7 @@ def _subnetwork_penalty_ok(comp: CertComponent) -> bool:
     return comp.penalty <= pos_total - best
 
 
-def _check_claims(cert: CombinedCertificate, sm: ScoreMatrix, diagonal: Fraction) -> str | None:
+def _check_claims(cert, sm: ScoreMatrix, diagonal: Fraction) -> str | None:
     """A document's claims: the listed partition's modularity, the gap and the status."""
     assignment = cert.achieved.assignment
     if len(assignment) != sm.n:
@@ -131,15 +119,20 @@ def _check_claims(cert: CombinedCertificate, sm: ScoreMatrix, diagonal: Fraction
 def verify_certificate(cert, sm: ScoreMatrix) -> tuple[bool, str | None]:
     """Check a certificate against the score matrix it claims to bound.
 
+    cert is read by attribute only: `components`, (component, lambda) pairs
+    whose components carry `kind`, `nodes`, `loads` and `penalty`; `bound`;
+    and `achieved`, `gap` and `status`, the document's claims, read only
+    when `achieved` is not None.
+
     Conditions, in order: (a) the lambda-weighted loads stay within every
     pair's score magnitude with matching signs; (b) each component's penalty
     survives independent re-proof; (c) the claimed bound equals the trivial
-    bound minus the weighted penalties; (d) for a certificate read from a
-    document, the listed partition scores the stated modularity, the gap is
-    bound minus that modularity and the status is "optimal-proved" exactly
-    when the gap is 0. Returns (ok, first_violation).
+    bound minus the weighted penalties; (d) when the claims are present, the
+    listed partition scores the stated modularity, the gap is bound minus
+    that modularity and the status is "optimal-proved" exactly when the gap
+    is 0. Returns (ok, first_violation).
     """
-    components, claimed_bound = _normalize(cert)
+    components, claimed_bound = cert.components, cert.bound
 
     msg = _check_permissibility(components, sm)
     if msg is not None:
@@ -169,7 +162,7 @@ def verify_certificate(cert, sm: ScoreMatrix) -> tuple[bool, str | None]:
             f"{Violation.BOUND_ARITHMETIC}: claimed bound {claimed_bound} != "
             f"trivial {trivial} - penalties {total}"
         )
-    if isinstance(cert, CombinedCertificate) and cert.achieved is not None:
+    if cert.achieved is not None:
         msg = _check_claims(cert, sm, diagonal)
         if msg is not None:
             return False, msg

@@ -111,6 +111,24 @@ def test_verify_malformed_rational_exits_2(tmp_path, capsys, field, value):
     assert "cannot parse certificate" in err
 
 
+@pytest.mark.parametrize("mutate,message", [
+    (lambda comp: comp.pop("penalty"), "missing field 'penalty'"),
+    (lambda comp: comp.pop("nodes"), "missing field 'nodes'"),
+    (lambda comp: comp["nodes"].append("zz"), "unknown node label 'zz'"),
+    (lambda comp: comp["nodes"].clear(), "component lists no nodes"),
+], ids=["no-penalty", "no-nodes", "unknown-label", "empty-nodes"])
+def test_verify_malformed_component_exits_2(tmp_path, capsys, mutate, message):
+    path = write_path_network(tmp_path)
+    cert = str(tmp_path / "cert.json")
+    run(capsys, "certify", path, "--method", "chains", "-o", cert)
+    data = json.loads(open(cert).read())
+    mutate(data["components"][0])
+    open(cert, "w").write(json.dumps(data))
+    code, _, err = run(capsys, "verify", path, cert)
+    assert code == 2
+    assert f"cannot parse certificate: {message}" in err
+
+
 @pytest.mark.parametrize("field", ["pair", "node"])
 def test_verify_repeated_subnetwork_entry_exits_2(tmp_path, capsys, field):
     path, cert = write_c5_certificate(tmp_path, capsys)
@@ -150,12 +168,14 @@ def test_verify_malformed_listing_exits_2(tmp_path, capsys, mutate):
     ["verify", "karate", "cert.json", "--format", "json"],
     ["verify", "karate", "cert.json", "--seed", "1"],
     ["bench", "knoki", "--directed"],
+    ["optimize", "karate", "--format", "csv"],
 ])
 def test_removed_flags_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err or "invalid choice: 'csv'" in err
 
 
 def test_verify_wrong_network_fingerprint(tmp_path, capsys):

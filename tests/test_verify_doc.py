@@ -1,8 +1,12 @@
+import ast
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import modcert.document
+import modcert.verify
 from conftest import random_network
 from modcert.chains import Chain, greedy_certify
 from modcert.document import (
@@ -16,7 +20,7 @@ from modcert.document import (
 from modcert.graph import build_network
 from modcert.lp import CertComponent, CombinedCertificate, combine
 from modcert.pipeline import certify
-from modcert.scores import score_matrix
+from modcert.scores import score_matrix, trivial_upper_bound
 from modcert.verify import verify_certificate
 
 F = Fraction
@@ -39,7 +43,8 @@ def test_chain_certificate_verifies():
     for seed in range(10):
         sm = score_matrix(random_network(seed, n=7))
         cert = greedy_certify(sm)
-        ok, why = verify_certificate(cert, sm)
+        components = tuple((CertComponent.from_chain(ch), F(1)) for ch in cert.chains)
+        ok, why = verify_certificate(CombinedCertificate(components=components, bound=cert.bound), sm)
         assert ok, why
 
 
@@ -65,12 +70,7 @@ def test_tampered_lambda_fails_permissibility():
     # inflate one multiplier far past any pair capacity
     comp, lam = comps[0]
     comps[0] = (comp, lam + F(1000))
-    bad = CombinedCertificate(
-        components=tuple(comps),
-        trivial_bound=combined.trivial_bound,
-        total_penalty=combined.total_penalty,
-        bound=combined.bound,
-    )
+    bad = CombinedCertificate(components=tuple(comps), bound=combined.bound)
     ok, why = verify_certificate(bad, sm)
     assert not ok
     assert why.startswith("permissibility")
@@ -84,12 +84,7 @@ def test_tampered_penalty_fails_component_check():
                           penalty=comp.penalty * 2)
     comps[0] = (worse, lam)
     total = sum((c.penalty * l for c, l in comps), F(0))
-    bad = CombinedCertificate(
-        components=tuple(comps),
-        trivial_bound=combined.trivial_bound,
-        total_penalty=total,
-        bound=combined.trivial_bound - total,
-    )
+    bad = CombinedCertificate(components=tuple(comps), bound=trivial_upper_bound(sm) - total)
     ok, why = verify_certificate(bad, sm)
     assert not ok
     assert why.startswith("component-penalty")
@@ -97,12 +92,7 @@ def test_tampered_penalty_fails_component_check():
 
 def test_tampered_bound_fails_arithmetic():
     sm, combined = _sample_combined()
-    bad = CombinedCertificate(
-        components=combined.components,
-        trivial_bound=combined.trivial_bound,
-        total_penalty=combined.total_penalty,
-        bound=combined.bound - F(1, 1000),
-    )
+    bad = CombinedCertificate(components=combined.components, bound=combined.bound - F(1, 1000))
     ok, why = verify_certificate(bad, sm)
     assert not ok
     assert why.startswith("bound-arithmetic")
@@ -174,3 +164,27 @@ def test_bad_achieved_listing_is_malformed(communities, message):
     doc.achieved_communities = communities
     with pytest.raises(ValueError, match=message):
         document_to_certificate(doc, net)
+
+
+def _imported_modules(module) -> set[str]:
+    """Absolute names of everything a module's source imports."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "modcert" + (f".{base}" if base else "")
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("module,builders", [
+    (modcert.verify, {"modcert.chains", "modcert.lp"}),
+    (modcert.document, {"modcert.chains"}),
+], ids=["verify", "document"])
+def test_checker_imports_no_builder(module, builders):
+    assert not _imported_modules(module) & builders
