@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .scores import Pair, ScoreMatrix, pair_key, trivial_upper_bound
+from .scores import Pair, ScoreMatrix, trivial_upper_bound
 
 DEFAULT_PATH_BUDGET = 10_000_000
 
@@ -28,14 +28,6 @@ DEFAULT_PATH_BUDGET = 10_000_000
 class Chain:
     nodes: tuple[int, ...]
     penalty: Fraction
-
-    def pairs(self):
-        """Signed reduced loads: +p on consecutive pairs, -p on the closing pair."""
-        loads: dict[Pair, Fraction] = {}
-        for u, v in zip(self.nodes, self.nodes[1:]):
-            loads[pair_key(u, v)] = self.penalty
-        loads[pair_key(self.nodes[0], self.nodes[-1])] = -self.penalty
-        return loads
 
 
 class ChainError(ValueError):

@@ -3,6 +3,8 @@
 Every rational is written as an explicit "numerator/denominator" string so a
 parsed document reproduces the exact values; a certificate whose meaning
 depended on float parsing would not be a proof.
+A component whose loads are `chain_loads(nodes, penalty)` is written as a
+"chain" entry without its loads, any other as a "subnetwork" with "scores".
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 
 from .graph import Network
 from .lp import CertComponent, CombinedCertificate
-from .scores import Partition, pair_key
+from .scores import Partition, chain_loads, pair_key
 
 FORMAT_VERSION = 1
 
@@ -98,13 +100,14 @@ class CertificateDocument:
 
 
 def serialize_component(comp: CertComponent, lam: Fraction, labels) -> dict:
+    chain = comp.loads == chain_loads(comp.nodes, comp.penalty)
     entry = {
-        "kind": comp.kind,
+        "kind": "chain" if chain else "subnetwork",
         "nodes": [labels[v] for v in comp.nodes],
         "penalty": frac_str(comp.penalty),
         "lambda": frac_str(lam),
     }
-    if comp.kind == "subnetwork":
+    if not chain:
         entry["scores"] = [
             [labels[a], labels[b], frac_str(v)] for (a, b), v in sorted(comp.loads.items())
         ]
@@ -125,13 +128,10 @@ def deserialize_component(entry: dict, label_to_id: dict) -> tuple[CertComponent
         raise ValueError(f"component lists a node twice: {entry['nodes']!r}")
     lam = parse_frac(entry["lambda"])
     penalty = parse_frac(entry["penalty"])
-    loads = {}
     if entry["kind"] == "chain":
-        # +p on consecutive pairs, -p on the closing pair
-        for u, v in zip(nodes, nodes[1:]):
-            loads[pair_key(u, v)] = penalty
-        loads[pair_key(nodes[0], nodes[-1])] = -penalty
+        loads = chain_loads(nodes, penalty)
     elif entry["kind"] == "subnetwork":
+        loads = {}
         for la, lb, val in entry["scores"]:
             key = pair_key(_node_id(la, label_to_id), _node_id(lb, label_to_id))
             if key in loads:
@@ -139,7 +139,7 @@ def deserialize_component(entry: dict, label_to_id: dict) -> tuple[CertComponent
             loads[key] = parse_frac(val)
     else:
         raise ValueError(f"unknown component kind: {entry['kind']!r}")
-    return CertComponent(kind=entry["kind"], nodes=nodes, loads=loads, penalty=penalty), lam
+    return CertComponent(nodes=nodes, loads=loads, penalty=penalty), lam
 
 
 def build_document(

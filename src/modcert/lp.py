@@ -20,9 +20,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .chains import Chain
 from .scores import Pair, Partition, ScoreMatrix, trivial_upper_bound
-from .subnets import Subnetwork
 
 Row = tuple[dict[int, Fraction], Fraction]  # sparse coeffs, rhs >= 0; relation <=
 
@@ -403,21 +401,12 @@ def minimize_totals_exact(
 class CertComponent:
     """A proven penalized structure ready for linear combination."""
 
-    kind: str  # "chain" | "subnetwork"
     nodes: tuple[int, ...]
     loads: dict[Pair, Fraction]  # signed reduced scores
     penalty: Fraction
 
-    @classmethod
-    def from_chain(cls, ch: Chain) -> "CertComponent":
-        return cls(kind="chain", nodes=ch.nodes, loads=ch.pairs(), penalty=ch.penalty)
-
-    @classmethod
-    def from_subnetwork(cls, sub: Subnetwork, penalty: Fraction) -> "CertComponent":
-        return cls(kind="subnetwork", nodes=sub.nodes, loads=dict(sub.scores), penalty=penalty)
-
     def dedupe_key(self):
-        return (self.kind, self.nodes, self.penalty, tuple(sorted(self.loads.items())))
+        return (self.nodes, self.penalty, tuple(sorted(self.loads.items())))
 
 
 @dataclass

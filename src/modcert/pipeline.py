@@ -8,6 +8,7 @@ from fractions import Fraction
 from . import __version__ as _version
 from .chains import (
     DEFAULT_PATH_BUDGET,
+    Chain,
     ResidualScores,
     find_penalized_chains,
     greedy_certify,
@@ -16,7 +17,7 @@ from .document import CertificateDocument, build_document, document_to_certifica
 from .graph import Network
 from .lp import CertComponent, combine
 from .optimizer import OptimizerConfig, optimize
-from .scores import score_matrix, trivial_upper_bound
+from .scores import chain_loads, score_matrix, trivial_upper_bound
 from .subnets import enumerate_subnetworks, partial_brute_force, reduce_weights
 from .verify import verify_certificate
 
@@ -34,6 +35,12 @@ class BoundResult:
     bound: Fraction
     greedy_bound: Fraction
     chains_applied: int
+    truncated: bool  # the path budget cut some chain enumeration short
+
+
+def chain_component(ch: Chain) -> CertComponent:
+    """A chain as a combinable component: +p along it, -p on its closing pair."""
+    return CertComponent(nodes=ch.nodes, loads=chain_loads(ch.nodes, ch.penalty), penalty=ch.penalty)
 
 
 def chain_bound(
@@ -52,18 +59,20 @@ def chain_bound(
     If a gap remains, the chains it found are pooled with every penalized
     chain of the fresh matrix up to pool_chain_length nodes and the
     multipliers re-optimized exactly; the result can only tighten, and stops
-    early once the bound matches the achieved value.
+    early once the bound matches the achieved value. A path budget that runs
+    out weakens the bound and sets `truncated`.
     """
     cert = greedy_certify(
         sm, strategy=strategy, seed=seed, tries_per_k=tries_per_k,
         mixed_prob=mixed_prob, path_budget=path_budget,
     )
-    components = [(CertComponent.from_chain(ch), Fraction(1)) for ch in cert.chains]
+    components = [(chain_component(ch), Fraction(1)) for ch in cert.chains]
     result = BoundResult(
         components=components,
         bound=cert.bound,
         greedy_bound=cert.bound,
         chains_applied=len(cert.chains),
+        truncated=cert.truncated,
     )
     if achieved is not None and cert.bound == achieved:
         return result
@@ -72,9 +81,10 @@ def chain_bound(
     seen = {comp.dedupe_key() for comp in pool}
     fresh = ResidualScores.fresh(sm)
     for k in range(3, max(3, pool_chain_length) + 1):
-        chains, _ = find_penalized_chains(fresh, k, path_budget)
+        chains, truncated = find_penalized_chains(fresh, k, path_budget)
+        result.truncated |= truncated
         result.components, result.bound = _pool_and_combine(
-            pool, seen, [CertComponent.from_chain(ch) for ch in chains],
+            pool, seen, [chain_component(ch) for ch in chains],
             sm, (result.components, result.bound),
         )
         if achieved is not None and result.bound == achieved:
@@ -120,10 +130,13 @@ def certify(
     Runs the partition search, then the chain certifier, and, if a gap
     remains and the method allows, resolves small subnetworks and
     re-optimizes all multipliers by LP. Budget exhaustion weakens the bound
-    but never its validity. The emitted document is verified before return.
+    but never its validity, and provenance records it. The emitted document
+    is verified before return.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
+    if method != "chains" and max_subnet_size < 3:
+        raise ValueError("max_subnet_size must be >= 3")
     sm = score_matrix(net)
     achieved = optimize(sm, OptimizerConfig(seed=seed, restarts=restarts))
 
@@ -153,35 +166,37 @@ def certify(
         components = chain_result.components
         bound = chain_result.bound
         provenance["greedy_chain_bound"] = f"{chain_result.greedy_bound.numerator}/{chain_result.greedy_bound.denominator}"
+        if chain_result.truncated:
+            provenance["path_budget_exhausted"] = True
 
     if method in ("subnets", "both") and bound != achieved.modularity:
-        if max_subnet_size < 3:
-            raise ValueError("max_subnet_size must be >= 3")
         pool = [comp for comp, _ in components]
         seen = {comp.dedupe_key() for comp in pool}
         res = ResidualScores.fresh(sm)
         spent = 0
+        exhausted = False
         for size in range(3, max_subnet_size + 1):
             found = []
             for sub in enumerate_subnetworks(res, max_size=size, adjacency="positive"):
                 if len(sub.nodes) != size:
                     continue
                 if subnet_budget is not None and spent >= subnet_budget:
+                    exhausted = True
                     break
                 spent += 1
                 resolved = partial_brute_force(sub)
                 if resolved.penalty <= 0:
                     continue
                 reduced = reduce_weights(resolved)
-                found.append(CertComponent.from_subnetwork(reduced, resolved.penalty))
+                found.append(CertComponent(reduced.nodes, reduced.scores, resolved.penalty))
             components, bound = _pool_and_combine(
                 pool, seen, found, sm, (components, bound)
             )
-            if bound == achieved.modularity:
-                break
-            if subnet_budget is not None and spent >= subnet_budget:
+            if bound == achieved.modularity or exhausted:
                 break
         provenance["subnetworks_examined"] = spent
+        if exhausted:
+            provenance["subnet_budget_exhausted"] = True
 
     status = "optimal-proved" if bound == achieved.modularity else "gap"
     doc = build_document(

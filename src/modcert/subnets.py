@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
+from . import lp
 from .chains import ResidualScores
 from .scores import Pair, Partition
 
@@ -220,8 +221,6 @@ def reduce_weights(rs: ResolvedSubnetwork) -> Subnetwork:
     re-verified by a fresh resolution run; on any failure the original
     subnetwork is returned unchanged.
     """
-    from .lp import minimize_totals_exact
-
     p = rs.penalty
     if p <= 0:
         return rs.sub
@@ -233,7 +232,7 @@ def reduce_weights(rs: ResolvedSubnetwork) -> Subnetwork:
     m_plus_1 = rs.final_m + 1
 
     while True:
-        x = minimize_totals_exact(all_pairs, ub, constraint_sets, p)
+        x = lp.minimize_totals_exact(all_pairs, ub, constraint_sets, p)
         if x is None:
             return rs.sub
         # lazily enforce: any m+1 positive pairs must sum to >= p

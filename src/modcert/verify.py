@@ -1,12 +1,13 @@
 """Independent certificate checking.
 
 Deliberately shares no code with certificate construction: permissibility is
-re-accumulated pair by pair, chain penalties are re-derived from the min rule,
-subnetwork penalties are re-proven by enumerating every partition of the
-component from scratch, and the trivial bound and a document's achieved
-modularity are re-summed from the scores. A certificate that passes here is a
-proof regardless of how it was produced. `modcert verify` and the self-check
-at the end of `certify` both come here, through `document_to_certificate`.
+re-accumulated pair by pair, each component's penalty is re-derived from the
+min rule on its node order or else re-proven by enumerating every partition
+of the component from scratch, and the trivial bound and a document's
+achieved modularity are re-summed from the scores. A certificate that passes
+here is a proof regardless of how it was produced. `modcert verify` and the
+self-check at the end of `certify` both come here, through
+`document_to_certificate`.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ def _check_permissibility(components, sm: ScoreMatrix) -> str | None:
 
 
 def _chain_penalty_ok(comp) -> bool:
+    """The min rule on the node order; loads on other pairs, if any, only
+    raise the positive total or lower what a partition collects."""
     nodes = comp.nodes
     if len(nodes) < 3 or len(set(nodes)) != len(nodes):
         return False
@@ -66,15 +69,12 @@ def _chain_penalty_ok(comp) -> bool:
     return comp.penalty <= min(min(interior), -closing)
 
 
-def _subnetwork_penalty_ok(comp) -> bool:
+def _exhaustive_penalty_ok(comp) -> bool:
     nodes = sorted(set(comp.nodes))
     if len(nodes) > MAX_EXHAUSTIVE_NODES:
         return False  # cannot re-prove; refuse rather than trust
     index = {v: i for i, v in enumerate(nodes)}
     nn = len(nodes)
-    for a, b in comp.loads:
-        if a not in index or b not in index or a == b:
-            return False
     pos_total = sum((v for v in comp.loads.values() if v > 0), Fraction(0))
 
     best = Fraction(0)  # all-singletons collects nothing
@@ -111,8 +111,8 @@ def _check_claims(cert, sm: ScoreMatrix, diagonal: Fraction) -> str | None:
         return f"{Violation.ACHIEVED_MISMATCH}: stated modularity is not the partition's"
     if cert.gap != cert.bound - q:
         return f"{Violation.BOUND_ARITHMETIC}: gap field inconsistent"
-    if (cert.status == "optimal-proved") != (cert.gap == 0):
-        return f"{Violation.STATUS_MISMATCH}: status does not match gap"
+    if cert.status != ("optimal-proved" if cert.gap == 0 else "gap"):
+        return f"{Violation.STATUS_MISMATCH}: status {cert.status!r} does not match gap"
     return None
 
 
@@ -120,7 +120,7 @@ def verify_certificate(cert, sm: ScoreMatrix) -> tuple[bool, str | None]:
     """Check a certificate against the score matrix it claims to bound.
 
     cert is read by attribute only: `components`, (component, lambda) pairs
-    whose components carry `kind`, `nodes`, `loads` and `penalty`; `bound`;
+    whose components carry `nodes`, `loads` and `penalty`; `bound`;
     and `achieved`, `gap` and `status`, the document's claims, read only
     when `achieved` is not None.
 
@@ -129,8 +129,8 @@ def verify_certificate(cert, sm: ScoreMatrix) -> tuple[bool, str | None]:
     survives independent re-proof; (c) the claimed bound equals the trivial
     bound minus the weighted penalties; (d) when the claims are present, the
     listed partition scores the stated modularity, the gap is bound minus
-    that modularity and the status is "optimal-proved" exactly when the gap
-    is 0. Returns (ok, first_violation).
+    that modularity and the status is "optimal-proved" when the gap is 0 and
+    "gap" otherwise. Returns (ok, first_violation).
     """
     components, claimed_bound = cert.components, cert.bound
 
@@ -139,19 +139,14 @@ def verify_certificate(cert, sm: ScoreMatrix) -> tuple[bool, str | None]:
         return False, msg
 
     for i, (comp, _lam) in enumerate(components):
+        name = f"component {i} on nodes {comp.nodes}"
         if comp.penalty <= 0:
-            return False, f"{Violation.COMPONENT_PENALTY}: component {i} claims penalty {comp.penalty}"
-        if comp.kind == "chain":
-            ok = _chain_penalty_ok(comp)
-        elif comp.kind == "subnetwork":
-            ok = _subnetwork_penalty_ok(comp)
-        else:
-            ok = False
-        if not ok:
-            return False, (
-                f"{Violation.COMPONENT_PENALTY}: component {i} ({comp.kind} on nodes "
-                f"{comp.nodes}) does not prove penalty {comp.penalty}"
-            )
+            return False, f"{Violation.COMPONENT_PENALTY}: {name} claims penalty {comp.penalty}"
+        nodes = set(comp.nodes)
+        if any(a == b or a not in nodes or b not in nodes for a, b in comp.loads):
+            return False, f"{Violation.COMPONENT_PENALTY}: {name} has a load outside its node pairs"
+        if not (_chain_penalty_ok(comp) or _exhaustive_penalty_ok(comp)):
+            return False, f"{Violation.COMPONENT_PENALTY}: {name} does not prove penalty {comp.penalty}"
 
     # independent trivial bound: positive pair mass plus all diagonal terms
     diagonal = sum(sm.d, Fraction(0))

@@ -16,9 +16,9 @@ from modcert.datasets import load_network
 from modcert.document import CertificateDocument, document_to_certificate
 from modcert.generator import generate_planted
 from modcert.graph import build_network
-from modcert.lp import CertComponent, combine
+from modcert.lp import combine
 from modcert.optimizer import OptimizerConfig, optimize
-from modcert.pipeline import certify, chain_bound
+from modcert.pipeline import certify, chain_bound, chain_component
 from modcert.scores import score_matrix, trivial_upper_bound
 from modcert.subnets import partial_brute_force, reduce_weights
 from modcert.verify import verify_certificate
@@ -142,7 +142,7 @@ def test_criterion_5_soundness_suite():
         chain_cert = greedy_certify(sm, seed=seed)
         docs = [certify(net, method="both", max_subnet_size=4, seed=seed)]
         bounds = [chain_cert.bound] + [d.bound for d in docs]
-        pool = [CertComponent.from_chain(c) for c in chain_cert.chains]
+        pool = [chain_component(c) for c in chain_cert.chains]
         bounds.append(combine(pool, sm).bound)
         count += 1
         for b in bounds:

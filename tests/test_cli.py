@@ -178,6 +178,23 @@ def test_removed_flags_exit_2(capsys, argv):
     assert "unrecognized arguments" in err or "invalid choice: 'csv'" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["certify", "PATH", "--method", "subnets", "--max-subnet-size", "2"],
+     "max_subnet_size must be >= 3"),
+    (["certify", "PATH", "--method", "both", "--max-subnet-size", "2"],
+     "max_subnet_size must be >= 3"),
+    (["optimize", "PATH", "--restarts", "0"], "restarts must be >= 1"),
+    (["gen", "--n", "5", "--communities", "0", "--p-in", "0.9", "--p-out", "0.1"],
+     "communities must be between 1 and n"),
+], ids=["subnets-size", "both-size", "restarts", "communities"])
+def test_invalid_argument_value_exits_2(tmp_path, capsys, argv, message):
+    path = write_path_network(tmp_path)
+    code, out, err = run(capsys, *[path if a == "PATH" else a for a in argv])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_verify_wrong_network_fingerprint(tmp_path, capsys):
     path = write_path_network(tmp_path)
     other = tmp_path / "other.edges"

@@ -15,6 +15,7 @@ from modcert.lp import (
     minimize_totals_exact,
     solve_lp,
 )
+from modcert.pipeline import chain_component
 from modcert.scores import ScoreMatrix, score_matrix, trivial_upper_bound
 
 F = Fraction
@@ -138,11 +139,11 @@ def test_combine_shared_pair_capacity():
         d=(F(0),) * 4,
     )
     c1 = CertComponent(
-        kind="subnetwork", nodes=(0, 1, 2),
+        nodes=(0, 1, 2),
         loads={(0, 1): F(1, 10), (0, 2): F(1, 10), (1, 2): F(-1, 10)}, penalty=F(1, 10),
     )
     c2 = CertComponent(
-        kind="subnetwork", nodes=(0, 1, 3),
+        nodes=(0, 1, 3),
         loads={(0, 1): F(1, 10), (0, 3): F(1, 10), (1, 3): F(-1, 10)}, penalty=F(1, 10),
     )
     cert = combine([c1, c2], sm)
@@ -154,7 +155,7 @@ def test_combine_single_component_lambda_at_least_one():
         n=3, s={(0, 1): F(1, 5), (0, 2): F(3, 10), (1, 2): F(-1, 10)}, d=(F(0),) * 3
     )
     comp = CertComponent(
-        kind="subnetwork", nodes=(0, 1, 2),
+        nodes=(0, 1, 2),
         loads={(0, 1): F(1, 10), (0, 2): F(1, 10), (1, 2): F(-1, 10)}, penalty=F(1, 10),
     )
     cert = combine([comp], sm)
@@ -170,7 +171,7 @@ def test_combine_empty_pool_gives_trivial():
 
 def test_combine_sign_violation_rejected():
     sm = ScoreMatrix(n=3, s={(0, 1): F(1), (0, 2): F(1), (1, 2): F(-1)}, d=(F(0),) * 3)
-    bad = CertComponent(kind="subnetwork", nodes=(0, 1, 2),
+    bad = CertComponent(nodes=(0, 1, 2),
                         loads={(0, 1): F(-1, 2)}, penalty=F(1, 4))
     with pytest.raises(ValueError, match="sign"):
         combine([bad], sm)
@@ -183,7 +184,7 @@ def test_combine_no_worse_than_unit_lambdas():
         cert = greedy_certify(sm)
         if not cert.chains:
             continue
-        pool = [CertComponent.from_chain(c) for c in cert.chains]
+        pool = [chain_component(c) for c in cert.chains]
         combined = combine(pool, sm)
         assert combined.bound <= cert.bound
         q, _ = brute_force_max(sm)
@@ -193,7 +194,7 @@ def test_combine_no_worse_than_unit_lambdas():
 def test_combine_status_with_achieved():
     sm = score_matrix(build_network([("a", "b", 1), ("b", "c", 1)]))
     cert = greedy_certify(sm)
-    pool = [CertComponent.from_chain(c) for c in cert.chains]
+    pool = [chain_component(c) for c in cert.chains]
     combined = combine(pool, sm)
     # the bound meets the achieved optimum 0 (all singletons), so it is proven
     assert combined.bound == 0

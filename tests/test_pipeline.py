@@ -5,12 +5,15 @@ import pytest
 from conftest import random_network
 from modcert.brute import brute_force_max
 from modcert.chains import ResidualScores
+from modcert.datasets import load_network
+from modcert.document import CertificateDocument, document_to_certificate
 from modcert.graph import build_network
 from modcert.lp import CertComponent, combine
 from modcert import pipeline
 from modcert.pipeline import CertificationError, certify, chain_bound
 from modcert.scores import ScoreMatrix, score_matrix
 from modcert.subnets import enumerate_subnetworks, partial_brute_force, reduce_weights
+from modcert.verify import verify_certificate
 
 F = Fraction
 
@@ -32,6 +35,12 @@ def test_certify_method_validation():
     net = build_network([("a", "b", 1)])
     with pytest.raises(ValueError):
         certify(net, method="bogus")
+    # checked up front: chains alone prove the path optimal, so the subnet
+    # stage would never run
+    path = build_network([("a", "b", 1), ("b", "c", 1)])
+    with pytest.raises(ValueError, match="max_subnet_size"):
+        certify(path, method="both", max_subnet_size=2)
+    assert certify(path, method="chains", max_subnet_size=2).status == "optimal-proved"
 
 
 def test_certify_small_random_soundness():
@@ -75,7 +84,8 @@ def test_pentagon_needs_subnetworks():
     for sub in enumerate_subnetworks(res, max_size=5, adjacency="positive"):
         rs = partial_brute_force(sub)
         if rs.penalty > 0:
-            pool.append(CertComponent.from_subnetwork(reduce_weights(rs), rs.penalty))
+            red = reduce_weights(rs)
+            pool.append(CertComponent(nodes=red.nodes, loads=red.scores, penalty=rs.penalty))
     combined = combine(pool, sm)
     assert combined.bound == qmax
 
@@ -119,6 +129,22 @@ def test_provenance_recorded():
     assert doc.provenance["seed"] == 3
     assert doc.provenance["method"] == "both"
     assert "tool" in doc.provenance
+    assert "path_budget_exhausted" not in doc.provenance
+    assert "subnet_budget_exhausted" not in doc.provenance
+
+
+@pytest.mark.parametrize("options,field", [
+    ({"method": "chains", "path_budget": 50}, "path_budget_exhausted"),
+    ({"method": "subnets", "max_subnet_size": 3, "subnet_budget": 5}, "subnet_budget_exhausted"),
+], ids=["path-budget", "subnet-budget"])
+def test_budget_cut_recorded(options, field):
+    net = load_network("karate")
+    doc = certify(net, **options)
+    assert doc.status == "gap"
+    assert doc.provenance[field] is True
+    back = CertificateDocument.loads(doc.dumps())
+    ok, why = verify_certificate(document_to_certificate(back, net), score_matrix(net))
+    assert ok, why
 
 
 def test_self_check_rejects_wrong_status(monkeypatch):

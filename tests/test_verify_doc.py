@@ -6,12 +6,14 @@ from pathlib import Path
 import pytest
 
 import modcert.document
+import modcert.lp
 import modcert.verify
 from conftest import random_network
 from modcert.chains import Chain, greedy_certify
 from modcert.document import (
     CertificateDocument,
     build_document,
+    deserialize_component,
     document_to_certificate,
     frac_str,
     network_fingerprint,
@@ -19,8 +21,8 @@ from modcert.document import (
 )
 from modcert.graph import build_network
 from modcert.lp import CertComponent, CombinedCertificate, combine
-from modcert.pipeline import certify
-from modcert.scores import score_matrix, trivial_upper_bound
+from modcert.pipeline import certify, chain_component
+from modcert.scores import chain_loads, score_matrix, trivial_upper_bound
 from modcert.verify import verify_certificate
 
 F = Fraction
@@ -43,7 +45,7 @@ def test_chain_certificate_verifies():
     for seed in range(10):
         sm = score_matrix(random_network(seed, n=7))
         cert = greedy_certify(sm)
-        components = tuple((CertComponent.from_chain(ch), F(1)) for ch in cert.chains)
+        components = tuple((chain_component(ch), F(1)) for ch in cert.chains)
         ok, why = verify_certificate(CombinedCertificate(components=components, bound=cert.bound), sm)
         assert ok, why
 
@@ -51,7 +53,7 @@ def test_chain_certificate_verifies():
 def test_combined_certificate_verifies():
     sm = score_matrix(random_network(4, n=7))
     cert = greedy_certify(sm)
-    pool = [CertComponent.from_chain(c) for c in cert.chains]
+    pool = [chain_component(c) for c in cert.chains]
     combined = combine(pool, sm)
     ok, why = verify_certificate(combined, sm)
     assert ok, why
@@ -60,7 +62,7 @@ def test_combined_certificate_verifies():
 def _sample_combined(seed=4):
     sm = score_matrix(random_network(seed, n=7))
     cert = greedy_certify(sm)
-    pool = [CertComponent.from_chain(c) for c in cert.chains]
+    pool = [chain_component(c) for c in cert.chains]
     return sm, combine(pool, sm)
 
 
@@ -80,8 +82,7 @@ def test_tampered_penalty_fails_component_check():
     sm, combined = _sample_combined()
     comps = list(combined.components)
     comp, lam = comps[0]
-    worse = CertComponent(kind=comp.kind, nodes=comp.nodes, loads=dict(comp.loads),
-                          penalty=comp.penalty * 2)
+    worse = CertComponent(nodes=comp.nodes, loads=dict(comp.loads), penalty=comp.penalty * 2)
     comps[0] = (worse, lam)
     total = sum((c.penalty * l for c, l in comps), F(0))
     bad = CombinedCertificate(components=tuple(comps), bound=trivial_upper_bound(sm) - total)
@@ -131,6 +132,13 @@ def _path_document():
     return net, score_matrix(net), certify(net, method="chains")
 
 
+def _c5_gap_document():
+    net = build_network([(str(i), str((i + 1) % 5), 1) for i in range(5)])
+    doc = certify(net, method="chains")
+    assert doc.status == "gap"
+    return net, score_matrix(net), doc
+
+
 def test_document_claims_verify():
     net, sm, doc = _path_document()
     cert = document_to_certificate(doc, net)
@@ -145,13 +153,54 @@ def test_document_claims_verify():
     (lambda d: setattr(d, "gap", d.gap + F(1, 1000)), "bound-arithmetic: gap"),
     (lambda d: setattr(d, "status", "gap" if d.status == "optimal-proved" else "optimal-proved"),
      "status-mismatch"),
+    (lambda d: setattr(d, "status", "whatever"), "status-mismatch: status 'whatever'"),
 ])
 def test_mutated_document_claim_fails(mutate, violation):
-    net, sm, doc = _path_document()
-    mutate(doc)
-    ok, why = verify_certificate(document_to_certificate(doc, net), sm)
-    assert not ok
-    assert why.startswith(violation)
+    for net, sm, doc in (_path_document(), _c5_gap_document()):
+        mutate(doc)
+        ok, why = verify_certificate(document_to_certificate(doc, net), sm)
+        assert not ok
+        assert why.startswith(violation)
+
+
+def test_chain_shaped_subnetwork_written_as_chain():
+    # the path's one subnetwork reduces to +1/8 along a, b, c and -1/8 on (a, c)
+    net = build_network([("a", "b", 1), ("b", "c", 1)])
+    doc = certify(net, method="subnets", max_subnet_size=3)
+    [entry] = doc.components
+    assert entry["kind"] == "chain"
+    assert "scores" not in entry
+    # the same component in the subnetwork form, which earlier writers emitted
+    old = dict(entry, kind="subnetwork",
+               scores=[["a", "b", "1/8"], ["a", "c", "-1/8"], ["b", "c", "1/8"]])
+    labels = net.label_index()
+    assert deserialize_component(old, labels) == deserialize_component(entry, labels)
+    doc.components = [old]
+    back = CertificateDocument.loads(doc.dumps())
+    ok, why = verify_certificate(document_to_certificate(back, net), score_matrix(net))
+    assert ok, why
+
+
+@pytest.mark.parametrize("nodes,extra,penalty", [
+    ((0, 1, 2), {}, F(1, 16)),  # the min rule proves it
+    ((0, 1, 2, 3), {(0, 2): F(-1, 16)}, F(1, 16)),  # an extra load keeps it
+    ((0, 2, 1), {}, F(1, 16)),  # the min rule fails on this order, enumeration proves it
+    ((0, 1, 2), {}, F(1, 8)),  # neither proves twice the chain's penalty
+], ids=["min-rule", "extra-load", "exhaustive", "unproven"])
+def test_component_penalty_min_rule_then_exhaustive(nodes, extra, penalty):
+    # path a-b-c-d-e: positive scores along it, negative ones across it
+    net = build_network([(x, y, 1) for x, y in zip("abcd", "bcde")])
+    sm = score_matrix(net)
+    chain = sorted(nodes)
+    comp = CertComponent(nodes=nodes, loads={**chain_loads(chain, F(1, 16)), **extra},
+                         penalty=penalty)
+    cert = CombinedCertificate(components=((comp, F(1)),), bound=trivial_upper_bound(sm) - penalty)
+    ok, why = verify_certificate(cert, sm)
+    if penalty == F(1, 16):
+        assert ok, why
+    else:
+        assert not ok
+        assert why == f"component-penalty: component 0 on nodes {nodes} does not prove penalty 1/8"
 
 
 @pytest.mark.parametrize("communities,message", [
@@ -185,6 +234,7 @@ def _imported_modules(module) -> set[str]:
 @pytest.mark.parametrize("module,builders", [
     (modcert.verify, {"modcert.chains", "modcert.lp"}),
     (modcert.document, {"modcert.chains"}),
-], ids=["verify", "document"])
+    (modcert.lp, {"modcert.chains", "modcert.subnets"}),
+], ids=["verify", "document", "lp"])
 def test_checker_imports_no_builder(module, builders):
     assert not _imported_modules(module) & builders
