@@ -92,6 +92,8 @@ def cmd_bound(args) -> int:
     print(f"achieved: {float(achieved):.6f} ({frac_str(achieved)})")
     print(f"greedy chains: {result.chains_applied}, greedy bound {float(result.greedy_bound):.6f}")
     print(f"bound: {float(result.bound):.6f} ({frac_str(result.bound)})")
+    if result.truncated:
+        print("path budget exhausted: chain enumeration was cut short, so the bound may be weaker")
     return 0
 
 

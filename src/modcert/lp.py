@@ -2,12 +2,15 @@
 
 Every LP here has one form: maximize c.x subject to sparse rows
 coeffs.x <= rhs with every rhs >= 0, and x >= 0, so the origin is feasible
-and the slack basis is a starting vertex. Solves run in floating point first
-(scipy/HiGHS) for speed; the vertex of the float point is then solved again
-in exact rational arithmetic. Whenever that recovery fails, a single-phase
-exact simplex over Fractions with Bland's rule takes over (with column
-generation for wide problems), so every number that leaves this module is
-exact.
+and the slack basis is a starting vertex. Every solve, the combination LP
+and the weight-reduction LPs alike, takes one path: HiGHS solves it in
+floating point, its primal and its dual are each solved again exactly on
+their patterns, and the answer is kept only if strong duality holds exactly
+(Applegate, Cook, Dash & Espinoza, Exact solutions to linear programming
+problems, 2007). If HiGHS fails or the check rejects its answer, a
+single-phase exact simplex over Fractions with Bland's rule takes over (with
+column generation for wide problems). Every number that leaves this module
+is exact.
 """
 
 from __future__ import annotations
@@ -157,10 +160,14 @@ def solve_sparse_system(rows: list[dict[int, Fraction]], rhs: list[Fraction], nc
 
 
 # ---------------------------------------------------------------------------
-# float solve, exact vertex recovery, exact fallback
+# float solve, exact primal-dual recovery, exact fallback
 
 def _float_solve(obj, rows):
-    """HiGHS's optimal point of max obj.x, rows <=, x >= 0; None if it has none."""
+    """HiGHS's answer to max obj.x, rows <=, x >= 0; None if it has no optimum.
+
+    Returns the point x, the row duals y >= 0 and the reduced costs, which
+    are zero on the columns where the dual constraint is tight.
+    """
     nv = len(obj)
     m = len(rows)
     c = np.array([-float(v) for v in obj])
@@ -173,48 +180,35 @@ def _float_solve(obj, rows):
             ci.append(j)
             data.append(float(v))
     A = sparse.csr_matrix((data, (ri, ci)), shape=(m, nv))
+    if m * nv <= 10_000:
+        # on the small weight-reduction LPs scipy's sparse-input handling
+        # costs more than HiGHS's solve
+        A = A.toarray()
     try:
         res = linprog(c, A_ub=A, b_ub=b, bounds=(0, None), method="highs")
     except ValueError:
         return None
-    return res.x if res.success else None
-
-
-def _binding_pattern(rows: Sequence[Row], xf) -> tuple[list[int], list[int]]:
-    """Support of the float point xf and the rows it binds, to a scaled tolerance."""
-    b = [float(rhs) for _, rhs in rows]
-    tol = 1e-8 * max(1.0, max(b, default=1.0))
-    support = [j for j in range(len(xf)) if xf[j] > tol]
-    binding = [
-        i for i, (coeffs, _) in enumerate(rows)
-        if b[i] - sum(float(v) * xf[j] for j, v in coeffs.items()) < tol
-    ]
-    return support, binding
-
-
-def _recover_vertex(rows: Sequence[Row], nv: int, support, binding) -> list[Fraction] | None:
-    """Exact point whose support variables solve the binding rows; None unless feasible.
-
-    The binding rows may outnumber the support variables, as long as they
-    are consistent and determine every one of them.
-    """
-    spos = {j: jj for jj, j in enumerate(support)}
-    sysrows = [
-        {spos[j]: v for j, v in rows[i][0].items() if j in spos} for i in binding
-    ]
-    sol = solve_sparse_system(sysrows, [rows[i][1] for i in binding], len(support))
-    if sol is None:
+    if not res.success:
         return None
-    x = [Fraction(0)] * nv
-    for j, v in zip(support, sol):
-        if v < 0:
-            return None
-        x[j] = v
-    for coeffs, rhs in rows:
-        acc = sum((v * x[j] for j, v in coeffs.items() if x[j] != 0), Fraction(0))
-        if acc > rhs:
-            return None
-    return x
+    return res.x, -res.ineqlin.marginals, res.lower.marginals
+
+
+def _solve_on_pattern(eqs, unknowns: list[int]) -> dict[int, Fraction] | None:
+    """Exact values of the unknowns solving eqs (coeffs, rhs), every other index at 0.
+
+    The equations may outnumber the unknowns, as long as they are consistent
+    and determine every one of them. None unless the solution is unique and
+    nonnegative.
+    """
+    pos = {u: k for k, u in enumerate(unknowns)}
+    sol = solve_sparse_system(
+        [{pos[j]: v for j, v in coeffs.items() if j in pos} for coeffs, _ in eqs],
+        [rhs for _, rhs in eqs],
+        len(unknowns),
+    )
+    if sol is None or any(v < 0 for v in sol):
+        return None
+    return dict(zip(unknowns, sol))
 
 
 def _reduced_profits(obj, rows: Sequence[Row], y: dict[int, Fraction]) -> list[Fraction]:
@@ -228,33 +222,45 @@ def _reduced_profits(obj, rows: Sequence[Row], y: dict[int, Fraction]) -> list[F
     return profit
 
 
-def _float_then_recover(obj, rows, xf):
-    """Exact optimum at the float point's vertex, certified by a matching dual."""
+def _exact_from_float(obj, rows: Sequence[Row], xf, yf, df):
+    """Exact (x, objective) from HiGHS's primal and dual; None unless provably optimal.
+
+    x solves the rows the float point binds, in its support variables; y
+    solves the columns with zero reduced cost, in the rows with a positive
+    float dual. Both patterns are read to a scaled tolerance. The pair is
+    kept only if x is feasible, y >= 0 prices every column out and
+    c.x == b.y, which by strong duality makes x optimal.
+    """
     nv = len(obj)
-    support, binding = _binding_pattern(rows, xf)
-    if len(support) != len(binding):
+    b = [float(rhs) for _, rhs in rows]
+    tol = 1e-8 * max(1.0, max(b))
+    support = [j for j in range(nv) if xf[j] > tol]
+    binding = [
+        i for i, (coeffs, _) in enumerate(rows)
+        if b[i] - sum(float(v) * xf[j] for j, v in coeffs.items()) < tol
+    ]
+    xs = _solve_on_pattern([rows[i] for i in binding], support)
+    if xs is None:
         return None
-    if not support:
-        if all(Fraction(v) <= 0 for v in obj):
-            return [Fraction(0)] * nv, Fraction(0)
+    x = [xs.get(j, Fraction(0)) for j in range(nv)]
+    for coeffs, rhs in rows:
+        if sum((v * xs[j] for j, v in coeffs.items() if j in xs), Fraction(0)) > rhs:
+            return None
+
+    dtol = 1e-8 * max(1.0, max((abs(float(v)) for v in obj), default=1.0))
+    cols: list[dict[int, Fraction]] = [{} for _ in range(nv)]
+    for i, (coeffs, _) in enumerate(rows):
+        for j, v in coeffs.items():
+            cols[j][i] = v
+    y = _solve_on_pattern(
+        [(cols[j], Fraction(obj[j])) for j in range(nv) if abs(df[j]) < dtol],
+        [i for i in range(len(rows)) if yf[i] > dtol],
+    )
+    if y is None or any(g > 0 for g in _reduced_profits(obj, rows, y)):
         return None
-    x = _recover_vertex(rows, nv, support, binding)
-    if x is None:
+    objective = sum((Fraction(obj[j]) * v for j, v in xs.items()), Fraction(0))
+    if objective != sum((rows[i][1] * v for i, v in y.items()), Fraction(0)):
         return None
-    # dual certificate on the same pattern
-    spos = {j: jj for jj, j in enumerate(support)}
-    bpos = {i: ii for ii, i in enumerate(binding)}
-    trows: list[dict[int, Fraction]] = [{} for _ in support]
-    for i in binding:
-        for j, v in rows[i][0].items():
-            if j in spos:
-                trows[spos[j]][bpos[i]] = v
-    y = solve_sparse_system(trows, [Fraction(obj[j]) for j in support], len(binding))
-    if y is None or any(v < 0 for v in y):
-        return None
-    if any(g > 0 for g in _reduced_profits(obj, rows, dict(zip(binding, y)))):
-        return None
-    objective = sum((Fraction(obj[j]) * x[j] for j in support), Fraction(0))
     return x, objective
 
 
@@ -327,19 +333,25 @@ def solve_lp(lp: LinearProgram) -> tuple[list[Fraction], Fraction]:
 
 
 def _solve_max_leq_exact(obj: Sequence[Fraction], rows: Sequence[Row]):
-    """Exact optimum of max obj.x, rows <= rhs >= 0, x >= 0; None if unbounded."""
+    """Exact optimum of max obj.x, rows <= rhs >= 0, x >= 0; None if unbounded.
+
+    HiGHS solves the LP in floats; its primal and dual are made exact on
+    their patterns and kept when they prove each other optimal. When HiGHS
+    fails or the check rejects its answer, column generation over the exact
+    simplex solves the LP from scratch, seeded with the float point if any.
+    """
     nv = len(obj)
     zero = Fraction(0)
     if not rows:
         if any(v > 0 for v in obj):
             return None
         return [zero] * nv, zero
-    xf = _float_solve(obj, rows)
-    if xf is not None:
-        recovered = _float_then_recover(obj, rows, xf)
-        if recovered is not None:
-            return recovered
-    return _column_generation(obj, rows, xf)
+    floats = _float_solve(obj, rows)
+    if floats is not None:
+        exact = _exact_from_float(obj, rows, *floats)
+        if exact is not None:
+            return exact
+    return _column_generation(obj, rows, None if floats is None else floats[0])
 
 
 # ---------------------------------------------------------------------------
@@ -353,44 +365,23 @@ def minimize_totals_exact(
 ) -> dict[Pair, Fraction] | None:
     """Exact minimizer of the covering LP used for weight reduction.
 
-    The exact solve works on the complement z = ub - x: max sum(z) subject to
-    sum over each set of z <= (sum over the set of ub) - p, and z <= ub. That
-    has this module's LP form exactly when the covering LP is feasible, so a
-    set whose ub sum falls short of p gives None.
+    It is solved as its complement z = ub - x: max sum(z) subject to sum over
+    each set of z <= (sum over the set of ub) - p, and z <= ub. That has this
+    module's LP form exactly when the covering LP is feasible, so a set whose
+    ub sum falls short of p gives None.
     """
     keys = list(keys)
     idx = {k: i for i, k in enumerate(keys)}
-    nv = len(keys)
-    sets = [frozenset(s) for s in constraint_sets]
-    if not sets:
+    if not constraint_sets:
         return {k: Fraction(0) for k in keys}
     rows: list[Row] = []
-    for s in sets:
+    for s in constraint_sets:
         cap = sum((ub[k] for k in s), Fraction(0)) - p
         if cap < 0:
             return None
         rows.append(({idx[k]: Fraction(1) for k in s}, cap))
     rows += [({i: Fraction(1)}, ub[k]) for i, k in enumerate(keys)]
-
-    # HiGHS solves the covering LP itself, with x's box as bounds; on the
-    # complement it can land on a different optimal vertex
-    c = np.ones(nv)
-    A = np.zeros((len(sets), nv))
-    for r, s in enumerate(sets):
-        for k in s:
-            A[r, idx[k]] = -1.0
-    b = np.full(len(sets), -float(p))
-    bounds = [(0.0, float(ub[k])) for k in keys]
-    try:
-        res = linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs")
-    except ValueError:
-        res = None
-    z = zf = None
-    if res is not None and res.success:
-        zf = np.array([hi for _, hi in bounds]) - res.x
-        z = _recover_vertex(rows, nv, *_binding_pattern(rows, zf))
-    if z is None:
-        z, _ = _column_generation([Fraction(1)] * nv, rows, zf)
+    z, _ = _solve_max_leq_exact([Fraction(1)] * len(keys), rows)
     return {k: ub[k] - z[idx[k]] for k in keys}
 
 

@@ -61,6 +61,15 @@ def test_bound_trivial_and_chains(tmp_path, capsys):
     assert "bound: 0.000000" in out
 
 
+def test_bound_reports_path_budget_cut(capsys):
+    code, out, _ = run(capsys, "bound", "karate", "--path-budget", "50")
+    assert code == 0
+    assert "path budget exhausted" in out
+    code, out, _ = run(capsys, "bound", "knoki")
+    assert code == 0
+    assert "path budget" not in out
+
+
 def test_certify_verify_round_trip(tmp_path, capsys):
     path = write_path_network(tmp_path)
     cert = str(tmp_path / "cert.json")

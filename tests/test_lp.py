@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from conftest import random_network
 from modcert.brute import brute_force_max
-from modcert.chains import Chain, greedy_certify
+from modcert.chains import DEFAULT_PATH_BUDGET, ResidualScores, find_penalized_chains, greedy_certify
+from modcert.datasets import load_network
 from modcert.graph import build_network
 from modcert.lp import (
     CertComponent,
@@ -198,3 +201,90 @@ def test_combine_status_with_achieved():
     combined = combine(pool, sm)
     # the bound meets the achieved optimum 0 (all singletons), so it is proven
     assert combined.bound == 0
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("the exact simplex must not run")
+
+
+def test_degenerate_vertex_solved_without_exact_simplex(monkeypatch):
+    # (1, 1) is where x0 <= 1 and x1 <= 1 meet; x0 + x1 <= 2 binds there too,
+    # so the vertex has 2 support variables and 3 binding rows
+    monkeypatch.setattr("modcert.lp.exact_simplex", _forbidden)
+    rows = [({0: F(1)}, F(1)), ({1: F(1)}, F(1)), ({0: F(1), 1: F(1)}, F(2))]
+    values, obj = solve_lp(LinearProgram(objective=[F(1), F(1)], rows=rows))
+    assert values == [F(1), F(1)] and obj == 2
+    rows = [({0: F(1, 3)}, F(1, 5)), ({1: F(2, 7)}, F(1, 7)), ({0: F(1, 3), 1: F(2, 7)}, F(12, 35))]
+    values, obj = solve_lp(LinearProgram(objective=[F(1, 9), F(1, 4)], rows=rows))
+    assert values == [F(3, 5), F(1, 2)] and obj == F(1, 15) + F(1, 8)
+
+
+def _karate_chain_pools():
+    """Karate's greedy chain pool, then the pool after each chain length 3 and 4."""
+    sm = score_matrix(load_network("karate"))
+    pool = [chain_component(c) for c in greedy_certify(sm).chains]
+    pools = [list(pool)]
+    seen = {c.dedupe_key() for c in pool}
+    for k in (3, 4):
+        chains, _ = find_penalized_chains(ResidualScores.fresh(sm), k, DEFAULT_PATH_BUDGET)
+        for comp in map(chain_component, chains):
+            if comp.dedupe_key() not in seen:
+                seen.add(comp.dedupe_key())
+                pool.append(comp)
+        pools.append(list(pool))
+    return sm, pools
+
+
+def test_karate_chain_pools_without_exact_simplex(monkeypatch):
+    sm, (_, pool3, pool4) = _karate_chain_pools()
+    monkeypatch.setattr("modcert.lp.exact_simplex", _forbidden)
+    assert combine(pool3, sm).bound == F(2585, 6084)
+    assert combine(pool4, sm).bound == F(1277, 3042)
+
+
+def test_karate_greedy_pool_fallback(monkeypatch):
+    sm, (greedy_pool, _, _) = _karate_chain_pools()
+    float_bound = combine(greedy_pool, sm).bound
+    assert float_bound == F(603, 1352)
+    monkeypatch.setattr("modcert.lp.linprog", _no_float_solver)
+    assert combine(greedy_pool, sm).bound == float_bound
+
+
+# max 3x0 + 5x1 s.t. x0 <= 4, 2x1 <= 12, 3x0 + 2x1 <= 18: optimum (2, 6), 36,
+# duals (0, 3/2, 1); (4, 3) is a feasible vertex with objective 27
+SMALL_OBJ = [F(3), F(5)]
+SMALL_ROWS = [({0: F(1)}, F(4)), ({1: F(2)}, F(12)), ({0: F(3), 1: F(2)}, F(18))]
+
+
+def _fake_highs(x, y):
+    """A linprog stand-in returning the point x with row duals y, as HiGHS reports them."""
+    def fake(c, A_ub, b_ub, **kwargs):
+        x_arr = np.array(x, dtype=float)
+        y_arr = np.array(y, dtype=float)
+        reduced = c + A_ub.T @ y_arr
+        return SimpleNamespace(
+            success=True, x=x_arr,
+            ineqlin=SimpleNamespace(marginals=-y_arr), lower=SimpleNamespace(marginals=reduced),
+        )
+    return fake
+
+
+@pytest.mark.parametrize("x,y,rejected", [
+    ([2, 6], [0, 1.5, 1], False),   # the true optimum and its duals
+    ([4, 3], [0, 1.5, 1], True),    # suboptimal vertex: c.x = 27 < b.y = 36
+    ([4, 3], [-4.5, 0, 2.5], True),  # that vertex's own basic duals, one negative
+    ([2, 6], [3, 0, 0], True),      # wrong duals: x1 is not priced out
+    ([2, 6], [0, 2.5, 0], True),    # wrong duals: inconsistent on x0's column
+])
+def test_strong_duality_check_rejects_wrong_float_answer(monkeypatch, x, y, rejected):
+    calls = []
+
+    def counting_simplex(*args):
+        calls.append(1)
+        return exact_simplex(*args)
+
+    monkeypatch.setattr("modcert.lp.linprog", _fake_highs(x, y))
+    monkeypatch.setattr("modcert.lp.exact_simplex", counting_simplex)
+    values, obj = solve_lp(LinearProgram(objective=SMALL_OBJ, rows=SMALL_ROWS))
+    assert values == [F(2), F(6)] and obj == 36
+    assert bool(calls) == rejected
