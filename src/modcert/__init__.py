@@ -10,13 +10,11 @@ __version__ = "0.1.0"
 from .graph import GraphError, Network, build_network
 from .scores import Partition, ScoreMatrix, modularity, score_matrix, trivial_upper_bound
 from .brute import brute_force_max
-from .optimizer import OptimizerConfig, optimize, refine
+from .optimizer import OptimizerConfig, optimize
 from .chains import (
     Chain,
     ChainCertificate,
     ResidualScores,
-    apply_chain,
-    chain_penalty,
     find_penalized_chains,
     greedy_certify,
     has_remaining_penalized_chain,

@@ -30,10 +30,6 @@ class Chain:
     penalty: Fraction
 
 
-class ChainError(ValueError):
-    """Node sequence does not satisfy the chain sign pattern."""
-
-
 @dataclass
 class ResidualScores:
     """Score matrix minus everything already consumed by applied reductions.
@@ -81,42 +77,38 @@ class ResidualScores:
                     out.append((a, b))
         return out
 
+    def penalty(self, nodes: Sequence[int]) -> int:
+        """A chain's penalty in units of 1/den: the smallest magnitude on it.
 
-def chain_penalty(res: ResidualScores, nodes: Sequence[int]) -> Fraction:
-    """Penalty of a node sequence on the residual matrix (rejects bad patterns)."""
-    nodes = tuple(nodes)
-    if len(nodes) < 3:
-        raise ChainError("a chain needs at least 3 nodes")
-    if len(set(nodes)) != len(nodes):
-        raise ChainError("chain nodes must be distinct")
-    vals = []
-    for u, v in zip(nodes, nodes[1:]):
-        r = res.num[u][v]
-        if r <= 0:
-            raise ChainError(f"interior pair ({u}, {v}) is not positive")
-        vals.append(r)
-    closing = res.num[nodes[0]][nodes[-1]]
-    if closing >= 0:
-        raise ChainError(f"closing pair ({nodes[0]}, {nodes[-1]}) is not negative")
-    return Fraction(min(min(vals), -closing), res.den)
+        0 means the chain is dead: a consecutive pair is no longer positive
+        or the closing pair no longer negative. Node distinctness is not
+        checked; enumeration guarantees it.
+        """
+        num = self.num
+        worst = None
+        for u, v in zip(nodes, nodes[1:]):
+            r = num[u][v]
+            if r <= 0:
+                return 0
+            if worst is None or r < worst:
+                worst = r
+        closing = -num[nodes[0]][nodes[-1]]
+        if closing <= 0:
+            return 0
+        return min(worst, closing)
 
+    def apply(self, nodes: Sequence[int], p: int) -> None:
+        """Apply a chain in place: its consecutive pairs lose p, its closing pair gains p.
 
-def apply_chain(res: ResidualScores, ch: Chain) -> ResidualScores:
-    """Subtract a chain's reduced loads; returns a new residual matrix."""
-    p = chain_penalty(res, ch.nodes)
-    if p != ch.penalty:
-        raise ChainError(f"chain penalty {ch.penalty} does not match residual ({p})")
-    pnum = ch.penalty.numerator * (res.den // ch.penalty.denominator)
-    out = res.copy()
-    for u, v in zip(ch.nodes, ch.nodes[1:]):
-        out.num[u][v] -= pnum
-        out.num[v][u] -= pnum
-        assert out.num[u][v] >= 0
-    a, b = ch.nodes[0], ch.nodes[-1]
-    out.num[a][b] += pnum
-    out.num[b][a] += pnum
-    assert out.num[a][b] <= 0
-    return out
+        p must not exceed penalty(nodes), so that every residual keeps its sign.
+        """
+        num = self.num
+        for u, v in zip(nodes, nodes[1:]):
+            num[u][v] -= p
+            num[v][u] -= p
+        a, b = nodes[0], nodes[-1]
+        num[a][b] += p
+        num[b][a] += p
 
 
 def find_penalized_chains(
@@ -172,7 +164,7 @@ def find_penalized_chains(
             steps_left = k - len(path)
             if steps_left == 0:
                 if u == b:
-                    penalty = chain_penalty(res, path)
+                    penalty = Fraction(res.penalty(path), res.den)
                     chains.append(Chain(nodes=tuple(path), penalty=penalty))
                 return
             for v in adj[u]:
@@ -249,23 +241,7 @@ def _stage_pass(res: ResidualScores, k: int, strategy, rng, mixed_prob, path_bud
     if not chains0:
         return total, applied, out, truncated
 
-    num = out.num
-
-    def int_penalty(nodes) -> int:
-        # 0 means dead; assumes sign pattern was valid at enumeration time
-        worst = None
-        for u, v in zip(nodes, nodes[1:]):
-            r = num[u][v]
-            if r <= 0:
-                return 0
-            if worst is None or r < worst:
-                worst = r
-        closing = -num[nodes[0]][nodes[-1]]
-        if closing <= 0:
-            return 0
-        return min(worst, closing)
-
-    alive = [(ch.nodes, int_penalty(ch.nodes)) for ch in chains0]
+    alive = [(ch.nodes, out.penalty(ch.nodes)) for ch in chains0]
     while True:
         alive = [(nodes, p) for nodes, p in alive if p > 0]
         if not alive:
@@ -274,17 +250,11 @@ def _stage_pass(res: ResidualScores, k: int, strategy, rng, mixed_prob, path_bud
             nodes, p = min(alive, key=lambda t: (-t[1], t[0]))
         else:
             nodes, p = alive[rng.randrange(len(alive))]
+        out.apply(nodes, p)
         penalty = Fraction(p, out.den)
-        pnum = p
-        for u, v in zip(nodes, nodes[1:]):
-            num[u][v] -= pnum
-            num[v][u] -= pnum
-        a, b = nodes[0], nodes[-1]
-        num[a][b] += pnum
-        num[b][a] += pnum
         applied.append(Chain(nodes=nodes, penalty=penalty))
         total += penalty
-        alive = [(nn, int_penalty(nn)) for nn, _ in alive]
+        alive = [(nn, out.penalty(nn)) for nn, _ in alive]
     return total, applied, out, truncated
 
 

@@ -73,11 +73,3 @@ def load_network(name: str, data_dir: str | None = None) -> Network:
         )
     with open(path) as fh:
         return parse_edge_list(fh.read(), directed=entry.directed)
-
-
-def available(data_dir: str | None = None) -> list[str]:
-    out = []
-    for name, entry in CORPUS.items():
-        if entry.bundled or _external_path(name, data_dir):
-            out.append(name)
-    return out

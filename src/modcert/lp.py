@@ -94,35 +94,27 @@ def solve_sparse_system(rows: list[dict[int, Fraction]], rhs: list[Fraction], nc
     rows = [dict(r) for r in rows]
     rhs = list(rhs)
     m = len(rows)
-    col_rows: dict[int, set[int]] = {}
+    col_rows: dict[int, set[int]] = {}  # column -> rows using it, eliminated rows left out
     for i, r in enumerate(rows):
         for j in r:
             col_rows.setdefault(j, set()).add(i)
-    eliminated_rows: set[int] = set()
     assign_order: list[tuple[int, int]] = []  # (pivot row, pivot col)
 
     for _ in range(min(m, ncols)):
-        # Markowitz-style: pick the available column with fewest rows, then the
+        # Markowitz-style: pick the column with fewest live rows, then the
         # sparsest row within it
-        best = None
-        for j, touch in col_rows.items():
-            live = [i for i in touch if i not in eliminated_rows]
-            if not live:
-                continue
-            cand = (len(live), j)
-            if best is None or cand < best[0:2]:
-                best = (len(live), j, live)
+        best = min(((len(touch), j) for j, touch in col_rows.items() if touch), default=None)
         if best is None:
             break
-        _, pcol, live = best
-        prow = min(live, key=lambda i: (len(rows[i]), i))
+        pcol = best[1]
+        prow = min(col_rows[pcol], key=lambda i: (len(rows[i]), i))
         piv = rows[prow][pcol]
         inv = 1 / piv
         rows[prow] = {j: v * inv for j, v in rows[prow].items()}
         rhs[prow] *= inv
+        for j in rows[prow]:
+            col_rows[j].discard(prow)
         for i in list(col_rows[pcol]):
-            if i == prow or i in eliminated_rows:
-                continue
             f = rows[i].get(pcol)
             if not f:
                 continue
@@ -136,9 +128,9 @@ def solve_sparse_system(rows: list[dict[int, Fraction]], rhs: list[Fraction], nc
                     ri[j] = nv
                     col_rows.setdefault(j, set()).add(i)
             rhs[i] -= f * rhs[prow]
-        eliminated_rows.add(prow)
         assign_order.append((prow, pcol))
 
+    eliminated_rows = {r for r, _ in assign_order}
     solved_cols = {c for _, c in assign_order}
     for i in range(m):
         if i not in eliminated_rows:

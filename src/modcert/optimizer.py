@@ -157,11 +157,3 @@ def optimize(sm: ScoreMatrix, cfg: OptimizerConfig | None = None) -> Partition:
             best = (q, assignment)
     q, assignment = best
     return Partition(assignment=tuple(assignment), num_communities=max(assignment) + 1, modularity=q)
-
-
-def refine(sm: ScoreMatrix, p: Partition) -> Partition:
-    """Improve an existing partition; never returns a worse one."""
-    assignment, q = _improve(sm, list(p.assignment))
-    if q < p.modularity:
-        return p
-    return Partition(assignment=tuple(assignment), num_communities=max(assignment) + 1, modularity=q)

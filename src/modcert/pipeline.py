@@ -177,7 +177,7 @@ def certify(
         exhausted = False
         for size in range(3, max_subnet_size + 1):
             found = []
-            for sub in enumerate_subnetworks(res, max_size=size, adjacency="positive"):
+            for sub in enumerate_subnetworks(res, max_size=size):
                 if len(sub.nodes) != size:
                     continue
                 if subnet_budget is not None and spent >= subnet_budget:

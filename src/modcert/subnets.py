@@ -44,15 +44,10 @@ class ResolvedSubnetwork:
     final_m: int
 
 
-def enumerate_subnetworks(
-    res: ResidualScores,
-    max_size: int = DEFAULT_MAX_SIZE,
-    adjacency: str = "nonzero",
-) -> Iterator[Subnetwork]:
+def enumerate_subnetworks(res: ResidualScores, max_size: int = DEFAULT_MAX_SIZE) -> Iterator[Subnetwork]:
     """Connected induced subsets of size 3..max_size, each emitted once.
 
-    Connectivity is over nonzero residual pairs by default; pass
-    adjacency="positive" to restrict to positive pairs, which provably still
+    Connectivity is over positive residual pairs, which provably still
     reaches every subnetwork able to carry a positive penalty (a penalty needs
     a negative pair inside a positively-connected group, and penalties add
     over positively-connected parts). Only subsets with at least one negative
@@ -60,17 +55,8 @@ def enumerate_subnetworks(
     """
     if max_size < 3:
         raise ValueError("max_size must be >= 3")
-    if adjacency not in ("nonzero", "positive"):
-        raise ValueError(f"unknown adjacency mode: {adjacency!r}")
     n = res.n
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for a in range(n):
-        row = res.num[a]
-        for b in range(a + 1, n):
-            keep = row[b] > 0 if adjacency == "positive" else row[b] != 0
-            if keep:
-                adj[a].add(b)
-                adj[b].add(a)
+    adj = [set(nbrs) for nbrs in res.positive_adjacency()]
 
     def make(sub: list[int]) -> Subnetwork | None:
         nodes = tuple(sorted(sub))

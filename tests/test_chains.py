@@ -5,11 +5,7 @@ import pytest
 from conftest import random_network
 from modcert.brute import brute_force_max
 from modcert.chains import (
-    Chain,
-    ChainError,
     ResidualScores,
-    apply_chain,
-    chain_penalty,
     find_penalized_chains,
     greedy_certify,
     has_remaining_penalized_chain,
@@ -31,38 +27,48 @@ def triangle_residual():
     return ResidualScores.fresh(sm)
 
 
+def applied(res, nodes):
+    """A copy of res with the chain applied at its full penalty."""
+    out = res.copy()
+    out.apply(nodes, out.penalty(nodes))
+    return out
+
+
 def test_chain_penalty_path():
     res = path_residual()
-    assert chain_penalty(res, [0, 1, 2]) == F(1, 8)
+    assert F(res.penalty([0, 1, 2]), res.den) == F(1, 8)
 
 
 def test_chain_penalty_triangle():
     # valid ordering: positive consecutive scores 0-1 and 1-2, closing 0-2
     res = triangle_residual()
-    assert chain_penalty(res, [0, 1, 2]) == F(1, 10)
+    assert F(res.penalty([0, 1, 2]), res.den) == F(1, 10)  # the closing magnitude is the minimum
+    # with a deeper closing pair the smallest positive sets the penalty
+    wide = ScoreMatrix(n=3, s={(0, 1): F(1, 5), (1, 2): F(3, 10), (0, 2): F(-1, 2)}, d=(F(0),) * 3)
+    res = ResidualScores.fresh(wide)
+    assert F(res.penalty([0, 1, 2]), res.den) == F(1, 5)
 
 
 def test_chain_penalty_rejects_bad_patterns():
+    # a dead chain has penalty 0
     res = path_residual()
-    with pytest.raises(ChainError):
-        chain_penalty(res, [0, 2, 1])  # interior (0,2) negative
-    with pytest.raises(ChainError):
-        chain_penalty(res, [0, 1])  # too short
-    with pytest.raises(ChainError):
-        chain_penalty(res, [0, 1, 0])  # repeated node
+    assert res.penalty([0, 2, 1]) == 0  # interior (0,2) negative
+    assert res.penalty([0, 1]) == 0  # too short: the closing pair is the positive (0,1)
+    assert res.penalty([0, 1, 0]) == 0  # repeated node: the closing pair is the zero diagonal
     zero = ScoreMatrix(n=3, s={(0, 1): F(0), (1, 2): F(1, 4), (0, 2): F(-1, 8)}, d=(F(0),) * 3)
-    with pytest.raises(ChainError, match="not positive"):
-        chain_penalty(ResidualScores.fresh(zero), [0, 1, 2])
+    assert ResidualScores.fresh(zero).penalty([0, 1, 2]) == 0
+    closing_positive = ScoreMatrix(n=3, s={(0, 1): F(1, 4), (1, 2): F(1, 4), (0, 2): F(1, 8)}, d=(F(0),) * 3)
+    assert ResidualScores.fresh(closing_positive).penalty([0, 1, 2]) == 0
 
 
 def test_apply_chain_arithmetic():
     res = path_residual()
-    ch = Chain(nodes=(0, 1, 2), penalty=F(1, 8))
-    out = apply_chain(res, ch)
+    out = applied(res, (0, 1, 2))
     assert out.residual(0, 1) == F(1, 8)
     assert out.residual(1, 2) == F(1, 8)
     assert out.residual(0, 2) == 0
-    # original untouched (value semantics)
+    assert all(out.num[a][b] == out.num[b][a] for a in range(3) for b in range(3))
+    # the copy is applied, the original untouched
     pairs = [(0, 1), (1, 2), (0, 2)]
     assert [res.residual(*q) for q in pairs] == [F(1, 4), F(1, 4), F(-1, 8)]
     # every pair of the chain moves toward zero by the penalty
@@ -70,16 +76,12 @@ def test_apply_chain_arithmetic():
 
 
 def test_apply_chain_saturation_rejects_reuse():
-    res = path_residual()
-    ch = Chain(nodes=(0, 1, 2), penalty=F(1, 8))
-    out = apply_chain(res, ch)
-    with pytest.raises(ChainError):
-        chain_penalty(out, [0, 1, 2])
+    out = applied(path_residual(), (0, 1, 2))
+    assert out.penalty([0, 1, 2]) == 0
 
 
 def test_apply_triangle():
-    res = triangle_residual()
-    out = apply_chain(res, Chain(nodes=(0, 1, 2), penalty=F(1, 10)))
+    out = applied(triangle_residual(), (0, 1, 2))
     assert out.residual(0, 1) == F(1, 10)
     assert out.residual(1, 2) == F(1, 5)
     assert out.residual(0, 2) == 0
@@ -109,8 +111,7 @@ def test_find_chains_budget_truncates():
 def test_has_remaining_transitions():
     res = path_residual()
     assert has_remaining_penalized_chain(res)
-    out = apply_chain(res, Chain(nodes=(0, 1, 2), penalty=F(1, 8)))
-    assert not has_remaining_penalized_chain(out)
+    assert not has_remaining_penalized_chain(applied(res, (0, 1, 2)))
     dyad = score_matrix(build_network([("a", "b", 1)]))
     assert not has_remaining_penalized_chain(ResidualScores.fresh(dyad))
 

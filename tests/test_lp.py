@@ -17,6 +17,7 @@ from modcert.lp import (
     exact_simplex,
     minimize_totals_exact,
     solve_lp,
+    solve_sparse_system,
 )
 from modcert.pipeline import chain_component
 from modcert.scores import ScoreMatrix, score_matrix, trivial_upper_bound
@@ -288,3 +289,80 @@ def test_strong_duality_check_rejects_wrong_float_answer(monkeypatch, x, y, reje
     values, obj = solve_lp(LinearProgram(objective=SMALL_OBJ, rows=SMALL_ROWS))
     assert values == [F(2), F(6)] and obj == 36
     assert bool(calls) == rejected
+
+
+def dense_solve(rows, rhs, ncols):
+    """Gauss-Jordan on a dense Fraction matrix; None unless the solution is unique."""
+    a = [[r.get(j, F(0)) for j in range(ncols)] + [b] for r, b in zip(rows, rhs)]
+    pivots = []
+    for col in range(ncols):
+        row = next((i for i in range(len(pivots), len(a)) if a[i][col] != 0), None)
+        if row is None:
+            return None
+        k = len(pivots)
+        a[k], a[row] = a[row], a[k]
+        a[k] = [v / a[k][col] for v in a[k]]
+        for i in range(len(a)):
+            if i != k and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [v - f * w for v, w in zip(a[i], a[k])]
+        pivots.append(col)
+    if any(a[i][-1] != 0 for i in range(len(pivots), len(a))):
+        return None
+    return [a[k][-1] for k in range(ncols)]
+
+
+def random_sparse_system(rng, n):
+    rows = []
+    for i in range(n):
+        r = {j: F(rng.randint(-5, 5), rng.randint(1, 4)) for j in range(n) if rng.random() < 0.3}
+        r = {j: v for j, v in r.items() if v != 0}
+        rows.append(r)
+    # a permuted diagonal makes most draws nonsingular without fixing the pivot order
+    for i, j in enumerate(rng.sample(range(n), n)):
+        rows[i][j] = rows[i].get(j, F(0)) + rng.choice([F(7), F(-9, 2), F(11, 3)])
+    rhs = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
+    return rows, rhs
+
+
+def test_solve_sparse_system_matches_dense_gauss():
+    rng = random.Random(0)
+    unique = 0
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        rows, rhs = random_sparse_system(rng, n)
+        expect = dense_solve(rows, rhs, n)
+        assert solve_sparse_system(rows, rhs, n) == expect
+        unique += expect is not None
+    assert unique >= 150
+
+
+def test_solve_sparse_system_overdetermined_consistent():
+    # x = 1, y = 2, x + y = 3, 2x - y = 0
+    rows = [{0: F(1)}, {1: F(1)}, {0: F(1), 1: F(1)}, {0: F(2), 1: F(-1)}]
+    assert solve_sparse_system(rows, [F(1), F(2), F(3), F(0)], 2) == [F(1), F(2)]
+    rng = random.Random(1)
+    for _ in range(50):
+        n = rng.randint(2, 7)
+        rows, rhs = random_sparse_system(rng, n)
+        x = dense_solve(rows, rhs, n)
+        if x is None:
+            continue
+        # add a combination of two rows, with its right-hand side
+        a, b = rng.sample(range(n), 2)
+        extra = {j: rows[a].get(j, F(0)) + 2 * rows[b].get(j, F(0)) for j in set(rows[a]) | set(rows[b])}
+        extra = {j: v for j, v in extra.items() if v != 0}
+        assert solve_sparse_system(rows + [extra], rhs + [rhs[a] + 2 * rhs[b]], n) == x
+
+
+def test_solve_sparse_system_inconsistent_or_underdetermined():
+    # x = 1, y = 2, x + y = 4 has no solution
+    rows = [{0: F(1)}, {1: F(1)}, {0: F(1), 1: F(1)}]
+    assert solve_sparse_system(rows, [F(1), F(2), F(4)], 2) is None
+    # x + y = 3 alone leaves a free variable
+    assert solve_sparse_system([{0: F(1), 1: F(1)}], [F(3)], 2) is None
+    # x = 1, y = 2, with a third column no row touches
+    assert solve_sparse_system([{0: F(1)}, {1: F(1)}], [F(1), F(2)], 3) is None
+    # two copies of one row: consistent but rank-deficient
+    rows = [{0: F(1), 1: F(2)}, {0: F(2), 1: F(4)}]
+    assert solve_sparse_system(rows, [F(1), F(2)], 2) is None

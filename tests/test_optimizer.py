@@ -5,8 +5,8 @@ import pytest
 from conftest import random_network
 from modcert.brute import brute_force_max
 from modcert.graph import build_network
-from modcert.optimizer import OptimizerConfig, optimize, refine
-from modcert.scores import Partition, modularity_of_assignment, score_matrix
+from modcert.optimizer import OptimizerConfig, optimize
+from modcert.scores import modularity_of_assignment, score_matrix
 
 
 def test_dyad_single_community():
@@ -19,33 +19,6 @@ def test_dyad_single_community():
 def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(restarts=0)
-
-
-def test_refine_fixed_point_on_optimum():
-    sm = score_matrix(build_network([("a", "b", 1)]))
-    p = Partition.from_assignment(sm, [0, 0])
-    assert refine(sm, p).assignment == (0, 0)
-
-
-def test_refine_improves_singletons_path():
-    sm = score_matrix(build_network([("a", "b", 1), ("b", "c", 1)]))
-    p = Partition.from_assignment(sm, [0, 1, 2])
-    out = refine(sm, p)
-    assert out.modularity == 0
-    assert out.num_communities == 1
-
-
-def test_refine_never_decreases():
-    import random
-
-    rng = random.Random(0)
-    for seed in range(15):
-        net = random_network(seed, n=7)
-        sm = score_matrix(net)
-        start = [rng.randrange(3) for _ in range(net.n)]
-        p = Partition.from_assignment(sm, start)
-        out = refine(sm, p)
-        assert out.modularity >= p.modularity
 
 
 def test_determinism_same_seed():

@@ -81,7 +81,7 @@ def test_pentagon_needs_subnetworks():
 
     pool = [c for c, _ in chains_only.components]
     res = ResidualScores.fresh(sm)
-    for sub in enumerate_subnetworks(res, max_size=5, adjacency="positive"):
+    for sub in enumerate_subnetworks(res, max_size=5):
         rs = partial_brute_force(sub)
         if rs.penalty > 0:
             red = reduce_weights(rs)

@@ -76,10 +76,10 @@ def test_enumerate_unique_and_complete():
         net = random_network(seed, n=7, p=0.45)
         sm = score_matrix(net)
         res = ResidualScores.fresh(sm)
-        got = [s.nodes for s in enumerate_subnetworks(res, max_size=5, adjacency="nonzero")]
+        got = [s.nodes for s in enumerate_subnetworks(res, max_size=5)]
         assert len(got) == len(set(got))
 
-        adj = [[res.num[a][b] != 0 for b in range(sm.n)] for a in range(sm.n)]
+        adj = [[res.num[a][b] > 0 for b in range(sm.n)] for a in range(sm.n)]
 
         def connected(nodes):
             seen = {nodes[0]}
@@ -105,15 +105,6 @@ def test_enumerate_unique_and_complete():
                 if pos >= 2 and neg >= 1:
                     expect.append(tuple(combo))
         assert sorted(got) == sorted(expect)
-
-
-def test_positive_adjacency_mode_subset():
-    for seed in range(5):
-        sm = score_matrix(random_network(seed, n=7, p=0.5))
-        res = ResidualScores.fresh(sm)
-        pos_sets = {s.nodes for s in enumerate_subnetworks(res, max_size=4, adjacency="positive")}
-        all_sets = {s.nodes for s in enumerate_subnetworks(res, max_size=4, adjacency="nonzero")}
-        assert pos_sets <= all_sets
 
 
 def test_partial_brute_force_triangle():
