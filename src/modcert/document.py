@@ -81,6 +81,8 @@ class CertificateDocument:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CertificateDocument":
+        if not isinstance(data, dict):
+            raise ValueError("certificate must be a JSON object")
         if data.get("format_version") != FORMAT_VERSION:
             raise ValueError(f"unsupported certificate format: {data.get('format_version')!r}")
         return cls(

@@ -18,7 +18,7 @@ from .graph import Network
 from .lp import CertComponent, combine
 from .optimizer import OptimizerConfig, optimize
 from .scores import chain_loads, score_matrix, trivial_upper_bound
-from .subnets import enumerate_subnetworks, partial_brute_force, reduce_weights
+from .subnets import Subnetwork, enumerate_subnetworks, partial_brute_force, reduce_weights
 from .verify import verify_certificate
 
 METHODS = ("chains", "subnets", "both")
@@ -113,6 +113,30 @@ def _pool_and_combine(pool, seen, found, sm, best):
     return best
 
 
+def _resolve_and_reduce(sub: Subnetwork, shapes: dict) -> CertComponent | None:
+    """A subnetwork's reduced component, None if it has no penalty.
+
+    shapes maps a shape (the scores relabeled to positions 0..k-1 in sorted
+    node order) to its (penalty, reduced relabeled scores). The relabeling
+    keeps every order the resolution and the reduction sort by, so each
+    shape is resolved and reduced once and a repeat gets what a fresh run
+    would give.
+    """
+    nodes = sub.nodes
+    pos = {v: i for i, v in enumerate(nodes)}
+    shape = (len(nodes), tuple(sorted((pos[a], pos[b], v) for (a, b), v in sub.scores.items())))
+    if shape not in shapes:
+        resolved = partial_brute_force(sub)
+        loads = None
+        if resolved.penalty > 0:
+            loads = {(pos[a], pos[b]): v for (a, b), v in reduce_weights(resolved).scores.items()}
+        shapes[shape] = (resolved.penalty, loads)
+    penalty, loads = shapes[shape]
+    if loads is None:
+        return None
+    return CertComponent(nodes, {(nodes[i], nodes[j]): v for (i, j), v in loads.items()}, penalty)
+
+
 def certify(
     net: Network,
     method: str = "both",
@@ -173,6 +197,7 @@ def certify(
         pool = [comp for comp, _ in components]
         seen = {comp.dedupe_key() for comp in pool}
         res = ResidualScores.fresh(sm)
+        shapes: dict = {}
         spent = 0
         exhausted = False
         for size in range(3, max_subnet_size + 1):
@@ -184,11 +209,9 @@ def certify(
                     exhausted = True
                     break
                 spent += 1
-                resolved = partial_brute_force(sub)
-                if resolved.penalty <= 0:
-                    continue
-                reduced = reduce_weights(resolved)
-                found.append(CertComponent(reduced.nodes, reduced.scores, resolved.penalty))
+                comp = _resolve_and_reduce(sub, shapes)
+                if comp is not None:
+                    found.append(comp)
             components, bound = _pool_and_combine(
                 pool, seen, found, sm, (components, bound)
             )

@@ -198,18 +198,14 @@ def _minimal_constraint_sets(rs: ResolvedSubnetwork) -> list[frozenset[Pair]]:
     return minimal
 
 
-def reduce_weights(rs: ResolvedSubnetwork) -> Subnetwork:
-    """Shrink a resolved subnetwork's scores while provably keeping its penalty.
+def _minimum_weights(rs: ResolvedSubnetwork) -> dict[Pair, Fraction] | None:
+    """The reduction LP's exact minimizer, None if it has none.
 
     Minimizes total absolute score subject to: every evaluated partition still
     pays at least the penalty, and (added lazily as cutting planes) every
-    (m+1)-subset of positive pairs sums to at least the penalty. The result is
-    re-verified by a fresh resolution run; on any failure the original
-    subnetwork is returned unchanged.
+    (m+1)-subset of positive pairs sums to at least the penalty.
     """
     p = rs.penalty
-    if p <= 0:
-        return rs.sub
     sub = rs.sub
     all_pairs = sorted(sub.scores)
     ub = {q: abs(sub.scores[q]) for q in all_pairs}
@@ -219,22 +215,42 @@ def reduce_weights(rs: ResolvedSubnetwork) -> Subnetwork:
 
     while True:
         x = lp.minimize_totals_exact(all_pairs, ub, constraint_sets, p)
+        if x is None or m_plus_1 > len(positives):
+            return x
+        ranked = sorted(positives, key=lambda q: (x[q], q))
+        cheapest = ranked[:m_plus_1]
+        if sum(x[q] for q in cheapest) >= p:
+            return x
+        cut = frozenset(cheapest)
+        if cut in constraint_sets:
+            return None  # cannot happen with a sound solver; stay safe
+        constraint_sets.append(cut)
+
+
+def reduce_weights(rs: ResolvedSubnetwork) -> Subnetwork:
+    """Shrink a resolved subnetwork's scores while provably keeping its penalty.
+
+    The scores become the reduction LP's minimizer (see _minimum_weights);
+    a triangle gets it in closed form. The result is re-verified by a fresh
+    resolution run; on any failure the original subnetwork is returned
+    unchanged.
+    """
+    p = rs.penalty
+    if p <= 0:
+        return rs.sub
+    sub = rs.sub
+    if len(sub.nodes) == 3 and len(sub.scores) == 3:
+        # a penalized triangle is a positive path closed by a negative pair,
+        # and p = min(u1, u2, |n|); each of its partitions pays exactly one
+        # pair, so +-p on every pair is the LP's unique minimum
+        x = dict.fromkeys(sub.scores, p)
+    else:
+        x = _minimum_weights(rs)
         if x is None:
             return rs.sub
-        # lazily enforce: any m+1 positive pairs must sum to >= p
-        if m_plus_1 <= len(positives):
-            ranked = sorted(positives, key=lambda q: (x[q], q))
-            cheapest = ranked[:m_plus_1]
-            if sum(x[q] for q in cheapest) < p:
-                cut = frozenset(cheapest)
-                if cut in constraint_sets:
-                    return rs.sub  # cannot happen with a sound solver; stay safe
-                constraint_sets.append(cut)
-                continue
-        break
 
     reduced_scores = {}
-    for q in all_pairs:
+    for q in sorted(sub.scores):
         if x[q] != 0:
             reduced_scores[q] = x[q] if sub.scores[q] > 0 else -x[q]
     reduced = Subnetwork(nodes=sub.nodes, scores=reduced_scores)

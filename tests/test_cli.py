@@ -170,6 +170,16 @@ def test_verify_malformed_listing_exits_2(tmp_path, capsys, mutate):
     assert "cannot parse certificate" in err
 
 
+@pytest.mark.parametrize("body", ["[1, 2]", '"x"', "3", "null"], ids=["list", "string", "number", "null"])
+def test_verify_non_object_certificate_exits_2(tmp_path, capsys, body):
+    cert = tmp_path / "cert.json"
+    cert.write_text(body)
+    code, out, err = run(capsys, "verify", "knoki", str(cert))
+    assert code == 2
+    assert "cannot parse certificate: certificate must be a JSON object" in err
+    assert "verification failed" not in out
+
+
 @pytest.mark.parametrize("argv", [
     ["score", "karate", "--seed", "1"],
     ["bound", "karate", "--format", "json"],

@@ -159,3 +159,39 @@ def test_self_check_rejects_wrong_status(monkeypatch):
     net = build_network([("a", "b", 1), ("b", "c", 1)])
     with pytest.raises(CertificationError, match="status-mismatch"):
         certify(net, method="chains")
+
+
+@pytest.mark.parametrize("net,max_size", [
+    (load_network("karate"), 4),
+    (random_network(69, n=10, directed=True, p=0.3), 5),
+], ids=["karate", "random-directed"])
+def test_shape_memo_matches_fresh_reduction(net, max_size):
+    """Every component certify builds through its shape memo is the one a
+    fresh resolution and reduction of that subnetwork gives.
+
+    A shape seen for the first time is resolved and reduced on the
+    subnetwork itself, so only the repeats are compared against a fresh run.
+    """
+    res = ResidualScores.fresh(score_matrix(net))
+    shapes = {}
+    lp_repeats = 0
+    for sub in enumerate_subnetworks(res, max_size=max_size):
+        known = len(shapes)
+        comp = pipeline._resolve_and_reduce(sub, shapes)
+        if len(shapes) > known:
+            continue
+        rs = partial_brute_force(sub)
+        if rs.penalty <= 0:
+            assert comp is None
+            continue
+        red = reduce_weights(rs)
+        assert comp == CertComponent(nodes=red.nodes, loads=red.scores, penalty=rs.penalty)
+        assert list(comp.loads) == list(red.scores)
+        lp_repeats += len(sub.nodes) > 3
+    assert lp_repeats > 0  # repeats reduced by the LP, not only triangles
+
+
+def test_certify_subnets_is_repeatable():
+    net = load_network("karate")
+    first = certify(net, method="subnets", max_subnet_size=4, subnet_budget=300).dumps()
+    assert certify(net, method="subnets", max_subnet_size=4, subnet_budget=300).dumps() == first

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import random_network
 from modcert.brute import set_partitions
+from modcert import lp
 from modcert.chains import ResidualScores
 from modcert.graph import build_network
 from modcert.scores import ScoreMatrix, score_matrix
@@ -164,6 +165,31 @@ def test_reduce_path_pattern():
     rs = partial_brute_force(sub)
     red = reduce_weights(rs)
     assert red.scores == {(0, 1): F(1, 8), (1, 2): F(1, 8), (0, 2): F(-1, 8)}
+
+
+def test_reduce_triangle_closed_form_is_lp_optimum():
+    """A penalized triangle reduces to +-min(u1, u2, |n|) on every pair, the
+    reduction LP's optimum over its three one-pair partition costs."""
+    rng = random.Random(8)
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    for trial in range(300):
+        u1, u2, n = (F(rng.randint(1, 20), rng.choice([1, 3, 8, 45])) for _ in range(3))
+        if trial % 3 == 1:
+            n = min(u1, u2)  # tie between the negative pair and a positive one
+        elif trial % 3 == 2:
+            u2 = u1
+        neg = rng.choice(pairs)
+        u = iter((u1, u2))
+        scores = {q: -n if q == neg else next(u) for q in pairs}
+        p = min(u1, u2, n)
+        rs = partial_brute_force(Subnetwork(nodes=(0, 1, 2), scores=scores))
+        assert rs.penalty == p
+        red = reduce_weights(rs)
+        assert red.scores == {q: p if v > 0 else -p for q, v in scores.items()}
+        ub = {q: abs(v) for q, v in scores.items()}
+        singletons = [frozenset([q]) for q in pairs]
+        assert lp.minimize_totals_exact(pairs, ub, singletons, p) == dict.fromkeys(pairs, p)
+        assert partial_brute_force(red).penalty == p
 
 
 def test_reduce_fixed_point():
