@@ -14,7 +14,6 @@ accumulated penalties.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -54,9 +53,6 @@ class ResidualScores:
 
     def residual(self, a: int, b: int) -> Fraction:
         return Fraction(self.num[a][b], self.den)
-
-    def copy(self) -> "ResidualScores":
-        return ResidualScores(base=self.base, num=[row[:] for row in self.num], den=self.den)
 
     def positive_adjacency(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.n)]
@@ -220,89 +216,40 @@ def has_remaining_penalized_chain(res: ResidualScores) -> bool:
 class ChainCertificate:
     trivial_bound: Fraction
     chains: tuple[Chain, ...]
-    total_penalty: Fraction
     bound: Fraction
     residual: ResidualScores
     truncated: bool = False
 
 
-def _stage_pass(res: ResidualScores, k: int, strategy, rng, mixed_prob, path_budget):
-    """One complete pass at chain length k, applied on a copy of res.
-
-    Chains of a fixed length can only disappear or weaken as reductions are
-    applied, so the candidate node sequences are enumerated once and their
-    penalties maintained incrementally (integer arithmetic on the residual
-    lattice). Returns (total_penalty, chains, residual, truncated).
-    """
-    chains0, truncated = find_penalized_chains(res, k, path_budget)
-    out = res.copy()
-    applied: list[Chain] = []
-    total = Fraction(0)
-    if not chains0:
-        return total, applied, out, truncated
-
-    alive = [(ch.nodes, out.penalty(ch.nodes)) for ch in chains0]
-    while True:
-        alive = [(nodes, p) for nodes, p in alive if p > 0]
-        if not alive:
-            break
-        if strategy == "best" or (strategy == "mixed" and rng.random() < mixed_prob):
-            nodes, p = min(alive, key=lambda t: (-t[1], t[0]))
-        else:
-            nodes, p = alive[rng.randrange(len(alive))]
-        out.apply(nodes, p)
-        penalty = Fraction(p, out.den)
-        applied.append(Chain(nodes=nodes, penalty=penalty))
-        total += penalty
-        alive = [(nn, out.penalty(nn)) for nn, _ in alive]
-    return total, applied, out, truncated
-
-
-def greedy_certify(
-    sm: ScoreMatrix,
-    strategy: str = "best",
-    seed: int = 0,
-    tries_per_k: int = 1,
-    mixed_prob: float = 0.5,
-    path_budget: int = DEFAULT_PATH_BUDGET,
-) -> ChainCertificate:
+def greedy_certify(sm: ScoreMatrix, path_budget: int = DEFAULT_PATH_BUDGET) -> ChainCertificate:
     """Greedy chain accumulation: k = 3 upward until no penalized chain remains.
 
-    strategy "best" picks the highest-penalty chain (ties to the smallest node
-    sequence), "random" picks uniformly, "mixed" picks best with probability
-    mixed_prob. With tries_per_k > 1 the whole per-k pass is replayed from the
-    pre-k residual and the replay with the largest cumulative penalty wins.
+    Each k-stage enumerates the length-k chains once and then repeatedly
+    applies the one with the highest penalty (ties to the smallest node
+    sequence), in place on one residual. Chains of a fixed length can only
+    disappear or weaken as reductions are applied, so their penalties are
+    recomputed on the residual lattice rather than re-enumerated.
     """
-    if strategy not in ("best", "random", "mixed"):
-        raise ValueError(f"unknown strategy: {strategy!r}")
-    rng = random.Random(seed)
     res = ResidualScores.fresh(sm)
     applied: list[Chain] = []
     truncated_any = False
     k = 3
-    tries = 1 if strategy == "best" else max(1, tries_per_k)
-
     while has_remaining_penalized_chain(res) and k <= sm.n:
-        best_run = None
-        for _ in range(tries):
-            run_total, run_chains, run_res, truncated = _stage_pass(
-                res, k, strategy, rng, mixed_prob, path_budget
-            )
-            if truncated:
-                truncated_any = True
-            if best_run is None or run_total > best_run[0]:
-                best_run = (run_total, run_chains, run_res)
-        _, new_chains, res = best_run
-        applied.extend(new_chains)
+        chains, truncated = find_penalized_chains(res, k, path_budget)
+        truncated_any |= truncated
+        alive = [(ch.nodes, res.penalty(ch.nodes)) for ch in chains]
+        while True:
+            alive = [(nodes, p) for nodes, p in alive if p > 0]
+            if not alive:
+                break
+            nodes, p = min(alive, key=lambda t: (-t[1], t[0]))
+            res.apply(nodes, p)
+            applied.append(Chain(nodes=nodes, penalty=Fraction(p, res.den)))
+            alive = [(nn, res.penalty(nn)) for nn, _ in alive]
         k += 1
 
     trivial = trivial_upper_bound(sm)
-    total = sum((c.penalty for c in applied), Fraction(0))
+    bound = trivial - sum((c.penalty for c in applied), Fraction(0))
     return ChainCertificate(
-        trivial_bound=trivial,
-        chains=tuple(applied),
-        total_penalty=total,
-        bound=trivial - total,
-        residual=res,
-        truncated=truncated_any,
+        trivial_bound=trivial, chains=tuple(applied), bound=bound, residual=res, truncated=truncated_any
     )

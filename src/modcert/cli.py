@@ -85,9 +85,7 @@ def cmd_bound(args) -> int:
         print(f"trivial bound: {float(trivial):.6f} ({frac_str(trivial)})")
         return 0
     achieved = optimize(sm, OptimizerConfig(seed=args.seed)).modularity
-    result = chain_bound(sm, achieved=achieved, strategy=args.strategy, seed=args.seed,
-                         tries_per_k=args.tries_per_k, mixed_prob=args.mixed_prob,
-                         path_budget=args.path_budget)
+    result = chain_bound(sm, achieved=achieved, path_budget=args.path_budget)
     print(f"trivial bound: {float(trivial):.6f} ({frac_str(trivial)})")
     print(f"achieved: {float(achieved):.6f} ({frac_str(achieved)})")
     print(f"greedy chains: {result.chains_applied}, greedy bound {float(result.greedy_bound):.6f}")
@@ -104,12 +102,9 @@ def cmd_certify(args) -> int:
         method=args.method,
         max_subnet_size=args.max_subnet_size,
         seed=args.seed,
-        strategy=args.strategy,
-        tries_per_k=args.tries_per_k,
         restarts=args.restarts,
         subnet_budget=args.budget,
         path_budget=args.path_budget,
-        mixed_prob=args.mixed_prob,
     )
     text = doc.dumps()
     if args.output:
@@ -234,9 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_network(p)
     p.add_argument("--method", choices=["trivial", "chains"], default="chains")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--strategy", default="best", choices=["best", "random", "mixed"])
-    p.add_argument("--mixed-prob", type=float, default=0.5)
-    p.add_argument("--tries-per-k", type=int, default=1)
     p.add_argument("--path-budget", type=int, default=10_000_000)
     p.set_defaults(func=cmd_bound)
 
@@ -245,9 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["chains", "subnets", "both"], default="both")
     p.add_argument("--max-subnet-size", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--strategy", default="best", choices=["best", "random", "mixed"])
-    p.add_argument("--mixed-prob", type=float, default=0.5)
-    p.add_argument("--tries-per-k", type=int, default=1)
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--budget", type=int, default=None, help="max subnetworks to resolve")
     p.add_argument("--path-budget", type=int, default=10_000_000)

@@ -19,7 +19,7 @@ from .lp import CertComponent, combine
 from .optimizer import OptimizerConfig, optimize
 from .scores import chain_loads, score_matrix, trivial_upper_bound
 from .subnets import Subnetwork, enumerate_subnetworks, partial_brute_force, reduce_weights
-from .verify import verify_certificate
+from .verify import MAX_EXHAUSTIVE_NODES, verify_certificate
 
 METHODS = ("chains", "subnets", "both")
 DEFAULT_POOL_CHAIN_LENGTH = 4
@@ -46,10 +46,6 @@ def chain_component(ch: Chain) -> CertComponent:
 def chain_bound(
     sm,
     achieved: Fraction | None = None,
-    strategy: str = "best",
-    seed: int = 0,
-    tries_per_k: int = 1,
-    mixed_prob: float = 0.5,
     path_budget: int = DEFAULT_PATH_BUDGET,
     pool_chain_length: int = DEFAULT_POOL_CHAIN_LENGTH,
 ) -> BoundResult:
@@ -62,10 +58,9 @@ def chain_bound(
     early once the bound matches the achieved value. A path budget that runs
     out weakens the bound and sets `truncated`.
     """
-    cert = greedy_certify(
-        sm, strategy=strategy, seed=seed, tries_per_k=tries_per_k,
-        mixed_prob=mixed_prob, path_budget=path_budget,
-    )
+    if path_budget < 0:
+        raise ValueError("path_budget must be >= 0")
+    cert = greedy_certify(sm, path_budget=path_budget)
     components = [(chain_component(ch), Fraction(1)) for ch in cert.chains]
     result = BoundResult(
         components=components,
@@ -142,12 +137,9 @@ def certify(
     method: str = "both",
     max_subnet_size: int = 6,
     seed: int = 0,
-    strategy: str = "best",
-    tries_per_k: int = 1,
     restarts: int = 8,
     subnet_budget: int | None = None,
     path_budget: int = DEFAULT_PATH_BUDGET,
-    mixed_prob: float = 0.5,
 ) -> CertificateDocument:
     """Produce a verified certificate document for a network.
 
@@ -161,6 +153,10 @@ def certify(
         raise ValueError(f"method must be one of {METHODS}")
     if method != "chains" and max_subnet_size < 3:
         raise ValueError("max_subnet_size must be >= 3")
+    if method != "chains" and max_subnet_size > MAX_EXHAUSTIVE_NODES:
+        raise ValueError(f"max_subnet_size must be <= {MAX_EXHAUSTIVE_NODES}")
+    if subnet_budget is not None and subnet_budget < 0:
+        raise ValueError("subnet_budget must be >= 0")
     sm = score_matrix(net)
     achieved = optimize(sm, OptimizerConfig(seed=seed, restarts=restarts))
 
@@ -168,8 +164,6 @@ def certify(
         "tool": f"modcert {_version}",
         "method": method,
         "seed": seed,
-        "strategy": strategy,
-        "tries_per_k": tries_per_k,
         "restarts": restarts,
         "max_subnet_size": max_subnet_size if method != "chains" else None,
     }
@@ -178,15 +172,7 @@ def certify(
     bound = trivial_upper_bound(sm)
 
     if method in ("chains", "both"):
-        chain_result = chain_bound(
-            sm,
-            achieved=achieved.modularity,
-            strategy=strategy,
-            seed=seed,
-            tries_per_k=tries_per_k,
-            mixed_prob=mixed_prob,
-            path_budget=path_budget,
-        )
+        chain_result = chain_bound(sm, achieved=achieved.modularity, path_budget=path_budget)
         components = chain_result.components
         bound = chain_result.bound
         provenance["greedy_chain_bound"] = f"{chain_result.greedy_bound.numerator}/{chain_result.greedy_bound.denominator}"

@@ -94,6 +94,19 @@ def test_verify_tampered_bound_exits_1(tmp_path, capsys):
     assert "verification failed" in out
 
 
+def test_verify_accepts_legacy_provenance_keys(tmp_path, capsys):
+    # certificates written while chain selection had strategy knobs still verify
+    path = write_path_network(tmp_path)
+    cert = str(tmp_path / "cert.json")
+    run(capsys, "certify", path, "--method", "chains", "-o", cert)
+    data = json.loads(open(cert).read())
+    data["provenance"].update({"strategy": "best", "tries_per_k": 1})
+    open(cert, "w").write(json.dumps(data))
+    code, out, _ = run(capsys, "verify", path, cert)
+    assert code == 0
+    assert "verification passed" in out
+
+
 def test_verify_truncated_exits_2(tmp_path, capsys):
     path = write_path_network(tmp_path)
     cert = str(tmp_path / "cert.json")
@@ -188,6 +201,12 @@ def test_verify_non_object_certificate_exits_2(tmp_path, capsys, body):
     ["verify", "karate", "cert.json", "--seed", "1"],
     ["bench", "knoki", "--directed"],
     ["optimize", "karate", "--format", "csv"],
+    ["bound", "karate", "--strategy", "random"],
+    ["bound", "karate", "--mixed-prob", "0.5"],
+    ["bound", "karate", "--tries-per-k", "2"],
+    ["certify", "karate", "--strategy", "random"],
+    ["certify", "karate", "--mixed-prob", "0.5"],
+    ["certify", "karate", "--tries-per-k", "2"],
 ])
 def test_removed_flags_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -202,13 +221,20 @@ def test_removed_flags_exit_2(capsys, argv):
      "max_subnet_size must be >= 3"),
     (["certify", "PATH", "--method", "both", "--max-subnet-size", "2"],
      "max_subnet_size must be >= 3"),
+    (["certify", "C13", "--method", "subnets", "--max-subnet-size", "13"],
+     "max_subnet_size must be <= 12"),
+    (["certify", "PATH", "--method", "subnets", "--budget", "-3"], "subnet_budget must be >= 0"),
+    (["bound", "PATH", "--path-budget", "-1"], "path_budget must be >= 0"),
     (["optimize", "PATH", "--restarts", "0"], "restarts must be >= 1"),
     (["gen", "--n", "5", "--communities", "0", "--p-in", "0.9", "--p-out", "0.1"],
      "communities must be between 1 and n"),
-], ids=["subnets-size", "both-size", "restarts", "communities"])
+], ids=["subnets-size", "both-size", "c13-size", "subnet-budget", "path-budget", "restarts",
+        "communities"])
 def test_invalid_argument_value_exits_2(tmp_path, capsys, argv, message):
-    path = write_path_network(tmp_path)
-    code, out, err = run(capsys, *[path if a == "PATH" else a for a in argv])
+    files = {"PATH": write_path_network(tmp_path), "C13": str(tmp_path / "c13.edges")}
+    with open(files["C13"], "w") as fh:
+        fh.write("\n".join(f"{i} {(i + 1) % 13}" for i in range(13)) + "\n")
+    code, out, err = run(capsys, *[files.get(a, a) for a in argv])
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"

@@ -13,7 +13,7 @@ from modcert import pipeline
 from modcert.pipeline import CertificationError, certify, chain_bound
 from modcert.scores import ScoreMatrix, score_matrix
 from modcert.subnets import enumerate_subnetworks, partial_brute_force, reduce_weights
-from modcert.verify import verify_certificate
+from modcert.verify import MAX_EXHAUSTIVE_NODES, verify_certificate
 
 F = Fraction
 
@@ -41,6 +41,16 @@ def test_certify_method_validation():
     with pytest.raises(ValueError, match="max_subnet_size"):
         certify(path, method="both", max_subnet_size=2)
     assert certify(path, method="chains", max_subnet_size=2).status == "optimal-proved"
+    # the verifier re-proves a subnetwork component by enumeration only up to
+    # MAX_EXHAUSTIVE_NODES nodes, so a larger one could never be checked
+    c13 = build_network([(str(i), str((i + 1) % 13), 1) for i in range(13)])
+    for method in ("subnets", "both"):
+        with pytest.raises(ValueError, match=f"max_subnet_size must be <= {MAX_EXHAUSTIVE_NODES}"):
+            certify(c13, method=method, max_subnet_size=MAX_EXHAUSTIVE_NODES + 1)
+    with pytest.raises(ValueError, match="subnet_budget must be >= 0"):
+        certify(path, method="subnets", subnet_budget=-3)
+    with pytest.raises(ValueError, match="path_budget must be >= 0"):
+        chain_bound(score_matrix(path), path_budget=-1)
 
 
 def test_certify_small_random_soundness():
@@ -125,10 +135,11 @@ def test_certify_subnets_only_method():
 
 def test_provenance_recorded():
     net = build_network([("a", "b", 1), ("b", "c", 1)])
-    doc = certify(net, method="both", seed=3, strategy="best", max_subnet_size=4)
+    doc = certify(net, method="both", seed=3, max_subnet_size=4)
     assert doc.provenance["seed"] == 3
     assert doc.provenance["method"] == "both"
     assert "tool" in doc.provenance
+    assert "strategy" not in doc.provenance and "tries_per_k" not in doc.provenance
     assert "path_budget_exhausted" not in doc.provenance
     assert "subnet_budget_exhausted" not in doc.provenance
 
