@@ -43,8 +43,7 @@ def brute_force_max(sm: ScoreMatrix, limit: int = DEFAULT_LIMIT) -> tuple[Fracti
     n = sm.n
     if n > limit:
         raise ValueError(f"brute force limited to n <= {limit}, got n = {n}")
-    den, S, diag = sm.scaled()
-    diag_total = sum(diag)
+    S = sm.S
 
     best_val = None
     best_assignment = None
@@ -73,7 +72,7 @@ def brute_force_max(sm: ScoreMatrix, limit: int = DEFAULT_LIMIT) -> tuple[Fracti
         groups.pop()
 
     rec(0, 0)
-    q = Fraction(best_val + diag_total, den)
+    q = Fraction(best_val + sum(sm.diag), sm.den)
     part = Partition(
         assignment=Partition.canonical_assignment(best_assignment),
         num_communities=max(best_assignment) + 1,

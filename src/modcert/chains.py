@@ -14,6 +14,7 @@ accumulated penalties.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -44,8 +45,7 @@ class ResidualScores:
 
     @classmethod
     def fresh(cls, sm: ScoreMatrix) -> "ResidualScores":
-        den, S, _ = sm.scaled()
-        return cls(base=sm, num=[row[:] for row in S], den=den)
+        return cls(base=sm, num=[row[:] for row in sm.S], den=sm.den)
 
     @property
     def n(self) -> int:
@@ -227,8 +227,10 @@ def greedy_certify(sm: ScoreMatrix, path_budget: int = DEFAULT_PATH_BUDGET) -> C
     Each k-stage enumerates the length-k chains once and then repeatedly
     applies the one with the highest penalty (ties to the smallest node
     sequence), in place on one residual. Chains of a fixed length can only
-    disappear or weaken as reductions are applied, so their penalties are
-    recomputed on the residual lattice rather than re-enumerated.
+    disappear or weaken as reductions are applied, so the stage keeps them
+    in a max-heap keyed (-penalty, nodes) with possibly stale penalties: a
+    popped chain whose penalty is still current is the highest, and one
+    that has weakened goes back with its new penalty unless it is dead.
     """
     res = ResidualScores.fresh(sm)
     applied: list[Chain] = []
@@ -237,15 +239,16 @@ def greedy_certify(sm: ScoreMatrix, path_budget: int = DEFAULT_PATH_BUDGET) -> C
     while has_remaining_penalized_chain(res) and k <= sm.n:
         chains, truncated = find_penalized_chains(res, k, path_budget)
         truncated_any |= truncated
-        alive = [(ch.nodes, res.penalty(ch.nodes)) for ch in chains]
-        while True:
-            alive = [(nodes, p) for nodes, p in alive if p > 0]
-            if not alive:
-                break
-            nodes, p = min(alive, key=lambda t: (-t[1], t[0]))
-            res.apply(nodes, p)
-            applied.append(Chain(nodes=nodes, penalty=Fraction(p, res.den)))
-            alive = [(nn, res.penalty(nn)) for nn, _ in alive]
+        heap = [(-res.penalty(ch.nodes), ch.nodes) for ch in chains]
+        heapq.heapify(heap)
+        while heap:
+            stale, nodes = heapq.heappop(heap)
+            p = res.penalty(nodes)
+            if p == -stale:
+                res.apply(nodes, p)
+                applied.append(Chain(nodes=nodes, penalty=Fraction(p, res.den)))
+            elif p > 0:
+                heapq.heappush(heap, (-p, nodes))
         k += 1
 
     trivial = trivial_upper_bound(sm)

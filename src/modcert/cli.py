@@ -46,11 +46,12 @@ def _add_network(parser):
 def cmd_score(args) -> int:
     net = _load_input(args.network, args.directed)
     sm = score_matrix(net)
-    rows = [(net.node_labels[a], net.node_labels[b], sm.s[(a, b)]) for a, b in sm.pairs()]
+    labels, n = net.node_labels, net.n
+    rows = [(labels[a], labels[b], sm.score(a, b)) for a in range(n) for b in range(a + 1, n)]
     if args.format == "json":
         payload = {
             "pairs": {f"{a}|{b}": frac_str(v) for a, b, v in rows},
-            "diagonal": {net.node_labels[i]: frac_str(v) for i, v in enumerate(sm.d)},
+            "diagonal": {labels[a]: frac_str(sm.score(a, a)) for a in range(n)},
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

@@ -60,7 +60,7 @@ def _external_path(name: str, data_dir: str | None) -> str | None:
 def load_network(name: str, data_dir: str | None = None) -> Network:
     """Load a corpus network by name, bundled or from the external data dir."""
     if name not in CORPUS:
-        raise KeyError(f"unknown corpus network: {name!r} (known: {sorted(CORPUS)})")
+        raise ValueError(f"unknown corpus network: {name!r} (known: {sorted(CORPUS)})")
     entry = CORPUS[name]
     if entry.bundled:
         text = resources.files("modcert.data").joinpath(f"{name}.edges").read_text()

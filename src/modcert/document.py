@@ -29,8 +29,10 @@ def parse_frac(s: str) -> Fraction:
     """Parse "num/den" or "num"; ValueError on anything else, a zero denominator included."""
     if not isinstance(s, str):
         raise ValueError(f"rational must be a string, got {s!r}")
-    num, _, den = s.partition("/")
-    d = int(den) if den else 1
+    num, slash, den = s.partition("/")
+    if slash and not den:
+        raise ValueError(f"empty denominator in {s!r}")
+    d = int(den) if slash else 1
     if d == 0:
         raise ValueError(f"zero denominator in {s!r}")
     return Fraction(int(num), d)

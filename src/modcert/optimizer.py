@@ -28,12 +28,7 @@ class OptimizerConfig:
 
 
 def _float_matrix(sm: ScoreMatrix) -> list[list[float]]:
-    S = [[0.0] * sm.n for _ in range(sm.n)]
-    for (a, b), v in sm.s.items():
-        f = float(v)
-        S[a][b] = f
-        S[b][a] = f
-    return S
+    return [[v / sm.den for v in row] for row in sm.S]
 
 
 def _kl_series(S, members, src, dst):

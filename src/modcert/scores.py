@@ -32,48 +32,24 @@ def chain_loads(nodes: Sequence[int], p: Fraction) -> dict[Pair, Fraction]:
 
 @dataclass
 class ScoreMatrix:
-    """Symmetric effective scores s on unordered pairs plus diagonal terms d.
+    """Effective scores on one integer lattice: s(a,b) = S[a][b]/den, d(a) = diag[a]/den.
 
-    For matrices produced by `score_matrix` the balance identity
-    sum(s) + sum(d) == 0 holds exactly. Tests may construct synthetic
-    instances that do not satisfy it; nothing here relies on balance.
+    S is a dense symmetric n x n integer matrix with a zero diagonal. For
+    matrices produced by `score_matrix` den is T^2 of the integer-scaled
+    weights and the balance identity sum(S over a < b) + sum(diag) == 0
+    holds. Tests may construct synthetic instances that do not satisfy it;
+    nothing here relies on balance.
     """
 
     n: int
-    s: dict[Pair, Fraction]
-    d: tuple[Fraction, ...]
-    _scaled: tuple | None = field(default=None, repr=False, compare=False)
+    den: int
+    S: list[list[int]] = field(repr=False)
+    diag: tuple[int, ...]
 
     def score(self, a: int, b: int) -> Fraction:
         if a == b:
-            return self.d[a]
-        return self.s.get(pair_key(a, b), Fraction(0))
-
-    def pairs(self):
-        """All stored unordered pairs in sorted order."""
-        return sorted(self.s.keys())
-
-    def scaled(self):
-        """Common-denominator integer view: (den, S, diag).
-
-        S is a dense n x n symmetric integer matrix with S[a][b] * den == s(a,b);
-        diag[a] * den == d(a). Cached; used by enumeration-heavy callers so the
-        hot loops run on machine/big integers instead of Fractions.
-        """
-        if self._scaled is None:
-            den = 1
-            for v in self.s.values():
-                den = math.lcm(den, v.denominator)
-            for v in self.d:
-                den = math.lcm(den, v.denominator)
-            S = [[0] * self.n for _ in range(self.n)]
-            for (a, b), v in self.s.items():
-                iv = v.numerator * (den // v.denominator)
-                S[a][b] = iv
-                S[b][a] = iv
-            diag = [v.numerator * (den // v.denominator) for v in self.d]
-            self._scaled = (den, S, diag)
-        return self._scaled
+            return Fraction(self.diag[a], self.den)
+        return Fraction(self.S[a][b], self.den)
 
 
 @dataclass
@@ -109,38 +85,47 @@ class Partition:
 
 
 def score_matrix(net: Network) -> ScoreMatrix:
-    """Exact effective scores for every unordered pair, diagonal included."""
+    """Exact effective scores for every unordered pair, diagonal included.
+
+    Weights are scaled by the lcm of their denominators to integers w, with
+    total T; then S(a,b) = T(w_ab + w_ba) - (out_a in_b + out_b in_a),
+    diag(a) = T w_aa - out_a in_a and den = T^2.
+    """
     n = net.n
-    T = net.total_weight
-    T2 = T * T
-    s: dict[Pair, Fraction] = {}
+    scale = math.lcm(*(v.denominator for v in net.edges.values()))
+    w = {q: v.numerator * (scale // v.denominator) for q, v in net.edges.items()}
+    w_out = [0] * n
+    w_in = [0] * n
+    for (a, b), v in w.items():
+        w_out[a] += v
+        w_in[b] += v
+    T = sum(w_out)
+    S = [[0] * n for _ in range(n)]
     for a in range(n):
-        wa_out, wa_in = net.w_out(a), net.w_in(a)
+        row = S[a]
         for b in range(a + 1, n):
-            e_ab = net.weight(a, b)
-            e_ba = net.weight(b, a)
-            val = (e_ab + e_ba) / T - (wa_out * net.w_in(b) + net.w_out(b) * wa_in) / T2
-            s[(a, b)] = val
-    d = tuple(
-        net.weight(a, a) / T - net.w_out(a) * net.w_in(a) / T2 for a in range(n)
-    )
-    return ScoreMatrix(n=n, s=s, d=d)
+            v = (T * (w.get((a, b), 0) + w.get((b, a), 0))
+                 - (w_out[a] * w_in[b] + w_out[b] * w_in[a]))
+            row[b] = v
+            S[b][a] = v
+    diag = tuple(T * w.get((a, a), 0) - w_out[a] * w_in[a] for a in range(n))
+    return ScoreMatrix(n=n, den=T * T, S=S, diag=diag)
 
 
 def modularity_of_assignment(sm: ScoreMatrix, assignment: Sequence[int]) -> Fraction:
     if len(assignment) != sm.n:
         raise ValueError(f"partition covers {len(assignment)} nodes, network has {sm.n}")
-    den, S, diag = sm.scaled()
+    S = sm.S
     groups: dict[int, list[int]] = {}
     for node, c in enumerate(assignment):
         groups.setdefault(c, []).append(node)
-    total = sum(diag)
+    total = sum(sm.diag)
     for members in groups.values():
         for i, a in enumerate(members):
             row = S[a]
             for b in members[i + 1:]:
                 total += row[b]
-    return Fraction(total, den)
+    return Fraction(total, sm.den)
 
 
 def modularity(sm: ScoreMatrix, p: Partition) -> Fraction:
@@ -155,5 +140,5 @@ def trivial_upper_bound(sm: ScoreMatrix) -> Fraction:
     always collected, negative diagonals are unavoidable; hence this dominates
     the modularity of every partition.
     """
-    total = sum((v for v in sm.s.values() if v > 0), Fraction(0))
-    return total + sum(sm.d, Fraction(0))
+    positive = sum(v for a, row in enumerate(sm.S) for v in row[a + 1:] if v > 0)
+    return Fraction(positive + sum(sm.diag), sm.den)

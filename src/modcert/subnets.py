@@ -103,7 +103,7 @@ def enumerate_subnetworks(res: ResidualScores, max_size: int = DEFAULT_MAX_SIZE)
         yield from extend([v], {v}, ext0, v)
 
 
-def _scaled_scores(sub: Subnetwork) -> tuple[int, dict[Pair, int]]:
+def _integer_scores(sub: Subnetwork) -> tuple[int, dict[Pair, int]]:
     den = 1
     for v in sub.scores.values():
         den = math.lcm(den, v.denominator)
@@ -125,7 +125,7 @@ def partial_brute_force(sub: Subnetwork, _disable_discard: bool = False) -> Reso
     nodes = sub.nodes
     local = {v: i for i, v in enumerate(nodes)}
     nn = len(nodes)
-    den, scaled = _scaled_scores(sub)
+    den, scaled = _integer_scores(sub)
     positives = sorted((p for p, v in scaled.items() if v > 0), key=lambda p: (scaled[p], p))
     negatives = [p for p, v in scaled.items() if v < 0]
     pos_total = sum(scaled[p] for p in positives)

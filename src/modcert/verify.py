@@ -99,14 +99,16 @@ def _exhaustive_penalty_ok(comp) -> bool:
     return comp.penalty <= pos_total - best
 
 
-def _check_claims(cert, sm: ScoreMatrix, diagonal: Fraction) -> str | None:
+def _check_claims(cert, sm: ScoreMatrix) -> str | None:
     """A document's claims: the listed partition's modularity, the gap and the status."""
     assignment = cert.achieved.assignment
     if len(assignment) != sm.n:
         return f"{Violation.ACHIEVED_MISMATCH}: partition covers {len(assignment)} of {sm.n} nodes"
-    q = diagonal + sum(
-        (v for (a, b), v in sm.s.items() if assignment[a] == assignment[b]), Fraction(0)
+    inside = sum(
+        v for a, row in enumerate(sm.S) for b, v in enumerate(row[a + 1:], a + 1)
+        if assignment[a] == assignment[b]
     )
+    q = Fraction(inside + sum(sm.diag), sm.den)
     if q != cert.achieved.modularity:
         return f"{Violation.ACHIEVED_MISMATCH}: stated modularity is not the partition's"
     if cert.gap != cert.bound - q:
@@ -149,8 +151,8 @@ def verify_certificate(cert, sm: ScoreMatrix) -> tuple[bool, str | None]:
             return False, f"{Violation.COMPONENT_PENALTY}: {name} does not prove penalty {comp.penalty}"
 
     # independent trivial bound: positive pair mass plus all diagonal terms
-    diagonal = sum(sm.d, Fraction(0))
-    trivial = sum((v for v in sm.s.values() if v > 0), Fraction(0)) + diagonal
+    positive = sum(v for a, row in enumerate(sm.S) for v in row[a + 1:] if v > 0)
+    trivial = Fraction(positive + sum(sm.diag), sm.den)
     total = sum((lam * comp.penalty for comp, lam in components), Fraction(0))
     if trivial - total != claimed_bound:
         return False, (
@@ -158,7 +160,7 @@ def verify_certificate(cert, sm: ScoreMatrix) -> tuple[bool, str | None]:
             f"trivial {trivial} - penalties {total}"
         )
     if cert.achieved is not None:
-        msg = _check_claims(cert, sm, diagonal)
+        msg = _check_claims(cert, sm)
         if msg is not None:
             return False, msg
     return True, None

@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from modcert.graph import Network, build_network
+from modcert.scores import ScoreMatrix
 
 WEIGHT_CHOICES = [1, 1, 1, 2, 3, Fraction(1, 2), Fraction(3, 2), Fraction(5, 4)]
 
 
 def random_network(seed: int, n: int | None = None, directed: bool = False,
-                   p: float = 0.5, rational_weights: bool = True) -> Network:
-    """Random weighted network with at least one edge, deterministic per seed."""
+                   p: float = 0.5, rational_weights: bool = True, loops: bool = False) -> Network:
+    """Random weighted network with at least one edge, deterministic per seed.
+
+    With loops, each node also carries a self-loop with probability p.
+    """
     rng = random.Random(seed)
     if n is None:
         n = rng.randint(3, 8)
@@ -32,6 +37,10 @@ def random_network(seed: int, n: int | None = None, directed: bool = False,
     for i, lab in enumerate(labels):
         if lab not in present:
             triples.append((labels[(i + 1) % n], lab, 1))
+    if loops:
+        for lab in labels:
+            if rng.random() < p:
+                triples.append((lab, lab, rng.choice(WEIGHT_CHOICES)))
     return build_network(triples, directed=directed)
 
 
@@ -46,6 +55,30 @@ def modularity_ordered(net: Network, assignment) -> Fraction:
                 q = net.weight(a, b) / T - net.w_out(a) * net.w_in(b) / (T * T)
                 total += q
     return total
+
+
+def textbook_scores(net: Network) -> tuple[dict, tuple]:
+    """The effective scores straight from their definition, in Fractions:
+    s(a,b) = (e_ab + e_ba)/T - (out_a in_b + out_b in_a)/T^2 on pairs a < b and
+    d(a) = e_aa/T - out_a in_a/T^2; shares no code with score_matrix."""
+    T = net.total_weight
+    s = {}
+    for a in range(net.n):
+        for b in range(a + 1, net.n):
+            s[(a, b)] = (net.weight(a, b) + net.weight(b, a)) / T - (
+                net.w_out(a) * net.w_in(b) + net.w_out(b) * net.w_in(a)) / (T * T)
+    d = tuple(net.weight(a, a) / T - net.w_out(a) * net.w_in(a) / (T * T) for a in range(net.n))
+    return s, d
+
+
+def lattice(n: int, s: dict) -> ScoreMatrix:
+    """A synthetic ScoreMatrix from Fraction scores on pairs a < b (unlisted
+    pairs score 0) and zero diagonal terms, on one denominator."""
+    den = math.lcm(*(v.denominator for v in s.values()))
+    S = [[0] * n for _ in range(n)]
+    for (a, b), v in s.items():
+        S[a][b] = S[b][a] = int(v * den)
+    return ScoreMatrix(n=n, den=den, S=S, diag=(0,) * n)
 
 
 def random_assignment(rng: random.Random, n: int, groups: int | None = None):

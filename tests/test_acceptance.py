@@ -172,9 +172,9 @@ def test_criterion_7_worked_example():
     net = build_network([("a", "b", 1), ("b", "c", 1)])
     sm = score_matrix(net)
     ok = (
-        sm.s[(0, 1)] == F(1, 4)
-        and sm.s[(1, 2)] == F(1, 4)
-        and sm.s[(0, 2)] == F(-1, 8)
+        sm.score(0, 1) == F(1, 4)
+        and sm.score(1, 2) == F(1, 4)
+        and sm.score(0, 2) == F(-1, 8)
         and trivial_upper_bound(sm) == F(1, 8)
     )
     cert = greedy_certify(sm)

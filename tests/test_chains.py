@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from conftest import random_network
+from conftest import lattice, random_network
 from modcert.brute import brute_force_max
 from modcert.chains import (
     ResidualScores,
@@ -9,7 +9,7 @@ from modcert.chains import (
     has_remaining_penalized_chain,
 )
 from modcert.graph import build_network
-from modcert.scores import ScoreMatrix, score_matrix
+from modcert.scores import score_matrix
 
 F = Fraction
 
@@ -21,7 +21,7 @@ def path_residual():
 
 def triangle_residual():
     # synthetic residuals (0.2, 0.3, closing -0.1)
-    sm = ScoreMatrix(n=3, s={(0, 1): F(1, 5), (1, 2): F(3, 10), (0, 2): F(-1, 10)}, d=(F(0),) * 3)
+    sm = lattice(3, {(0, 1): F(1, 5), (1, 2): F(3, 10), (0, 2): F(-1, 10)})
     return ResidualScores.fresh(sm)
 
 
@@ -42,7 +42,7 @@ def test_chain_penalty_triangle():
     res = triangle_residual()
     assert F(res.penalty([0, 1, 2]), res.den) == F(1, 10)  # the closing magnitude is the minimum
     # with a deeper closing pair the smallest positive sets the penalty
-    wide = ScoreMatrix(n=3, s={(0, 1): F(1, 5), (1, 2): F(3, 10), (0, 2): F(-1, 2)}, d=(F(0),) * 3)
+    wide = lattice(3, {(0, 1): F(1, 5), (1, 2): F(3, 10), (0, 2): F(-1, 2)})
     res = ResidualScores.fresh(wide)
     assert F(res.penalty([0, 1, 2]), res.den) == F(1, 5)
 
@@ -53,9 +53,9 @@ def test_chain_penalty_rejects_bad_patterns():
     assert res.penalty([0, 2, 1]) == 0  # interior (0,2) negative
     assert res.penalty([0, 1]) == 0  # too short: the closing pair is the positive (0,1)
     assert res.penalty([0, 1, 0]) == 0  # repeated node: the closing pair is the zero diagonal
-    zero = ScoreMatrix(n=3, s={(0, 1): F(0), (1, 2): F(1, 4), (0, 2): F(-1, 8)}, d=(F(0),) * 3)
+    zero = lattice(3, {(0, 1): F(0), (1, 2): F(1, 4), (0, 2): F(-1, 8)})
     assert ResidualScores.fresh(zero).penalty([0, 1, 2]) == 0
-    closing_positive = ScoreMatrix(n=3, s={(0, 1): F(1, 4), (1, 2): F(1, 4), (0, 2): F(1, 8)}, d=(F(0),) * 3)
+    closing_positive = lattice(3, {(0, 1): F(1, 4), (1, 2): F(1, 4), (0, 2): F(1, 8)})
     assert ResidualScores.fresh(closing_positive).penalty([0, 1, 2]) == 0
 
 
@@ -134,6 +134,35 @@ def test_greedy_deterministic_and_seeded():
     assert [c.nodes for c in a.chains] == [c.nodes for c in b.chains]
 
 
+def rescan_greedy(sm):
+    """The greedy rule by rescanning: after each applied chain, recompute the
+    penalty of every chain of the stage and apply the highest (ties to the
+    smallest node sequence). Returns the applied (nodes, penalty) sequence."""
+    res = ResidualScores.fresh(sm)
+    out = []
+    k = 3
+    while has_remaining_penalized_chain(res) and k <= sm.n:
+        chains, _ = find_penalized_chains(res, k)
+        alive = [(ch.nodes, res.penalty(ch.nodes)) for ch in chains]
+        while True:
+            alive = [(nodes, p) for nodes, p in alive if p > 0]
+            if not alive:
+                break
+            nodes, p = min(alive, key=lambda t: (-t[1], t[0]))
+            res.apply(nodes, p)
+            out.append((nodes, F(p, res.den)))
+            alive = [(nn, res.penalty(nn)) for nn, _ in alive]
+        k += 1
+    return out
+
+
+def test_greedy_heap_matches_rescan():
+    for seed in range(30):
+        sm = score_matrix(random_network(seed, n=6 + seed % 4, directed=bool(seed % 2), p=0.6))
+        cert = greedy_certify(sm)
+        assert [(c.nodes, c.penalty) for c in cert.chains] == rescan_greedy(sm)
+
+
 def test_greedy_bound_arithmetic_invariant():
     for seed in range(10):
         sm = score_matrix(random_network(seed, n=7))
@@ -157,12 +186,12 @@ def test_residual_sign_consistency_after_greedy():
     for seed in range(8):
         sm = score_matrix(random_network(seed, n=7))
         cert = greedy_certify(sm)
-        den0, S0, _ = sm.scaled()
         res = cert.residual
+        assert res.den == sm.den
         for a in range(sm.n):
             for b in range(a + 1, sm.n):
                 r = res.num[a][b]
-                s0 = S0[a][b]
+                s0 = sm.S[a][b]
                 assert r * s0 >= 0
                 assert abs(r) <= abs(s0)
 

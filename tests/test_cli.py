@@ -117,16 +117,16 @@ def test_verify_truncated_exits_2(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("field,value", [("bound", "1/0"), ("lambda", 1)])
+@pytest.mark.parametrize("field,value", [("bound", "1/0"), ("lambda", 1), ("gap", "0/")])
 def test_verify_malformed_rational_exits_2(tmp_path, capsys, field, value):
     path = write_path_network(tmp_path)
     cert = str(tmp_path / "cert.json")
     run(capsys, "certify", path, "--method", "chains", "-o", cert)
     data = json.loads(open(cert).read())
-    if field == "bound":
-        data["bound"] = value
-    else:
+    if field == "lambda":
         data["components"][0]["lambda"] = value
+    else:
+        data[field] = value
     open(cert, "w").write(json.dumps(data))
     code, _, err = run(capsys, "verify", path, cert)
     assert code == 2
@@ -228,8 +228,10 @@ def test_removed_flags_exit_2(capsys, argv):
     (["optimize", "PATH", "--restarts", "0"], "restarts must be >= 1"),
     (["gen", "--n", "5", "--communities", "0", "--p-in", "0.9", "--p-out", "0.1"],
      "communities must be between 1 and n"),
+    (["bench", "nosuch"], "unknown corpus network: 'nosuch' (known: ['dolphins', 'football', "
+     "'karate', 'knoki', 'knokm', 'lesmis', 'polbooks'])"),
 ], ids=["subnets-size", "both-size", "c13-size", "subnet-budget", "path-budget", "restarts",
-        "communities"])
+        "communities", "bench-unknown"])
 def test_invalid_argument_value_exits_2(tmp_path, capsys, argv, message):
     files = {"PATH": write_path_network(tmp_path), "C13": str(tmp_path / "c13.edges")}
     with open(files["C13"], "w") as fh:

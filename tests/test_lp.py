@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import random_network
+from conftest import lattice, random_network
 from modcert.brute import brute_force_max
 from modcert.chains import DEFAULT_PATH_BUDGET, ResidualScores, find_penalized_chains, greedy_certify
 from modcert.datasets import load_network
@@ -20,7 +20,7 @@ from modcert.lp import (
     solve_sparse_system,
 )
 from modcert.pipeline import chain_component
-from modcert.scores import ScoreMatrix, score_matrix, trivial_upper_bound
+from modcert.scores import score_matrix, trivial_upper_bound
 
 F = Fraction
 
@@ -132,15 +132,14 @@ def test_minimize_totals_exact_fallback_random(monkeypatch):
 
 def test_combine_shared_pair_capacity():
     # two triangle reductions sharing pair (0,1) with capacity 0.15
-    sm = ScoreMatrix(
-        n=4,
-        s={
+    sm = lattice(
+        4,
+        {
             (0, 1): F(3, 20),
             (0, 2): F(1, 2), (1, 2): F(-1, 2),
             (0, 3): F(1, 2), (1, 3): F(-1, 2),
             (2, 3): F(0),
         },
-        d=(F(0),) * 4,
     )
     c1 = CertComponent(
         nodes=(0, 1, 2),
@@ -155,9 +154,7 @@ def test_combine_shared_pair_capacity():
 
 
 def test_combine_single_component_lambda_at_least_one():
-    sm = ScoreMatrix(
-        n=3, s={(0, 1): F(1, 5), (0, 2): F(3, 10), (1, 2): F(-1, 10)}, d=(F(0),) * 3
-    )
+    sm = lattice(3, {(0, 1): F(1, 5), (0, 2): F(3, 10), (1, 2): F(-1, 10)})
     comp = CertComponent(
         nodes=(0, 1, 2),
         loads={(0, 1): F(1, 10), (0, 2): F(1, 10), (1, 2): F(-1, 10)}, penalty=F(1, 10),
@@ -174,7 +171,7 @@ def test_combine_empty_pool_gives_trivial():
 
 
 def test_combine_sign_violation_rejected():
-    sm = ScoreMatrix(n=3, s={(0, 1): F(1), (0, 2): F(1), (1, 2): F(-1)}, d=(F(0),) * 3)
+    sm = lattice(3, {(0, 1): F(1), (0, 2): F(1), (1, 2): F(-1)})
     bad = CertComponent(nodes=(0, 1, 2),
                         loads={(0, 1): F(-1, 2)}, penalty=F(1, 4))
     with pytest.raises(ValueError, match="sign"):

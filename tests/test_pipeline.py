@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_network
+from conftest import lattice, random_network
 from modcert.brute import brute_force_max
 from modcert.chains import ResidualScores
 from modcert.datasets import load_network
@@ -11,7 +11,7 @@ from modcert.graph import build_network
 from modcert.lp import CertComponent, combine
 from modcert import pipeline
 from modcert.pipeline import CertificationError, certify, chain_bound
-from modcert.scores import ScoreMatrix, score_matrix
+from modcert.scores import score_matrix
 from modcert.subnets import enumerate_subnetworks, partial_brute_force, reduce_weights
 from modcert.verify import MAX_EXHAUSTIVE_NODES, verify_certificate
 
@@ -81,7 +81,7 @@ def test_pentagon_needs_subnetworks():
         s[tuple(sorted((i, (i + 1) % 5)))] = F(1)
     for pair in [(0, 2), (1, 3), (2, 4), (0, 3), (1, 4)]:
         s[pair] = F(-1)
-    sm = ScoreMatrix(n=5, s=s, d=(F(0),) * 5)
+    sm = lattice(5, s)
     qmax, _ = brute_force_max(sm)
     assert qmax == 2
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import modularity_ordered, random_assignment, random_network
+from conftest import modularity_ordered, random_assignment, random_network, textbook_scores
 from modcert.graph import build_network
 from modcert.scores import (
     Partition,
@@ -22,23 +22,23 @@ def path_abc():
 
 def test_dyad_scores():
     sm = score_matrix(build_network([("a", "b", 1)]))
-    assert sm.s[(0, 1)] == F(1, 2)
-    assert sm.d == (F(-1, 4), F(-1, 4))
+    assert sm.score(0, 1) == F(1, 2)
+    assert [sm.score(a, a) for a in range(2)] == [F(-1, 4), F(-1, 4)]
 
 
 def test_path_scores():
     sm = path_abc()
-    assert sm.s[(0, 1)] == F(1, 4)
-    assert sm.s[(1, 2)] == F(1, 4)
-    assert sm.s[(0, 2)] == F(-1, 8)
-    assert sm.d == (F(-1, 16), F(-1, 4), F(-1, 16))
+    assert sm.score(0, 1) == F(1, 4)
+    assert sm.score(1, 2) == F(1, 4)
+    assert sm.score(0, 2) == F(-1, 8)
+    assert [sm.score(a, a) for a in range(3)] == [F(-1, 16), F(-1, 4), F(-1, 16)]
 
 
 def test_balance_identity_random():
     for seed in range(30):
         net = random_network(seed, directed=bool(seed % 2))
         sm = score_matrix(net)
-        assert sum(sm.s.values(), F(0)) + sum(sm.d, F(0)) == 0
+        assert sum(v for a, row in enumerate(sm.S) for v in row[a + 1:]) + sum(sm.diag) == 0
 
 
 def test_modularity_examples():
@@ -77,8 +77,8 @@ def test_trivial_bound_examples():
 def test_trivial_bound_negative_offdiagonals_only():
     # two disconnected dyads: cross pairs negative, so only diagonals and edges count
     sm = score_matrix(build_network([("a", "b", 1), ("c", "d", 1)]))
-    pos = sum(v for v in sm.s.values() if v > 0)
-    assert trivial_upper_bound(sm) == pos + sum(sm.d)
+    pos = sum(v for a, row in enumerate(sm.S) for v in row[a + 1:] if v > 0)
+    assert trivial_upper_bound(sm) == F(pos + sum(sm.diag), sm.den)
 
 
 def test_scale_invariance():
@@ -95,8 +95,10 @@ def test_scale_invariance():
         # undirected rebuild halves duplicate storage; compare score matrices
         sm1 = score_matrix(net)
         sm2 = score_matrix(scaled)
-        assert sm1.s == sm2.s
-        assert sm1.d == sm2.d
+        assert sm1.n == sm2.n
+        for a in range(sm1.n):
+            for b in range(sm1.n):
+                assert sm1.score(a, b) == sm2.score(a, b)
 
 
 def test_symmetrization_neutral_for_directed():
@@ -127,11 +129,17 @@ def test_partition_canonical_and_cached_modularity():
     assert modularity(sm, p) == p.modularity
 
 
-def test_scaled_view_consistency():
-    for seed in range(8):
-        sm = score_matrix(random_network(seed))
-        den, S, diag = sm.scaled()
-        for (a, b), v in sm.s.items():
-            assert Fraction(S[a][b], den) == v
-        for a, v in enumerate(sm.d):
-            assert Fraction(diag[a], den) == v
+def test_lattice_matches_textbook_scores():
+    for seed in range(30):
+        net = random_network(seed, directed=bool(seed % 2), loops=True)
+        sm = score_matrix(net)
+        s, d = textbook_scores(net)
+        assert sm.n == net.n
+        for a in range(net.n):
+            assert sm.S[a][a] == 0
+            assert sm.score(a, a) == d[a]
+            for b in range(a + 1, net.n):
+                assert sm.S[a][b] == sm.S[b][a]
+                assert sm.score(a, b) == sm.score(b, a) == s[(a, b)]
+        # the balance identity, in integers
+        assert sum(v for a, row in enumerate(sm.S) for v in row[a + 1:]) + sum(sm.diag) == 0

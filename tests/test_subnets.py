@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_network
+from conftest import lattice, random_network
 from modcert.brute import set_partitions
 from modcert import lp
 from modcert.chains import ResidualScores
 from modcert.graph import build_network
-from modcert.scores import ScoreMatrix, score_matrix
+from modcert.scores import score_matrix
 from modcert.subnets import (
     Subnetwork,
     enumerate_subnetworks,
@@ -67,7 +67,7 @@ def test_enumerate_dyad_empty():
 
 def test_enumerate_all_positive_empty():
     # 3-clique with nothing negative: synthetic all-positive scores
-    sm = ScoreMatrix(n=3, s={(0, 1): F(1), (0, 2): F(1), (1, 2): F(1)}, d=(F(0),) * 3)
+    sm = lattice(3, {(0, 1): F(1), (0, 2): F(1), (1, 2): F(1)})
     assert list(enumerate_subnetworks(ResidualScores.fresh(sm), max_size=3)) == []
 
 
