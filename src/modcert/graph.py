@@ -57,20 +57,22 @@ class Network:
 
     def __post_init__(self):
         n = len(self.node_labels)
-        w_out = [Fraction(0)] * n
-        w_in = [Fraction(0)] * n
-        total = Fraction(0)
+        # integral weights are summed as ints; each stored sum is one Fraction
+        w_out = [0] * n
+        w_in = [0] * n
         for (a, b), w in self.edges.items():
+            if w.denominator == 1:
+                w = w.numerator
             if w < 0:
                 raise GraphError(f"negative weight on edge ({a}, {b})")
             w_out[a] += w
             w_in[b] += w
-            total += w
+        total = sum(w_out)
         if total <= 0:
             raise GraphError("network has zero total weight")
-        self.total_weight = total
-        self._w_out = tuple(w_out)
-        self._w_in = tuple(w_in)
+        self.total_weight = Fraction(total)
+        self._w_out = tuple(map(Fraction, w_out))
+        self._w_in = tuple(map(Fraction, w_in))
 
     @property
     def n(self) -> int:
@@ -106,21 +108,23 @@ def build_network(edge_list: Iterable[Sequence], directed: bool = False) -> Netw
             labels.append(lab)
         return index[lab]
 
-    edges: dict[tuple[int, int], Fraction] = {}
+    sums: dict[tuple[int, int], int | Fraction] = {}
     for lineno, item in enumerate(edge_list, start=1):
         if len(item) == 2:
             la, lb = item
-            w = Fraction(1)
+            w = 1
         else:
             la, lb, raw = item
             w = as_fraction(raw)
+            if w.denominator == 1:
+                w = w.numerator
         if w < 0:
             raise GraphError(f"negative weight in entry {lineno}: {item!r}")
         a, b = intern(la), intern(lb)
-        edges[(a, b)] = edges.get((a, b), Fraction(0)) + w
+        sums[(a, b)] = sums.get((a, b), 0) + w
         if not directed and a != b:
-            edges[(b, a)] = edges.get((b, a), Fraction(0)) + w
-    if not edges:
+            sums[(b, a)] = sums.get((b, a), 0) + w
+    if not sums:
         raise GraphError("no edges given")
-    net = Network(node_labels=tuple(labels), edges=edges, directed=directed)
-    return net
+    edges = {pair: Fraction(w) for pair, w in sums.items()}
+    return Network(node_labels=tuple(labels), edges=edges, directed=directed)

@@ -1,20 +1,28 @@
 """Merge/split/regroup local search for high-modularity partitions.
 
-The inner loop works in floating point for speed; every candidate
-recombination is re-checked in exact rationals before it is applied, so the
-reported modularity is exact and monotone over accepted steps.
+Each pass scores, for every ordered pair of communities (src, dst), with dst
+possibly a new empty community, the best Kernighan-Lin series of single-node
+moves from src to dst. The series work in floating point for speed; the pass
+applies the highest-gain series whose gain an exact rational re-check
+confirms, so the reported modularity is exact and monotone over accepted
+steps.
+
+A series depends only on the two communities' node sets, so each restart
+computes each (src, dst) series once, and each community's float connection
+vector once, and keeps them while both communities exist: a pass recomputes
+only the series that touch the two communities the last move changed.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .scores import Partition, ScoreMatrix, modularity_of_assignment
 
 MAX_PASSES = 1000  # guard on recombination passes per restart
 FLOAT_TOLERANCE = 1e-12
+NEW_COMMUNITY = frozenset()
 
 
 @dataclass
@@ -31,33 +39,19 @@ def _float_matrix(sm: ScoreMatrix) -> list[list[float]]:
     return [[v / sm.den for v in row] for row in sm.S]
 
 
-def _kl_series(S, members, src, dst):
+def _kl_series(S, src, to_src, to_dst):
     """Best prefix of single-node best-gain moves from community src to dst.
 
+    to_src[v] and to_dst[v] are v's float connections to all of src and dst.
     Returns (gain, nodes_to_move) where nodes_to_move is the prefix of the
-    move sequence with the highest cumulative float gain, or (0, []) if no
+    move sequence with the highest cumulative float gain, or (0, ()) if no
     prefix beats FLOAT_TOLERANCE.
     """
-    pool = sorted(members[src])
-    if not pool:
-        return 0.0, []
-    # connection of each pool node to current src (minus itself) and to dst
-    conn_src = {}
-    conn_dst = {}
-    dst_members = members.get(dst, set())
-    for v in pool:
-        row = S[v]
-        cs = 0.0
-        for u in members[src]:
-            if u != v:
-                cs += row[u]
-        cd = 0.0
-        for u in dst_members:
-            cd += row[u]
-        conn_src[v] = cs
-        conn_dst[v] = cd
-
-    remaining = pool[:]
+    remaining = sorted(src)
+    # S has a zero diagonal, so to_src[v] is v's connection to the rest of
+    # src; the vectors are copied because the memo shares them
+    conn_src = list(to_src)
+    conn_dst = list(to_dst)
     moved: list[int] = []
     cumulative = 0.0
     best_gain = 0.0
@@ -83,34 +77,77 @@ def _kl_series(S, members, src, dst):
             conn_src[u] -= row[u]
             conn_dst[u] += row[u]
     if best_len == 0:
-        return 0.0, []
-    return best_gain, moved[:best_len]
+        return 0.0, ()
+    return best_gain, tuple(moved[:best_len])
 
 
-def _members_map(comm_of) -> dict[int, set[int]]:
-    members: dict[int, set[int]] = {}
+class _SeriesMemo:
+    """memo(src, dst) -> (gain, nodes) of `_kl_series`, each pair computed once
+    while both communities exist.
+
+    src and dst are frozensets of node ids, each built by inserting its nodes
+    in ascending order, so equal sets iterate alike. A connection vector is
+    summed in that order, which makes it, and so each series, a function of
+    the two sets alone: a memo hit returns the floats a fresh computation
+    would give.
+    """
+
+    def __init__(self, S):
+        self.S = S
+        self.conn: dict[frozenset, list[float]] = {}
+        self.series: dict[tuple[frozenset, frozenset], tuple] = {}
+
+    def retain(self, communities) -> None:
+        """Drop every entry that touches a set not among `communities`."""
+        live = {NEW_COMMUNITY, *communities}
+        self.conn = {c: vec for c, vec in self.conn.items() if c in live}
+        self.series = {k: hit for k, hit in self.series.items() if k[0] in live and k[1] in live}
+
+    def _connection(self, c):
+        vec = self.conn.get(c)
+        if vec is None:
+            vec = [0.0] * len(self.S)
+            for u in c:  # S is symmetric: column u of S is row u
+                vec = [a + b for a, b in zip(vec, self.S[u])]
+            self.conn[c] = vec
+        return vec
+
+    def __call__(self, src, dst):
+        key = (src, dst)
+        hit = self.series.get(key)
+        if hit is None:
+            to_src, to_dst = self._connection(src), self._connection(dst)
+            hit = self.series[key] = _kl_series(self.S, src, to_src, to_dst)
+        return hit
+
+
+def _members_map(comm_of) -> dict[int, frozenset[int]]:
+    members: dict[int, list[int]] = {}
     for v, c in enumerate(comm_of):
-        members.setdefault(c, set()).add(v)
-    return members
+        members.setdefault(c, []).append(v)
+    # ascending insertion, as a set built node by node would have
+    return {c: frozenset(nodes) for c, nodes in members.items()}
 
 
-def _improve(sm: ScoreMatrix, comm_of: list[int]):
+def _improve(sm: ScoreMatrix, comm_of: list[int], series: _SeriesMemo):
     """Apply best-gain recombinations until none improves the exact score."""
-    S = _float_matrix(sm)
     comm_of = list(Partition.canonical_assignment(comm_of))
     q_exact = modularity_of_assignment(sm, comm_of)
     for _ in range(MAX_PASSES):
         members = _members_map(comm_of)
+        # an applied move replaced two communities; forget the old ones
+        series.retain(members.values())
         comm_ids = sorted(members)
         new_id = max(comm_ids) + 1
         candidates = []
         for src in comm_ids:
+            src_set = members[src]
             for dst in comm_ids + [new_id]:
                 if dst == src:
                     continue
-                if dst == new_id and len(members[src]) < 2:
+                if dst == new_id and len(src_set) < 2:
                     continue
-                gain, nodes = _kl_series(S, members, src, dst)
+                gain, nodes = series(src_set, members.get(dst, NEW_COMMUNITY))
                 if nodes and gain > FLOAT_TOLERANCE:
                     candidates.append((gain, src, dst, nodes))
         if not candidates:
@@ -132,22 +169,25 @@ def _improve(sm: ScoreMatrix, comm_of: list[int]):
     return comm_of, q_exact
 
 
-def optimize(sm: ScoreMatrix, cfg: OptimizerConfig | None = None) -> Partition:
-    """Best partition across seeded restarts; deterministic for a given seed.
-
-    Restart 0 starts from a single all-in-one community, later restarts from
-    a random assignment into min(n, 2 + r) groups.
-    """
-    cfg = cfg or OptimizerConfig()
+def _starts(n: int, cfg: OptimizerConfig):
+    """Restart 0 starts from one all-in-one community, restart r > 0 from a
+    seeded random assignment into min(n, 2 + r) groups."""
     rng = random.Random(cfg.seed)
-    best = None
     for r in range(cfg.restarts):
         if r == 0:
-            start = [0] * sm.n
+            yield [0] * n
         else:
-            g = min(sm.n, 2 + r)
-            start = [rng.randrange(g) for _ in range(sm.n)]
-        assignment, q = _improve(sm, start)
+            g = min(n, 2 + r)
+            yield [rng.randrange(g) for _ in range(n)]
+
+
+def optimize(sm: ScoreMatrix, cfg: OptimizerConfig | None = None) -> Partition:
+    """Best partition across seeded restarts; deterministic for a given seed."""
+    cfg = cfg or OptimizerConfig()
+    S = _float_matrix(sm)
+    best = None
+    for start in _starts(sm.n, cfg):
+        assignment, q = _improve(sm, start, _SeriesMemo(S))
         if best is None or q > best[0] or (q == best[0] and tuple(assignment) < tuple(best[1])):
             best = (q, assignment)
     q, assignment = best

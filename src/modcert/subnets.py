@@ -18,7 +18,7 @@ from typing import Iterator
 
 from . import lp
 from .chains import ResidualScores
-from .scores import Pair, Partition
+from .scores import Pair
 
 DEFAULT_MAX_SIZE = 6
 
@@ -37,7 +37,6 @@ class ResolvedSubnetwork:
     sub: Subnetwork
     q_star_best: Fraction
     penalty: Fraction
-    witness_partition: tuple[int, ...]
     # pairs that cost each evaluated partition value (excluded positives and
     # negatives caught inside a group), one set per distinct non-empty pattern
     contributing_sets: frozenset[frozenset[Pair]]
@@ -131,13 +130,11 @@ def partial_brute_force(sub: Subnetwork, _disable_discard: bool = False) -> Reso
     pos_total = sum(scaled[p] for p in positives)
     pos_sorted_vals = [scaled[p] for p in positives]  # ascending
 
-    singleton = tuple(range(nn))
-    best_val = 0
-    best_assignment = singleton
+    best_val = 0  # all singletons
     contributing_sets: set[frozenset[Pair]] = set()
 
     def evaluate(excluded: tuple[Pair, ...]) -> None:
-        nonlocal best_val, best_assignment
+        nonlocal best_val
         parent = list(range(nn))
 
         def find(x):
@@ -167,9 +164,7 @@ def partial_brute_force(sub: Subnetwork, _disable_discard: bool = False) -> Reso
                 contributing.append(p)
         if contributing:
             contributing_sets.add(frozenset(contributing))
-        if value > best_val:
-            best_val = value
-            best_assignment = tuple(find(i) for i in range(nn))
+        best_val = max(best_val, value)
 
     # m = len(positives) leaves nothing to exclude, so the loop always breaks
     for m in range(len(positives) + 1):
@@ -183,7 +178,6 @@ def partial_brute_force(sub: Subnetwork, _disable_discard: bool = False) -> Reso
         sub=sub,
         q_star_best=q_star,
         penalty=Fraction(pos_total, den) - q_star,
-        witness_partition=Partition.canonical_assignment(best_assignment),
         contributing_sets=frozenset(contributing_sets),
         final_m=m,
     )

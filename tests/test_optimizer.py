@@ -3,10 +3,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_network
+from modcert import optimizer
 from modcert.brute import brute_force_max
+from modcert.datasets import load_network
 from modcert.graph import build_network
-from modcert.optimizer import OptimizerConfig, optimize
-from modcert.scores import modularity_of_assignment, score_matrix
+from modcert.optimizer import FLOAT_TOLERANCE, MAX_PASSES, OptimizerConfig, optimize
+from modcert.scores import Partition, modularity_of_assignment, score_matrix
 
 
 def test_dyad_single_community():
@@ -49,3 +51,152 @@ def test_cached_modularity_consistent():
     sm = score_matrix(net)
     p = optimize(sm, OptimizerConfig(seed=1, restarts=3))
     assert modularity_of_assignment(sm, p.assignment) == p.modularity
+
+
+# Reference search: the optimizer before its series memo, which recomputed
+# every (src, dst) series from scratch on every pass.
+def reference_kl_series(S, members, src, dst):
+    pool = sorted(members[src])
+    if not pool:
+        return 0.0, []
+    conn_src = {}
+    conn_dst = {}
+    dst_members = members.get(dst, set())
+    for v in pool:
+        row = S[v]
+        cs = 0.0
+        for u in members[src]:
+            if u != v:
+                cs += row[u]
+        cd = 0.0
+        for u in dst_members:
+            cd += row[u]
+        conn_src[v] = cs
+        conn_dst[v] = cd
+
+    remaining = pool[:]
+    moved = []
+    cumulative = 0.0
+    best_gain = 0.0
+    best_len = 0
+    while remaining:
+        best_v = None
+        best_delta = None
+        for v in remaining:
+            delta = conn_dst[v] - conn_src[v]
+            if best_delta is None or delta > best_delta:
+                best_delta = delta
+                best_v = v
+        v = best_v
+        remaining.remove(v)
+        moved.append(v)
+        cumulative += best_delta
+        if cumulative > best_gain + FLOAT_TOLERANCE:
+            best_gain = cumulative
+            best_len = len(moved)
+        row = S[v]
+        for u in remaining:
+            conn_src[u] -= row[u]
+            conn_dst[u] += row[u]
+    if best_len == 0:
+        return 0.0, []
+    return best_gain, moved[:best_len]
+
+
+def reference_improve(sm, comm_of, calls=None):
+    """Returns the (assignment, modularity) the unmemoized search reaches;
+    counts its series computations in calls[0] when given."""
+    S = [[v / sm.den for v in row] for row in sm.S]
+    comm_of = list(Partition.canonical_assignment(comm_of))
+    q_exact = modularity_of_assignment(sm, comm_of)
+    for _ in range(MAX_PASSES):
+        members = {}
+        for v, c in enumerate(comm_of):
+            members.setdefault(c, set()).add(v)
+        comm_ids = sorted(members)
+        new_id = max(comm_ids) + 1
+        candidates = []
+        for src in comm_ids:
+            for dst in comm_ids + [new_id]:
+                if dst == src:
+                    continue
+                if dst == new_id and len(members[src]) < 2:
+                    continue
+                if calls is not None:
+                    calls[0] += 1
+                gain, nodes = reference_kl_series(S, members, src, dst)
+                if nodes and gain > FLOAT_TOLERANCE:
+                    candidates.append((gain, src, dst, nodes))
+        if not candidates:
+            break
+        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+        applied = False
+        for gain, src, dst, nodes in candidates:
+            trial = comm_of[:]
+            for v in nodes:
+                trial[v] = dst
+            trial_q = modularity_of_assignment(sm, trial)
+            if trial_q > q_exact:
+                comm_of = list(Partition.canonical_assignment(trial))
+                q_exact = trial_q
+                applied = True
+                break
+        if not applied:
+            break
+    return comm_of, q_exact
+
+
+class CheckedMemo(optimizer._SeriesMemo):
+    """A series memo that checks every series it returns, gain bits included,
+    against the reference, and holds only the current communities' entries."""
+
+    def retain(self, communities):
+        super().retain(communities)
+        live = {optimizer.NEW_COMMUNITY, *communities}
+        assert set(self.conn) <= live
+        assert all(src in live and dst in live for src, dst in self.series)
+
+    def __call__(self, src, dst):
+        hit = super().__call__(src, dst)
+        members = {}
+        for c, nodes in ((0, src), (1, dst)):
+            for v in sorted(nodes):
+                members.setdefault(c, set()).add(v)
+        gain, nodes = reference_kl_series(self.S, members, 0, 1)
+        assert hit == (gain, tuple(nodes))
+        return hit
+
+
+def assert_matches_reference(sm, cfg):
+    """Every restart's result equals the reference's."""
+    S = [[v / sm.den for v in row] for row in sm.S]
+    for start in optimizer._starts(sm.n, cfg):
+        assert optimizer._improve(sm, start, CheckedMemo(S)) == reference_improve(sm, start)
+
+
+def test_memoized_search_matches_reference():
+    for seed in range(30):
+        net = random_network(seed, n=6 + seed % 25, directed=bool(seed % 2), p=0.4)
+        assert_matches_reference(score_matrix(net), OptimizerConfig(seed=seed))
+    for name in ("karate", "knoki", "knokm"):
+        sm = score_matrix(load_network(name))
+        for seed in range(4):
+            assert_matches_reference(sm, OptimizerConfig(seed=seed))
+
+
+def test_series_memo_saves_calls(monkeypatch):
+    sm = score_matrix(load_network("karate"))
+    cfg = OptimizerConfig(seed=0)
+    reference_calls = [0]
+    for start in optimizer._starts(sm.n, cfg):
+        reference_improve(sm, start, reference_calls)
+    calls = [0]
+    kl_series = optimizer._kl_series
+
+    def counted(*args):
+        calls[0] += 1
+        return kl_series(*args)
+
+    monkeypatch.setattr(optimizer, "_kl_series", counted)
+    optimize(sm, cfg)
+    assert 0 < calls[0] < reference_calls[0]

@@ -113,7 +113,6 @@ def test_partial_brute_force_triangle():
     rs = partial_brute_force(sub)
     assert rs.q_star_best == F(2, 5)
     assert rs.penalty == F(1, 10)
-    assert rs.witness_partition == (0, 0, 0)
 
 
 def test_partial_brute_force_path_pattern():
