@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from . import __version__
 from .bench import format_csv, format_table, run_benchmark
@@ -206,7 +207,9 @@ def cmd_gen(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="modcert",
         description="Community partitions with proven modularity upper bounds.",

@@ -7,7 +7,7 @@ Networks are value objects: construct once, then treat as read-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -51,41 +51,18 @@ class Network:
     node_labels: tuple[str, ...]
     edges: dict[tuple[int, int], Fraction]
     directed: bool
-    total_weight: Fraction = field(init=False)
-    _w_out: tuple[Fraction, ...] = field(init=False, repr=False)
-    _w_in: tuple[Fraction, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = len(self.node_labels)
-        # integral weights are summed as ints; each stored sum is one Fraction
-        w_out = [0] * n
-        w_in = [0] * n
         for (a, b), w in self.edges.items():
-            if w.denominator == 1:
-                w = w.numerator
             if w < 0:
                 raise GraphError(f"negative weight on edge ({a}, {b})")
-            w_out[a] += w
-            w_in[b] += w
-        total = sum(w_out)
-        if total <= 0:
+        # with no negative weight, the total is zero only if every weight is
+        if not any(self.edges.values()):
             raise GraphError("network has zero total weight")
-        self.total_weight = Fraction(total)
-        self._w_out = tuple(map(Fraction, w_out))
-        self._w_in = tuple(map(Fraction, w_in))
 
     @property
     def n(self) -> int:
         return len(self.node_labels)
-
-    def weight(self, a: int, b: int) -> Fraction:
-        return self.edges.get((a, b), Fraction(0))
-
-    def w_out(self, a: int) -> Fraction:
-        return self._w_out[a]
-
-    def w_in(self, b: int) -> Fraction:
-        return self._w_in[b]
 
     def label_index(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.node_labels)}

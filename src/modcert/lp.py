@@ -8,9 +8,8 @@ floating point, its primal and its dual are each solved again exactly on
 their patterns, and the answer is kept only if strong duality holds exactly
 (Applegate, Cook, Dash & Espinoza, Exact solutions to linear programming
 problems, 2007). If HiGHS fails or the check rejects its answer, a
-single-phase exact simplex over Fractions with Bland's rule takes over (with
-column generation for wide problems). Every number that leaves this module
-is exact.
+single-phase exact simplex over Fractions with Bland's rule solves the whole
+LP. Every number that leaves this module is exact.
 """
 
 from __future__ import annotations
@@ -256,45 +255,6 @@ def _exact_from_float(obj, rows: Sequence[Row], xf, yf, df):
     return x, objective
 
 
-def _column_generation(obj, rows, xf):
-    """Exact simplex over an active column set, priced against the full pool.
-
-    xf is the caller's float optimum, or None if it has none; its support
-    seeds the active set. Returns (x, objective), or None if unbounded.
-    """
-    nv = len(obj)
-    active = set() if xf is None else {j for j in range(nv) if xf[j] > 1e-10}
-    if not active:
-        active = {j for j in range(nv) if Fraction(obj[j]) > 0}
-        if not active:
-            return [Fraction(0)] * nv, Fraction(0)
-        active = set(sorted(active)[:50])
-
-    for _round in range(len(obj) + 10):
-        cols = sorted(active)
-        cmap = {j: jj for jj, j in enumerate(cols)}
-        touched_rows = [i for i, (coeffs, _) in enumerate(rows) if any(j in active for j in coeffs)]
-        sub_rows = [
-            ({cmap[j]: v for j, v in rows[i][0].items() if j in active}, rows[i][1])
-            for i in touched_rows
-        ]
-        status, vals, objective, duals = exact_simplex([Fraction(obj[j]) for j in cols], sub_rows)
-        if status == "unbounded":
-            return None
-        # price the full pool; add the most violated columns
-        profit = _reduced_profits(obj, rows, dict(zip(touched_rows, duals)))
-        violated = [(g, j) for j, g in enumerate(profit) if g > 0 and j not in active]
-        if not violated:
-            x = [Fraction(0)] * nv
-            for j, v in zip(cols, vals):
-                x[j] = v
-            return x, objective
-        violated.sort(key=lambda t: (-t[0], t[1]))
-        for _, j in violated[:100]:
-            active.add(j)
-    raise RuntimeError("column generation did not converge")
-
-
 # ---------------------------------------------------------------------------
 # generic LP surface (max c.x, rows <= rhs >= 0, x >= 0)
 
@@ -315,35 +275,24 @@ class LinearProgram:
 
 
 def solve_lp(lp: LinearProgram) -> tuple[list[Fraction], Fraction]:
-    """Optimal vertex, exact. Raises ValueError on unbounded problems."""
-    if not lp.objective:
-        return [], Fraction(0)
-    result = _solve_max_leq_exact(lp.objective, lp.rows)
-    if result is None:
-        raise ValueError("LP is unbounded")
-    return result
-
-
-def _solve_max_leq_exact(obj: Sequence[Fraction], rows: Sequence[Row]):
-    """Exact optimum of max obj.x, rows <= rhs >= 0, x >= 0; None if unbounded.
+    """Optimal vertex and objective, exact. Raises ValueError if unbounded.
 
     HiGHS solves the LP in floats; its primal and dual are made exact on
     their patterns and kept when they prove each other optimal. When HiGHS
-    fails or the check rejects its answer, column generation over the exact
-    simplex solves the LP from scratch, seeded with the float point if any.
+    fails, the check rejects its answer or the LP has no rows, the exact
+    simplex solves the whole LP.
     """
-    nv = len(obj)
-    zero = Fraction(0)
-    if not rows:
-        if any(v > 0 for v in obj):
-            return None
-        return [zero] * nv, zero
-    floats = _float_solve(obj, rows)
-    if floats is not None:
-        exact = _exact_from_float(obj, rows, *floats)
-        if exact is not None:
-            return exact
-    return _column_generation(obj, rows, None if floats is None else floats[0])
+    obj, rows = lp.objective, lp.rows
+    if rows:
+        floats = _float_solve(obj, rows)
+        if floats is not None:
+            exact = _exact_from_float(obj, rows, *floats)
+            if exact is not None:
+                return exact
+    status, x, objective, _ = exact_simplex(obj, rows)
+    if status == "unbounded":
+        raise ValueError("LP is unbounded")
+    return x, objective
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +322,7 @@ def minimize_totals_exact(
             return None
         rows.append(({idx[k]: Fraction(1) for k in s}, cap))
     rows += [({i: Fraction(1)}, ub[k]) for i, k in enumerate(keys)]
-    z, _ = _solve_max_leq_exact([Fraction(1)] * len(keys), rows)
+    z, _ = solve_lp(LinearProgram([Fraction(1)] * len(keys), rows))
     return {k: ub[k] - z[idx[k]] for k in keys}
 
 
@@ -389,7 +338,9 @@ class CertComponent:
     penalty: Fraction
 
     def dedupe_key(self):
-        return (self.nodes, self.penalty, tuple(sorted(self.loads.items())))
+        # chains keep their nodes in path order, subnetworks sorted: a 3-chain
+        # and the triangle on its nodes with equal loads are one component
+        return (tuple(sorted(self.nodes)), self.penalty, tuple(sorted(self.loads.items())))
 
 
 @dataclass
@@ -425,11 +376,11 @@ def combine(components: Sequence[CertComponent], sm: ScoreMatrix) -> CombinedCer
             if load * base < 0:
                 raise ValueError(f"component {jc} load on {q} contradicts the score sign")
             rows[pair_row[q]][0][jc] = abs(load)
-    objective = [comp.penalty for comp in comps]
-    solved = _solve_max_leq_exact(objective, rows)
-    if solved is None:
-        raise ValueError("combination LP unbounded; some component has empty loads")
-    lambdas, total = solved
+    lp = LinearProgram([comp.penalty for comp in comps], rows)
+    try:
+        lambdas, total = solve_lp(lp)
+    except ValueError:
+        raise ValueError("combination LP unbounded; some component has empty loads") from None
     return CombinedCertificate(
         components=tuple(zip(comps, lambdas)),
         bound=trivial - total,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .scores import Partition, ScoreMatrix, modularity_of_assignment
 
@@ -133,6 +134,7 @@ def _improve(sm: ScoreMatrix, comm_of: list[int], series: _SeriesMemo):
     """Apply best-gain recombinations until none improves the exact score."""
     comm_of = list(Partition.canonical_assignment(comm_of))
     q_exact = modularity_of_assignment(sm, comm_of)
+    S = sm.S
     for _ in range(MAX_PASSES):
         members = _members_map(comm_of)
         # an applied move replaced two communities; forget the old ones
@@ -155,13 +157,18 @@ def _improve(sm: ScoreMatrix, comm_of: list[int], series: _SeriesMemo):
         candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
         applied = False
         for gain, src, dst, nodes in candidates:
-            trial = comm_of[:]
+            # exact re-check: only the moved nodes' pairs to src and dst change
+            stay = members[src].difference(nodes)
+            joined = members.get(dst, NEW_COMMUNITY)
+            delta = 0
             for v in nodes:
-                trial[v] = dst
-            trial_q = modularity_of_assignment(sm, trial)
-            if trial_q > q_exact:
-                comm_of = list(Partition.canonical_assignment(trial))
-                q_exact = trial_q
+                row = S[v]
+                delta += sum(row[u] for u in joined) - sum(row[u] for u in stay)
+            if delta > 0:
+                for v in nodes:
+                    comm_of[v] = dst
+                comm_of = list(Partition.canonical_assignment(comm_of))
+                q_exact += Fraction(delta, sm.den)
                 applied = True
                 break
         if not applied:

@@ -1,11 +1,13 @@
-"""Independent certificate checking.
+"""Certificate checking.
 
-Deliberately shares no code with certificate construction: permissibility is
+Written apart from certificate construction: permissibility is
 re-accumulated pair by pair, each component's penalty is re-derived from the
 min rule on its node order or else re-proven by enumerating every partition
 of the component from scratch, and the trivial bound and a document's
-achieved modularity are re-summed from the scores. A certificate that passes
-here is a proof regardless of how it was produced. `modcert verify` and the
+achieved modularity are re-summed from the scores. The scores themselves are
+not re-derived: callers hand in the builder's `score_matrix(net)`, and
+`ScoreMatrix` and `pair_key` come from `scores`, so a certificate that passes
+here is a proof provided `score_matrix` is right. `modcert verify` and the
 self-check at the end of `certify` both come here, through
 `document_to_certificate`.
 """

@@ -44,15 +44,26 @@ def random_network(seed: int, n: int | None = None, directed: bool = False,
     return build_network(triples, directed=directed)
 
 
+def _weights(net: Network):
+    """e(a, b) as a function, the total T and the out- and in-weights, summed
+    from net.edges alone."""
+    out = [Fraction(0)] * net.n
+    inn = [Fraction(0)] * net.n
+    for (a, b), w in net.edges.items():
+        out[a] += w
+        inn[b] += w
+    return (lambda a, b: net.edges.get((a, b), Fraction(0))), sum(out), out, inn
+
+
 def modularity_ordered(net: Network, assignment) -> Fraction:
     """Ordered-pair modularity straight from the raw scores; shares no code
     with the ScoreMatrix implementation."""
-    T = net.total_weight
+    e, T, out, inn = _weights(net)
     total = Fraction(0)
     for a in range(net.n):
         for b in range(net.n):
             if assignment[a] == assignment[b]:
-                q = net.weight(a, b) / T - net.w_out(a) * net.w_in(b) / (T * T)
+                q = e(a, b) / T - out[a] * inn[b] / (T * T)
                 total += q
     return total
 
@@ -61,13 +72,13 @@ def textbook_scores(net: Network) -> tuple[dict, tuple]:
     """The effective scores straight from their definition, in Fractions:
     s(a,b) = (e_ab + e_ba)/T - (out_a in_b + out_b in_a)/T^2 on pairs a < b and
     d(a) = e_aa/T - out_a in_a/T^2; shares no code with score_matrix."""
-    T = net.total_weight
+    e, T, out, inn = _weights(net)
     s = {}
     for a in range(net.n):
         for b in range(a + 1, net.n):
-            s[(a, b)] = (net.weight(a, b) + net.weight(b, a)) / T - (
-                net.w_out(a) * net.w_in(b) + net.w_out(b) * net.w_in(a)) / (T * T)
-    d = tuple(net.weight(a, a) / T - net.w_out(a) * net.w_in(a) / (T * T) for a in range(net.n))
+            s[(a, b)] = (e(a, b) + e(b, a)) / T - (
+                out[a] * inn[b] + out[b] * inn[a]) / (T * T)
+    d = tuple(e(a, a) / T - out[a] * inn[a] / (T * T) for a in range(net.n))
     return s, d
 
 

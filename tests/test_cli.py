@@ -3,13 +3,17 @@ import os
 
 import pytest
 
-from modcert.cli import main
+from modcert.cli import build_parser, main
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_parser_built_once():
+    assert build_parser() is build_parser()
 
 
 def write_c5_certificate(tmp_path, capsys):

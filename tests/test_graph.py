@@ -9,15 +9,12 @@ from modcert.edgelist import parse_edge_list
 def test_single_edge_dyad():
     net = build_network([("a", "b", 1)])
     assert net.n == 2
-    assert net.total_weight == 2
-    assert net.weight(0, 1) == 1
-    assert net.weight(1, 0) == 1
+    assert net.edges == {(0, 1): 1, (1, 0): 1}
 
 
 def test_duplicate_edges_sum():
     net = build_network([("a", "b", 1), ("a", "b", 2)])
-    assert net.weight(0, 1) == 3
-    assert net.total_weight == 6
+    assert net.edges == {(0, 1): 3, (1, 0): 3}
 
 
 def test_negative_weight_rejected():
@@ -37,16 +34,12 @@ def test_labels_interned_in_first_appearance_order():
 
 def test_directed_stores_single_orientation():
     net = build_network([("a", "b", 1)], directed=True)
-    assert net.weight(0, 1) == 1
-    assert net.weight(1, 0) == 0
-    assert net.total_weight == 1
-    assert net.w_out(0) == 1 and net.w_in(0) == 0
+    assert net.edges == {(0, 1): 1}
 
 
 def test_self_loop_counted_once():
     net = build_network([("a", "a", 1), ("a", "b", 1)])
-    assert net.weight(0, 0) == 1
-    assert net.total_weight == 3
+    assert net.edges == {(0, 0): 1, (0, 1): 1, (1, 0): 1}
 
 
 def test_as_fraction_decimal_strings_exact():
@@ -60,12 +53,12 @@ def test_as_fraction_decimal_strings_exact():
 def test_parse_edge_list_defaults_and_comments():
     net = parse_edge_list("a b\nb c  # a comment\n\n# full comment\n")
     assert net.n == 3
-    assert net.total_weight == 4
+    assert net.edges == {(0, 1): 1, (1, 0): 1, (1, 2): 1, (2, 1): 1}
 
 
 def test_parse_edge_list_decimal_weight_exact():
     net = parse_edge_list("a b 0.5")
-    assert net.weight(0, 1) == Fraction(1, 2)
+    assert net.edges[(0, 1)] == Fraction(1, 2)
 
 
 def test_parse_edge_list_bad_weight_line_number():

@@ -20,7 +20,7 @@ from modcert.lp import (
     solve_sparse_system,
 )
 from modcert.pipeline import chain_component
-from modcert.scores import score_matrix, trivial_upper_bound
+from modcert.scores import chain_loads, score_matrix, trivial_upper_bound
 
 F = Fraction
 
@@ -46,6 +46,8 @@ def test_solve_lp_zero_objective():
     values, obj = solve_lp(lp)
     assert values == [F(0), F(0)]
     assert obj == 0
+    # no columns at all: the origin is the only point
+    assert solve_lp(LinearProgram([], [({}, F(1))])) == ([], 0)
 
 
 def test_solve_lp_unbounded():
@@ -170,6 +172,21 @@ def test_combine_empty_pool_gives_trivial():
     assert cert.components == ()
 
 
+def test_combine_unbounded_names_empty_loads():
+    sm = lattice(3, {(0, 1): F(1), (0, 2): F(1), (1, 2): F(-1)})
+    empty = CertComponent(nodes=(0, 1, 2), loads={}, penalty=F(1, 4))
+    with pytest.raises(ValueError, match="empty loads"):
+        combine([empty], sm)
+
+
+def test_dedupe_key_ignores_node_order():
+    # a chain keeps its path order, a subnetwork its sorted nodes
+    loads = chain_loads((0, 2, 1), F(1, 8))
+    chain = CertComponent(nodes=(0, 2, 1), loads=loads, penalty=F(1, 8))
+    subnet = CertComponent(nodes=(0, 1, 2), loads=dict(loads), penalty=F(1, 8))
+    assert chain.dedupe_key() == subnet.dedupe_key()
+
+
 def test_combine_sign_violation_rejected():
     sm = lattice(3, {(0, 1): F(1), (0, 2): F(1), (1, 2): F(-1)})
     bad = CertComponent(nodes=(0, 1, 2),
@@ -244,8 +261,17 @@ def test_karate_greedy_pool_fallback(monkeypatch):
     sm, (greedy_pool, _, _) = _karate_chain_pools()
     float_bound = combine(greedy_pool, sm).bound
     assert float_bound == F(603, 1352)
+    widths = []
+
+    def counting_simplex(c, rows):
+        widths.append(len(c))
+        return exact_simplex(c, rows)
+
     monkeypatch.setattr("modcert.lp.linprog", _no_float_solver)
+    monkeypatch.setattr("modcert.lp.exact_simplex", counting_simplex)
     assert combine(greedy_pool, sm).bound == float_bound
+    # one exact simplex on the whole LP
+    assert widths == [len(greedy_pool)] == [168]
 
 
 # max 3x0 + 5x1 s.t. x0 <= 4, 2x1 <= 12, 3x0 + 2x1 <= 18: optimum (2, 6), 36,
