@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .datasets import CORPUS, DatasetMissing, load_network
+from .document import frac_str
 from .pipeline import certify
 
 
@@ -85,8 +86,7 @@ def format_csv(records: list[BenchRecord]) -> str:
     writer.writerow(["network", "size", "achieved", "bound", "ratio_pct", "status", "seconds"])
     for r in records:
         writer.writerow(
-            [r.name, r.size, f"{r.achieved.numerator}/{r.achieved.denominator}",
-             f"{r.bound.numerator}/{r.bound.denominator}", f"{r.ratio:.2f}", r.status,
+            [r.name, r.size, frac_str(r.achieved), frac_str(r.bound), f"{r.ratio:.2f}", r.status,
              f"{r.seconds:.3f}"]
         )
     return buf.getvalue()

@@ -85,8 +85,13 @@ class CertificateDocument:
     def from_json_dict(cls, data: dict) -> "CertificateDocument":
         if not isinstance(data, dict):
             raise ValueError("certificate must be a JSON object")
-        if data.get("format_version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported certificate format: {data.get('format_version')!r}")
+        version = data.get("format_version")
+        if type(version) is not int or version != FORMAT_VERSION:  # a JSON true is not 1
+            raise ValueError(f"unsupported certificate format: {version!r}")
+        for field, kind, name in (("status", str, "a string"), ("network", dict, "an object"),
+                                  ("provenance", dict, "an object")):
+            if not isinstance(data[field], kind):
+                raise ValueError(f"{field} must be {name}, got {data[field]!r}")
         return cls(
             fingerprint=dict(data["network"]),
             achieved_communities=[list(c) for c in data["achieved"]["communities"]],

@@ -6,14 +6,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__ as _version
-from .chains import (
-    DEFAULT_PATH_BUDGET,
-    Chain,
-    ResidualScores,
-    find_penalized_chains,
-    greedy_certify,
-)
-from .document import CertificateDocument, build_document, document_to_certificate
+from .chains import DEFAULT_PATH_BUDGET, Chain, ResidualScores, find_penalized_chains, greedy_certify
+from .document import CertificateDocument, build_document, document_to_certificate, frac_str
 from .graph import Network
 from .lp import CertComponent, combine
 from .optimizer import OptimizerConfig, optimize
@@ -22,7 +16,7 @@ from .subnets import Subnetwork, enumerate_subnetworks, partial_brute_force, red
 from .verify import MAX_EXHAUSTIVE_NODES, verify_certificate
 
 METHODS = ("chains", "subnets", "both")
-DEFAULT_POOL_CHAIN_LENGTH = 4
+POOL_CHAIN_LENGTH = 4  # chain_bound pools penalized chains of 3..this many nodes
 
 
 class CertificationError(RuntimeError):
@@ -44,67 +38,64 @@ def chain_component(ch: Chain) -> CertComponent:
 
 
 def chain_bound(
-    sm,
-    achieved: Fraction | None = None,
-    path_budget: int = DEFAULT_PATH_BUDGET,
-    pool_chain_length: int = DEFAULT_POOL_CHAIN_LENGTH,
+    sm, achieved: Fraction | None = None, path_budget: int = DEFAULT_PATH_BUDGET
 ) -> BoundResult:
     """Chain-based bound: greedy accumulation plus exact re-weighting.
 
     The greedy pass follows the residual trajectory with unit multipliers.
     If a gap remains, the chains it found are pooled with every penalized
-    chain of the fresh matrix up to pool_chain_length nodes and the
-    multipliers re-optimized exactly; the result can only tighten, and stops
-    early once the bound matches the achieved value. A path budget that runs
+    chain of the fresh matrix of 3 to POOL_CHAIN_LENGTH nodes and the
+    multipliers re-optimized exactly (`_tighten`). A path budget that runs
     out weakens the bound and sets `truncated`.
     """
     if path_budget < 0:
         raise ValueError("path_budget must be >= 0")
     cert = greedy_certify(sm, path_budget=path_budget)
-    components = [(chain_component(ch), Fraction(1)) for ch in cert.chains]
     result = BoundResult(
-        components=components,
+        components=[(chain_component(ch), Fraction(1)) for ch in cert.chains],
         bound=cert.bound,
         greedy_bound=cert.bound,
         chains_applied=len(cert.chains),
         truncated=cert.truncated,
     )
-    if achieved is not None and cert.bound == achieved:
-        return result
 
-    pool = [comp for comp, _ in components]
-    seen = {comp.dedupe_key() for comp in pool}
-    fresh = ResidualScores.fresh(sm)
-    for k in range(3, max(3, pool_chain_length) + 1):
-        chains, truncated = find_penalized_chains(fresh, k, path_budget)
-        result.truncated |= truncated
-        result.components, result.bound = _pool_and_combine(
-            pool, seen, [chain_component(ch) for ch in chains],
-            sm, (result.components, result.bound),
-        )
-        if achieved is not None and result.bound == achieved:
-            break
+    def stages():
+        fresh = ResidualScores.fresh(sm)
+        for k in range(3, POOL_CHAIN_LENGTH + 1):
+            chains, truncated = find_penalized_chains(fresh, k, path_budget)
+            result.truncated |= truncated
+            yield [chain_component(ch) for ch in chains]
+
+    best = (result.components, result.bound)
+    result.components, result.bound = _tighten(sm, best, stages(), achieved)
     return result
 
 
-def _pool_and_combine(pool, seen, found, sm, best):
-    """Pool the unseen components of found; if any were new, re-combine the pool.
+def _tighten(sm, best, stages, achieved):
+    """Pool each stage's unseen components and keep each strictly tighter combination.
 
-    best is the current (components, bound); returns the combination's pair
-    if its bound is tighter, else best. pool and seen grow in place.
+    best is the starting (components, bound) and seeds the pool; stages yields
+    lists of components. The next stage is pulled only while the bound is not
+    achieved (None: run every stage). Returns the final (components, bound).
     """
-    added = False
-    for comp in found:
-        key = comp.dedupe_key()
-        if key not in seen:
-            seen.add(key)
-            pool.append(comp)
-            added = True
-    if not added:
-        return best
-    combined = combine(pool, sm)
-    if combined.bound < best[1]:
-        return list(combined.components), combined.bound
+    pool = None
+    while achieved is None or best[1] != achieved:
+        found = next(stages, None)
+        if found is None:
+            break
+        if pool is None:  # built on the first pull: a bound proved up front never keys it
+            pool = [comp for comp, _ in best[0]]
+            seen = {comp.dedupe_key() for comp in pool}
+        pooled = len(pool)
+        for comp in found:
+            key = comp.dedupe_key()
+            if key not in seen:
+                seen.add(key)
+                pool.append(comp)
+        if len(pool) > pooled:
+            combined = combine(pool, sm)
+            if combined.bound < best[1]:
+                best = (list(combined.components), combined.bound)
     return best
 
 
@@ -132,6 +123,33 @@ def _resolve_and_reduce(sub: Subnetwork, shapes: dict) -> CertComponent | None:
     return CertComponent(nodes, {(nodes[i], nodes[j]): v for (i, j), v in loads.items()}, penalty)
 
 
+def _subnet_stages(sm, max_subnet_size, subnet_budget, provenance):
+    """One list of reduced subnetwork components per size, 3 to max_subnet_size.
+
+    Every subnetwork examined counts against subnet_budget, and the stage it
+    runs out in is the last; provenance records both before each stage.
+    """
+    res = ResidualScores.fresh(sm)
+    shapes: dict = {}
+    spent = 0
+    for size in range(3, max_subnet_size + 1):
+        found = []
+        for sub in enumerate_subnetworks(res, max_size=size):
+            if len(sub.nodes) != size:
+                continue
+            if subnet_budget is not None and spent >= subnet_budget:
+                provenance["subnet_budget_exhausted"] = True
+                break
+            spent += 1
+            comp = _resolve_and_reduce(sub, shapes)
+            if comp is not None:
+                found.append(comp)
+        provenance["subnetworks_examined"] = spent
+        yield found
+        if provenance.get("subnet_budget_exhausted"):
+            return
+
+
 def certify(
     net: Network,
     method: str = "both",
@@ -157,6 +175,8 @@ def certify(
         raise ValueError(f"max_subnet_size must be <= {MAX_EXHAUSTIVE_NODES}")
     if subnet_budget is not None and subnet_budget < 0:
         raise ValueError("subnet_budget must be >= 0")
+    if path_budget < 0:
+        raise ValueError("path_budget must be >= 0")
     sm = score_matrix(net)
     achieved = optimize(sm, OptimizerConfig(seed=seed, restarts=restarts))
 
@@ -175,37 +195,13 @@ def certify(
         chain_result = chain_bound(sm, achieved=achieved.modularity, path_budget=path_budget)
         components = chain_result.components
         bound = chain_result.bound
-        provenance["greedy_chain_bound"] = f"{chain_result.greedy_bound.numerator}/{chain_result.greedy_bound.denominator}"
+        provenance["greedy_chain_bound"] = frac_str(chain_result.greedy_bound)
         if chain_result.truncated:
             provenance["path_budget_exhausted"] = True
 
-    if method in ("subnets", "both") and bound != achieved.modularity:
-        pool = [comp for comp, _ in components]
-        seen = {comp.dedupe_key() for comp in pool}
-        res = ResidualScores.fresh(sm)
-        shapes: dict = {}
-        spent = 0
-        exhausted = False
-        for size in range(3, max_subnet_size + 1):
-            found = []
-            for sub in enumerate_subnetworks(res, max_size=size):
-                if len(sub.nodes) != size:
-                    continue
-                if subnet_budget is not None and spent >= subnet_budget:
-                    exhausted = True
-                    break
-                spent += 1
-                comp = _resolve_and_reduce(sub, shapes)
-                if comp is not None:
-                    found.append(comp)
-            components, bound = _pool_and_combine(
-                pool, seen, found, sm, (components, bound)
-            )
-            if bound == achieved.modularity or exhausted:
-                break
-        provenance["subnetworks_examined"] = spent
-        if exhausted:
-            provenance["subnet_budget_exhausted"] = True
+    if method in ("subnets", "both"):
+        stages = _subnet_stages(sm, max_subnet_size, subnet_budget, provenance)
+        components, bound = _tighten(sm, (components, bound), stages, achieved.modularity)
 
     status = "optimal-proved" if bound == achieved.modularity else "gap"
     doc = build_document(

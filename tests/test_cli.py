@@ -197,6 +197,21 @@ def test_verify_non_object_certificate_exits_2(tmp_path, capsys, body):
     assert "verification failed" not in out
 
 
+@pytest.mark.parametrize("field,value", [
+    ("status", 5), ("network", []), ("provenance", []), ("format_version", True),
+], ids=["status", "network", "provenance", "format-version"])
+def test_verify_wrong_top_level_type_exits_2(tmp_path, capsys, field, value):
+    cert = str(tmp_path / "knoki.cert.json")
+    run(capsys, "certify", "knoki", "-o", cert)
+    data = json.loads(open(cert).read())
+    data[field] = value
+    open(cert, "w").write(json.dumps(data))
+    code, out, err = run(capsys, "verify", "knoki", cert)
+    assert code == 2
+    assert "cannot parse certificate" in err
+    assert "verification" not in out
+
+
 @pytest.mark.parametrize("argv", [
     ["score", "karate", "--seed", "1"],
     ["bound", "karate", "--format", "json"],
@@ -229,13 +244,14 @@ def test_removed_flags_exit_2(capsys, argv):
      "max_subnet_size must be <= 12"),
     (["certify", "PATH", "--method", "subnets", "--budget", "-3"], "subnet_budget must be >= 0"),
     (["bound", "PATH", "--path-budget", "-1"], "path_budget must be >= 0"),
+    (["certify", "PATH", "--method", "subnets", "--path-budget", "-5"], "path_budget must be >= 0"),
     (["optimize", "PATH", "--restarts", "0"], "restarts must be >= 1"),
     (["gen", "--n", "5", "--communities", "0", "--p-in", "0.9", "--p-out", "0.1"],
      "communities must be between 1 and n"),
     (["bench", "nosuch"], "unknown corpus network: 'nosuch' (known: ['dolphins', 'football', "
      "'karate', 'knoki', 'knokm', 'lesmis', 'polbooks'])"),
-], ids=["subnets-size", "both-size", "c13-size", "subnet-budget", "path-budget", "restarts",
-        "communities", "bench-unknown"])
+], ids=["subnets-size", "both-size", "c13-size", "subnet-budget", "path-budget",
+        "subnets-path-budget", "restarts", "communities", "bench-unknown"])
 def test_invalid_argument_value_exits_2(tmp_path, capsys, argv, message):
     files = {"PATH": write_path_network(tmp_path), "C13": str(tmp_path / "c13.edges")}
     with open(files["C13"], "w") as fh:

@@ -10,7 +10,7 @@ from modcert.document import CertificateDocument, document_to_certificate
 from modcert.graph import build_network
 from modcert.lp import CertComponent, combine
 from modcert import pipeline
-from modcert.pipeline import CertificationError, certify, chain_bound
+from modcert.pipeline import METHODS, CertificationError, certify, chain_bound
 from modcert.scores import score_matrix
 from modcert.subnets import enumerate_subnetworks, partial_brute_force, reduce_weights
 from modcert.verify import MAX_EXHAUSTIVE_NODES, verify_certificate
@@ -51,6 +51,10 @@ def test_certify_method_validation():
         certify(path, method="subnets", subnet_budget=-3)
     with pytest.raises(ValueError, match="path_budget must be >= 0"):
         chain_bound(score_matrix(path), path_budget=-1)
+    # checked up front too, so a method without the chain stage rejects it
+    for method in METHODS:
+        with pytest.raises(ValueError, match="path_budget must be >= 0"):
+            certify(path, method=method, path_budget=-5)
 
 
 def test_certify_small_random_soundness():
@@ -85,7 +89,7 @@ def test_pentagon_needs_subnetworks():
     qmax, _ = brute_force_max(sm)
     assert qmax == 2
 
-    chains_only = chain_bound(sm, achieved=qmax, pool_chain_length=5)
+    chains_only = chain_bound(sm, achieved=qmax)
     assert chains_only.bound >= qmax
     assert chains_only.bound > qmax  # fundamentally unresolvable by chains
 
@@ -156,6 +160,19 @@ def test_budget_cut_recorded(options, field):
     back = CertificateDocument.loads(doc.dumps())
     ok, why = verify_certificate(document_to_certificate(back, net), score_matrix(net))
     assert ok, why
+
+
+def test_stage_not_needed_is_never_started(monkeypatch):
+    """knoki is proved by the greedy pass, so neither the chain pool nor the
+    subnetwork stage may run, and nothing is combined."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stage ran after the bound met the achieved value")
+
+    for name in ("find_penalized_chains", "enumerate_subnetworks", "combine"):
+        monkeypatch.setattr(pipeline, name, refuse)
+    doc = certify(load_network("knoki"), method="both")
+    assert doc.status == "optimal-proved"
+    assert "subnetworks_examined" not in doc.provenance
 
 
 def test_self_check_rejects_wrong_status(monkeypatch):
