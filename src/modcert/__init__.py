@@ -12,9 +12,8 @@ from .scores import Partition, ScoreMatrix, modularity, score_matrix, trivial_up
 from .brute import brute_force_max
 from .optimizer import OptimizerConfig, optimize
 from .chains import (
-    Chain,
     ChainCertificate,
-    ResidualScores,
+    chain_component,
     find_penalized_chains,
     greedy_certify,
     has_remaining_penalized_chain,

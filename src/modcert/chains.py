@@ -6,111 +6,35 @@ endpoints into one community and with them the negative score; skipping any
 positive loses that score instead. Either way every partition pays at least
 the minimum magnitude along the chain, which is the chain's penalty.
 
-Applying a chain subtracts the penalty from its positive pairs and adds it to
-the closing negative pair, leaving a residual matrix on which further chains
-remain independently valid. The certificate is the trivial bound minus the
-accumulated penalties.
+Every search here reads a `ScoreMatrix`. Applying a chain
+(`ScoreMatrix.apply`) subtracts the penalty from its positive pairs and adds
+it to the closing negative pair; the greedy pass does this on its own copy
+of the lattice, on which further chains remain independently valid. The
+certificate is the trivial bound minus the accumulated penalties.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .scores import Pair, ScoreMatrix, trivial_upper_bound
+from .lp import CertComponent
+from .scores import ScoreMatrix, chain_loads, trivial_upper_bound
 
 DEFAULT_PATH_BUDGET = 10_000_000
 
 
-@dataclass
-class Chain:
-    nodes: tuple[int, ...]
-    penalty: Fraction
-
-
-@dataclass
-class ResidualScores:
-    """Score matrix minus everything already consumed by applied reductions.
-
-    Residuals keep the sign of the base score and never exceed it in
-    magnitude. Stored as a common-denominator integer matrix internally;
-    `residual` exposes exact Fractions.
-    """
-
-    base: ScoreMatrix
-    num: list[list[int]] = field(repr=False)
-    den: int
-
-    @classmethod
-    def fresh(cls, sm: ScoreMatrix) -> "ResidualScores":
-        return cls(base=sm, num=[row[:] for row in sm.S], den=sm.den)
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    def residual(self, a: int, b: int) -> Fraction:
-        return Fraction(self.num[a][b], self.den)
-
-    def positive_adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for a in range(self.n):
-            row = self.num[a]
-            for b in range(a + 1, self.n):
-                if row[b] > 0:
-                    adj[a].append(b)
-                    adj[b].append(a)
-        return adj
-
-    def negative_pairs(self) -> list[Pair]:
-        out = []
-        for a in range(self.n):
-            row = self.num[a]
-            for b in range(a + 1, self.n):
-                if row[b] < 0:
-                    out.append((a, b))
-        return out
-
-    def penalty(self, nodes: Sequence[int]) -> int:
-        """A chain's penalty in units of 1/den: the smallest magnitude on it.
-
-        0 means the chain is dead: a consecutive pair is no longer positive
-        or the closing pair no longer negative. Node distinctness is not
-        checked; enumeration guarantees it.
-        """
-        num = self.num
-        worst = None
-        for u, v in zip(nodes, nodes[1:]):
-            r = num[u][v]
-            if r <= 0:
-                return 0
-            if worst is None or r < worst:
-                worst = r
-        closing = -num[nodes[0]][nodes[-1]]
-        if closing <= 0:
-            return 0
-        return min(worst, closing)
-
-    def apply(self, nodes: Sequence[int], p: int) -> None:
-        """Apply a chain in place: its consecutive pairs lose p, its closing pair gains p.
-
-        p must not exceed penalty(nodes), so that every residual keeps its sign.
-        """
-        num = self.num
-        for u, v in zip(nodes, nodes[1:]):
-            num[u][v] -= p
-            num[v][u] -= p
-        a, b = nodes[0], nodes[-1]
-        num[a][b] += p
-        num[b][a] += p
+def chain_component(sm: ScoreMatrix, nodes: tuple[int, ...]) -> CertComponent:
+    """A path as a combinable component: its penalty p on sm, +p along it, -p on its closing pair."""
+    p = Fraction(sm.penalty(nodes), sm.den)
+    return CertComponent(nodes=nodes, loads=chain_loads(nodes, p), penalty=p)
 
 
 def find_penalized_chains(
-    res: ResidualScores, k: int, path_budget: int = DEFAULT_PATH_BUDGET
-) -> tuple[list[Chain], bool]:
-    """All chains of exactly k nodes on the residual matrix.
+    sm: ScoreMatrix, k: int, path_budget: int = DEFAULT_PATH_BUDGET
+) -> tuple[list[tuple[int, ...]], bool]:
+    """The node tuples of all chains of exactly k nodes on sm.
 
     Enumeration is deterministic: negative pairs in sorted order, then DFS in
     ascending neighbor order from the smaller endpoint. Each chain is emitted
@@ -119,9 +43,9 @@ def find_penalized_chains(
     """
     if k < 3:
         raise ValueError("chain length k must be >= 3")
-    n = res.n
-    adj = res.positive_adjacency()
-    chains: list[Chain] = []
+    n = sm.n
+    adj = sm.positive_adjacency()
+    chains: list[tuple[int, ...]] = []
     visited = 0
     truncated = False
 
@@ -146,7 +70,7 @@ def find_penalized_chains(
         dist_cache[src] = dist
         return dist
 
-    for a, b in res.negative_pairs():
+    for a, b in sm.negative_pairs():
         dist_b = bfs_dist(b)
         if dist_b[a] < 0 or dist_b[a] > k - 1:
             continue
@@ -160,8 +84,7 @@ def find_penalized_chains(
             steps_left = k - len(path)
             if steps_left == 0:
                 if u == b:
-                    penalty = Fraction(res.penalty(path), res.den)
-                    chains.append(Chain(nodes=tuple(path), penalty=penalty))
+                    chains.append(tuple(path))
                 return
             for v in adj[u]:
                 if truncated:
@@ -188,9 +111,9 @@ def find_penalized_chains(
     return chains, truncated
 
 
-def has_remaining_penalized_chain(res: ResidualScores) -> bool:
-    """True iff some positive-residual component contains an internal negative pair."""
-    n = res.n
+def has_remaining_penalized_chain(sm: ScoreMatrix) -> bool:
+    """True iff some component of sm's positive pairs contains an internal negative pair."""
+    n = sm.n
     parent = list(range(n))
 
     def find(x):
@@ -200,13 +123,13 @@ def has_remaining_penalized_chain(res: ResidualScores) -> bool:
         return x
 
     for a in range(n):
-        row = res.num[a]
+        row = sm.S[a]
         for b in range(a + 1, n):
             if row[b] > 0:
                 ra, rb = find(a), find(b)
                 if ra != rb:
                     parent[rb] = ra
-    for a, b in res.negative_pairs():
+    for a, b in sm.negative_pairs():
         if find(a) == find(b):
             return True
     return False
@@ -215,9 +138,9 @@ def has_remaining_penalized_chain(res: ResidualScores) -> bool:
 @dataclass
 class ChainCertificate:
     trivial_bound: Fraction
-    chains: tuple[Chain, ...]
+    chains: tuple[CertComponent, ...]
     bound: Fraction
-    residual: ResidualScores
+    residual: ScoreMatrix  # the greedy pass's copy of the lattice, every chain applied
     truncated: bool = False
 
 
@@ -226,27 +149,27 @@ def greedy_certify(sm: ScoreMatrix, path_budget: int = DEFAULT_PATH_BUDGET) -> C
 
     Each k-stage enumerates the length-k chains once and then repeatedly
     applies the one with the highest penalty (ties to the smallest node
-    sequence), in place on one residual. Chains of a fixed length can only
+    sequence), in place on one copy of sm. Chains of a fixed length can only
     disappear or weaken as reductions are applied, so the stage keeps them
     in a max-heap keyed (-penalty, nodes) with possibly stale penalties: a
     popped chain whose penalty is still current is the highest, and one
     that has weakened goes back with its new penalty unless it is dead.
     """
-    res = ResidualScores.fresh(sm)
-    applied: list[Chain] = []
+    res = sm.copy()
+    applied: list[CertComponent] = []
     truncated_any = False
     k = 3
     while has_remaining_penalized_chain(res) and k <= sm.n:
         chains, truncated = find_penalized_chains(res, k, path_budget)
         truncated_any |= truncated
-        heap = [(-res.penalty(ch.nodes), ch.nodes) for ch in chains]
+        heap = [(-res.penalty(nodes), nodes) for nodes in chains]
         heapq.heapify(heap)
         while heap:
             stale, nodes = heapq.heappop(heap)
             p = res.penalty(nodes)
             if p == -stale:
+                applied.append(chain_component(res, nodes))
                 res.apply(nodes, p)
-                applied.append(Chain(nodes=nodes, penalty=Fraction(p, res.den)))
             elif p > 0:
                 heapq.heappush(heap, (-p, nodes))
         k += 1

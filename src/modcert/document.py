@@ -38,6 +38,14 @@ def parse_frac(s: str) -> Fraction:
     return Fraction(int(num), d)
 
 
+def _json_list(value, what: str, length: int | None = None) -> list:
+    """value if it is a list (of exactly length items, when given); ValueError otherwise."""
+    if not isinstance(value, list) or (length is not None and len(value) != length):
+        kind = "a list" if length is None else f"a list of {length} items"
+        raise ValueError(f"{what} must be {kind}, got {value!r}")
+    return value
+
+
 def network_fingerprint(net: Network) -> dict:
     """Stable identity of a network: counts plus a hash of its canonical form."""
     lines = [f"directed={int(net.directed)}"]
@@ -94,7 +102,10 @@ class CertificateDocument:
                 raise ValueError(f"{field} must be {name}, got {data[field]!r}")
         return cls(
             fingerprint=dict(data["network"]),
-            achieved_communities=[list(c) for c in data["achieved"]["communities"]],
+            achieved_communities=[
+                list(_json_list(c, "achieved community"))
+                for c in _json_list(data["achieved"]["communities"], "achieved communities")
+            ],
             achieved_modularity=parse_frac(data["achieved"]["modularity"]),
             bound=parse_frac(data["bound"]),
             components=[dict(c) for c in data["components"]],
@@ -130,7 +141,7 @@ def _node_id(lab, label_to_id: dict) -> int:
 
 
 def deserialize_component(entry: dict, label_to_id: dict) -> tuple[CertComponent, Fraction]:
-    nodes = tuple(_node_id(lab, label_to_id) for lab in entry["nodes"])
+    nodes = tuple(_node_id(lab, label_to_id) for lab in _json_list(entry["nodes"], "component nodes"))
     if not nodes:
         raise ValueError("component lists no nodes")
     if len(set(nodes)) != len(nodes):
@@ -141,7 +152,8 @@ def deserialize_component(entry: dict, label_to_id: dict) -> tuple[CertComponent
         loads = chain_loads(nodes, penalty)
     elif entry["kind"] == "subnetwork":
         loads = {}
-        for la, lb, val in entry["scores"]:
+        for score in _json_list(entry["scores"], "subnetwork scores"):
+            la, lb, val = _json_list(score, "subnetwork score entry", 3)
             key = pair_key(_node_id(la, label_to_id), _node_id(lb, label_to_id))
             if key in loads:
                 raise ValueError(f"subnetwork component lists pair ({la}, {lb}) twice")

@@ -18,25 +18,30 @@ class GraphError(ValueError):
 
 
 def as_fraction(value) -> Fraction:
-    """Convert ints, Fractions, Decimals and decimal strings to an exact Fraction."""
+    """Convert ints, Fractions, Decimals and decimal strings to an exact Fraction.
+
+    NaN and infinities, as strings, Decimals or floats, raise GraphError.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, Decimal):
-        return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(Decimal(value))
+            decimal = Decimal(value)
         except InvalidOperation:
             try:
                 return Fraction(value)  # "3/4" style
             except (ValueError, ZeroDivisionError):
                 raise GraphError(f"unparseable weight: {value!r}") from None
-    if isinstance(value, float):
-        # floats are accepted verbatim (every float is an exact binary rational)
-        return Fraction(value)
-    raise GraphError(f"unsupported weight type: {type(value).__name__}")
+    elif isinstance(value, (Decimal, float)):
+        # floats are accepted verbatim (every finite float is an exact binary rational)
+        decimal = Decimal(value)
+    else:
+        raise GraphError(f"unsupported weight type: {type(value).__name__}")
+    if not decimal.is_finite():
+        raise GraphError(f"non-finite weight: {value!r}")
+    return Fraction(decimal)
 
 
 @dataclass

@@ -6,12 +6,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__ as _version
-from .chains import DEFAULT_PATH_BUDGET, Chain, ResidualScores, find_penalized_chains, greedy_certify
+from .chains import DEFAULT_PATH_BUDGET, chain_component, find_penalized_chains, greedy_certify
 from .document import CertificateDocument, build_document, document_to_certificate, frac_str
 from .graph import Network
 from .lp import CertComponent, combine
 from .optimizer import OptimizerConfig, optimize
-from .scores import chain_loads, score_matrix, trivial_upper_bound
+from .scores import score_matrix, trivial_upper_bound
 from .subnets import Subnetwork, enumerate_subnetworks, partial_brute_force, reduce_weights
 from .verify import MAX_EXHAUSTIVE_NODES, verify_certificate
 
@@ -32,19 +32,14 @@ class BoundResult:
     truncated: bool  # the path budget cut some chain enumeration short
 
 
-def chain_component(ch: Chain) -> CertComponent:
-    """A chain as a combinable component: +p along it, -p on its closing pair."""
-    return CertComponent(nodes=ch.nodes, loads=chain_loads(ch.nodes, ch.penalty), penalty=ch.penalty)
-
-
 def chain_bound(
     sm, achieved: Fraction | None = None, path_budget: int = DEFAULT_PATH_BUDGET
 ) -> BoundResult:
     """Chain-based bound: greedy accumulation plus exact re-weighting.
 
-    The greedy pass follows the residual trajectory with unit multipliers.
-    If a gap remains, the chains it found are pooled with every penalized
-    chain of the fresh matrix of 3 to POOL_CHAIN_LENGTH nodes and the
+    The greedy pass reduces a copy of sm chain by chain, with unit
+    multipliers. If a gap remains, the chains it found are pooled with every
+    penalized chain of sm itself of 3 to POOL_CHAIN_LENGTH nodes and the
     multipliers re-optimized exactly (`_tighten`). A path budget that runs
     out weakens the bound and sets `truncated`.
     """
@@ -52,7 +47,7 @@ def chain_bound(
         raise ValueError("path_budget must be >= 0")
     cert = greedy_certify(sm, path_budget=path_budget)
     result = BoundResult(
-        components=[(chain_component(ch), Fraction(1)) for ch in cert.chains],
+        components=[(comp, Fraction(1)) for comp in cert.chains],
         bound=cert.bound,
         greedy_bound=cert.bound,
         chains_applied=len(cert.chains),
@@ -60,11 +55,10 @@ def chain_bound(
     )
 
     def stages():
-        fresh = ResidualScores.fresh(sm)
         for k in range(3, POOL_CHAIN_LENGTH + 1):
-            chains, truncated = find_penalized_chains(fresh, k, path_budget)
+            chains, truncated = find_penalized_chains(sm, k, path_budget)
             result.truncated |= truncated
-            yield [chain_component(ch) for ch in chains]
+            yield [chain_component(sm, nodes) for nodes in chains]
 
     best = (result.components, result.bound)
     result.components, result.bound = _tighten(sm, best, stages(), achieved)
@@ -129,12 +123,11 @@ def _subnet_stages(sm, max_subnet_size, subnet_budget, provenance):
     Every subnetwork examined counts against subnet_budget, and the stage it
     runs out in is the last; provenance records both before each stage.
     """
-    res = ResidualScores.fresh(sm)
     shapes: dict = {}
     spent = 0
     for size in range(3, max_subnet_size + 1):
         found = []
-        for sub in enumerate_subnetworks(res, max_size=size):
+        for sub in enumerate_subnetworks(sm, max_size=size):
             if len(sub.nodes) != size:
                 continue
             if subnet_budget is not None and spent >= subnet_budget:

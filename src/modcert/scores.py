@@ -37,8 +37,9 @@ class ScoreMatrix:
     S is a dense symmetric n x n integer matrix with a zero diagonal. For
     matrices produced by `score_matrix` den is T^2 of the integer-scaled
     weights and the balance identity sum(S over a < b) + sum(diag) == 0
-    holds. Tests may construct synthetic instances that do not satisfy it;
-    nothing here relies on balance.
+    holds. Tests may construct synthetic instances that do not satisfy it,
+    and a copy reduced by `apply` does not keep it; nothing here relies on
+    balance.
     """
 
     n: int
@@ -50,6 +51,61 @@ class ScoreMatrix:
         if a == b:
             return Fraction(self.diag[a], self.den)
         return Fraction(self.S[a][b], self.den)
+
+    def copy(self) -> "ScoreMatrix":
+        return ScoreMatrix(n=self.n, den=self.den, S=[row[:] for row in self.S], diag=self.diag)
+
+    def positive_adjacency(self) -> list[list[int]]:
+        adj: list[list[int]] = [[] for _ in range(self.n)]
+        for a in range(self.n):
+            row = self.S[a]
+            for b in range(a + 1, self.n):
+                if row[b] > 0:
+                    adj[a].append(b)
+                    adj[b].append(a)
+        return adj
+
+    def negative_pairs(self) -> list[Pair]:
+        out = []
+        for a in range(self.n):
+            row = self.S[a]
+            for b in range(a + 1, self.n):
+                if row[b] < 0:
+                    out.append((a, b))
+        return out
+
+    def penalty(self, nodes: Sequence[int]) -> int:
+        """A chain's penalty in units of 1/den: the smallest magnitude on it.
+
+        0 means the chain is dead: a consecutive pair is not positive or the
+        closing pair not negative. Node distinctness is not checked;
+        enumeration guarantees it.
+        """
+        S = self.S
+        worst = None
+        for u, v in zip(nodes, nodes[1:]):
+            r = S[u][v]
+            if r <= 0:
+                return 0
+            if worst is None or r < worst:
+                worst = r
+        closing = -S[nodes[0]][nodes[-1]]
+        if closing <= 0:
+            return 0
+        return min(worst, closing)
+
+    def apply(self, nodes: Sequence[int], p: int) -> None:
+        """Apply a chain in place: its consecutive pairs lose p, its closing pair gains p.
+
+        p must not exceed penalty(nodes), so that every score keeps its sign.
+        """
+        S = self.S
+        for u, v in zip(nodes, nodes[1:]):
+            S[u][v] -= p
+            S[v][u] -= p
+        a, b = nodes[0], nodes[-1]
+        S[a][b] += p
+        S[b][a] += p
 
 
 @dataclass

@@ -1,11 +1,12 @@
 """Small-subnetwork resolution: proven penalties beyond what chains capture.
 
 A subnetwork is a node subset carrying per-pair scores no larger in magnitude
-than (and matching the sign of) the scores it was cut from. Resolving one
-means proving the exact maximum any partition of it can collect; the shortfall
-against its all-positives sum is a penalty that can be charged against the
-whole network. Reducing one shrinks its scores to the minimum weight that
-still proves the same penalty, so that many subnetworks can be combined.
+than (and matching the sign of) the scores it was cut from; enumeration cuts
+them from a `ScoreMatrix`. Resolving one means proving the exact maximum any
+partition of it can collect; the shortfall against its all-positives sum is a
+penalty that can be charged against the whole network. Reducing one shrinks
+its scores to the minimum weight that still proves the same penalty, so that
+many subnetworks can be combined.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from . import lp
-from .chains import ResidualScores
-from .scores import Pair
+from .scores import Pair, ScoreMatrix
 
 DEFAULT_MAX_SIZE = 6
 
@@ -43,10 +43,10 @@ class ResolvedSubnetwork:
     final_m: int
 
 
-def enumerate_subnetworks(res: ResidualScores, max_size: int = DEFAULT_MAX_SIZE) -> Iterator[Subnetwork]:
+def enumerate_subnetworks(sm: ScoreMatrix, max_size: int = DEFAULT_MAX_SIZE) -> Iterator[Subnetwork]:
     """Connected induced subsets of size 3..max_size, each emitted once.
 
-    Connectivity is over positive residual pairs, which provably still
+    Connectivity is over positive pairs of sm, which provably still
     reaches every subnetwork able to carry a positive penalty (a penalty needs
     a negative pair inside a positively-connected group, and penalties add
     over positively-connected parts). Only subsets with at least one negative
@@ -54,17 +54,17 @@ def enumerate_subnetworks(res: ResidualScores, max_size: int = DEFAULT_MAX_SIZE)
     """
     if max_size < 3:
         raise ValueError("max_size must be >= 3")
-    n = res.n
-    adj = [set(nbrs) for nbrs in res.positive_adjacency()]
+    n = sm.n
+    adj = [set(nbrs) for nbrs in sm.positive_adjacency()]
 
     def make(sub: list[int]) -> Subnetwork | None:
         nodes = tuple(sorted(sub))
         pos = neg = 0
         scores: dict[Pair, Fraction] = {}
         for a, b in itertools.combinations(nodes, 2):
-            v = res.num[a][b]
+            v = sm.S[a][b]
             if v:
-                scores[(a, b)] = Fraction(v, res.den)
+                scores[(a, b)] = Fraction(v, sm.den)
                 if v > 0:
                     pos += 1
                 else:

@@ -3,7 +3,7 @@ from fractions import Fraction
 from conftest import lattice, random_network
 from modcert.brute import brute_force_max
 from modcert.chains import (
-    ResidualScores,
+    chain_component,
     find_penalized_chains,
     greedy_certify,
     has_remaining_penalized_chain,
@@ -14,104 +14,104 @@ from modcert.scores import score_matrix
 F = Fraction
 
 
-def path_residual():
-    sm = score_matrix(build_network([("a", "b", 1), ("b", "c", 1)]))
-    return ResidualScores.fresh(sm)
+def path_lattice():
+    return score_matrix(build_network([("a", "b", 1), ("b", "c", 1)]))
 
 
-def triangle_residual():
-    # synthetic residuals (0.2, 0.3, closing -0.1)
-    sm = lattice(3, {(0, 1): F(1, 5), (1, 2): F(3, 10), (0, 2): F(-1, 10)})
-    return ResidualScores.fresh(sm)
+def triangle_lattice():
+    # synthetic scores (0.2, 0.3, closing -0.1)
+    return lattice(3, {(0, 1): F(1, 5), (1, 2): F(3, 10), (0, 2): F(-1, 10)})
 
 
-def applied(res, nodes):
-    """A fresh residual of res's scores with the chain applied at its full penalty."""
-    out = ResidualScores.fresh(res.base)
+def applied(sm, nodes):
+    """A copy of sm with the chain applied at its full penalty."""
+    out = sm.copy()
     out.apply(nodes, out.penalty(nodes))
     return out
 
 
 def test_chain_penalty_path():
-    res = path_residual()
-    assert F(res.penalty([0, 1, 2]), res.den) == F(1, 8)
+    sm = path_lattice()
+    assert F(sm.penalty([0, 1, 2]), sm.den) == F(1, 8)
 
 
 def test_chain_penalty_triangle():
     # valid ordering: positive consecutive scores 0-1 and 1-2, closing 0-2
-    res = triangle_residual()
-    assert F(res.penalty([0, 1, 2]), res.den) == F(1, 10)  # the closing magnitude is the minimum
+    sm = triangle_lattice()
+    assert F(sm.penalty([0, 1, 2]), sm.den) == F(1, 10)  # the closing magnitude is the minimum
     # with a deeper closing pair the smallest positive sets the penalty
     wide = lattice(3, {(0, 1): F(1, 5), (1, 2): F(3, 10), (0, 2): F(-1, 2)})
-    res = ResidualScores.fresh(wide)
-    assert F(res.penalty([0, 1, 2]), res.den) == F(1, 5)
+    assert F(wide.penalty([0, 1, 2]), wide.den) == F(1, 5)
 
 
 def test_chain_penalty_rejects_bad_patterns():
     # a dead chain has penalty 0
-    res = path_residual()
-    assert res.penalty([0, 2, 1]) == 0  # interior (0,2) negative
-    assert res.penalty([0, 1]) == 0  # too short: the closing pair is the positive (0,1)
-    assert res.penalty([0, 1, 0]) == 0  # repeated node: the closing pair is the zero diagonal
+    sm = path_lattice()
+    assert sm.penalty([0, 2, 1]) == 0  # interior (0,2) negative
+    assert sm.penalty([0, 1]) == 0  # too short: the closing pair is the positive (0,1)
+    assert sm.penalty([0, 1, 0]) == 0  # repeated node: the closing pair is the zero diagonal
     zero = lattice(3, {(0, 1): F(0), (1, 2): F(1, 4), (0, 2): F(-1, 8)})
-    assert ResidualScores.fresh(zero).penalty([0, 1, 2]) == 0
+    assert zero.penalty([0, 1, 2]) == 0
     closing_positive = lattice(3, {(0, 1): F(1, 4), (1, 2): F(1, 4), (0, 2): F(1, 8)})
-    assert ResidualScores.fresh(closing_positive).penalty([0, 1, 2]) == 0
+    assert closing_positive.penalty([0, 1, 2]) == 0
 
 
 def test_apply_chain_arithmetic():
-    res = path_residual()
-    out = applied(res, (0, 1, 2))
-    assert out.residual(0, 1) == F(1, 8)
-    assert out.residual(1, 2) == F(1, 8)
-    assert out.residual(0, 2) == 0
-    assert all(out.num[a][b] == out.num[b][a] for a in range(3) for b in range(3))
-    # the new residual is applied, the original untouched
+    sm = path_lattice()
+    out = applied(sm, (0, 1, 2))
+    assert out.score(0, 1) == F(1, 8)
+    assert out.score(1, 2) == F(1, 8)
+    assert out.score(0, 2) == 0
+    assert all(out.S[a][b] == out.S[b][a] for a in range(3) for b in range(3))
+    # the copy is applied, the original untouched
     pairs = [(0, 1), (1, 2), (0, 2)]
-    assert [res.residual(*q) for q in pairs] == [F(1, 4), F(1, 4), F(-1, 8)]
+    assert [sm.score(*q) for q in pairs] == [F(1, 4), F(1, 4), F(-1, 8)]
     # every pair of the chain moves toward zero by the penalty
-    assert [out.residual(*q) - res.residual(*q) for q in pairs] == [F(-1, 8), F(-1, 8), F(1, 8)]
+    assert [out.score(*q) - sm.score(*q) for q in pairs] == [F(-1, 8), F(-1, 8), F(1, 8)]
 
 
 def test_apply_chain_saturation_rejects_reuse():
-    out = applied(path_residual(), (0, 1, 2))
+    out = applied(path_lattice(), (0, 1, 2))
     assert out.penalty([0, 1, 2]) == 0
 
 
 def test_apply_triangle():
-    out = applied(triangle_residual(), (0, 1, 2))
-    assert out.residual(0, 1) == F(1, 10)
-    assert out.residual(1, 2) == F(1, 5)
-    assert out.residual(0, 2) == 0
+    out = applied(triangle_lattice(), (0, 1, 2))
+    assert out.score(0, 1) == F(1, 10)
+    assert out.score(1, 2) == F(1, 5)
+    assert out.score(0, 2) == 0
 
 
 def test_find_chains_path():
-    res = path_residual()
-    chains, truncated = find_penalized_chains(res, 3)
+    sm = path_lattice()
+    chains, truncated = find_penalized_chains(sm, 3)
     assert not truncated
-    assert [(c.nodes, c.penalty) for c in chains] == [((0, 1, 2), F(1, 8))]
-    chains4, _ = find_penalized_chains(res, 4)
+    assert chains == [(0, 1, 2)]
+    comp = chain_component(sm, chains[0])
+    assert comp.penalty == F(1, 8)
+    assert comp.loads == {(0, 1): F(1, 8), (1, 2): F(1, 8), (0, 2): F(-1, 8)}
+    chains4, _ = find_penalized_chains(sm, 4)
     assert chains4 == []
 
 
 def test_find_chains_dyad_empty():
     sm = score_matrix(build_network([("a", "b", 1)]))
-    chains, _ = find_penalized_chains(ResidualScores.fresh(sm), 3)
+    chains, _ = find_penalized_chains(sm, 3)
     assert chains == []
 
 
 def test_find_chains_budget_truncates():
     sm = score_matrix(random_network(0, n=8, p=0.8))
-    chains, truncated = find_penalized_chains(ResidualScores.fresh(sm), 5, path_budget=3)
+    chains, truncated = find_penalized_chains(sm, 5, path_budget=3)
     assert truncated
 
 
 def test_has_remaining_transitions():
-    res = path_residual()
-    assert has_remaining_penalized_chain(res)
-    assert not has_remaining_penalized_chain(applied(res, (0, 1, 2)))
+    sm = path_lattice()
+    assert has_remaining_penalized_chain(sm)
+    assert not has_remaining_penalized_chain(applied(sm, (0, 1, 2)))
     dyad = score_matrix(build_network([("a", "b", 1)]))
-    assert not has_remaining_penalized_chain(ResidualScores.fresh(dyad))
+    assert not has_remaining_penalized_chain(dyad)
 
 
 def test_greedy_path_worked_example():
@@ -138,12 +138,12 @@ def rescan_greedy(sm):
     """The greedy rule by rescanning: after each applied chain, recompute the
     penalty of every chain of the stage and apply the highest (ties to the
     smallest node sequence). Returns the applied (nodes, penalty) sequence."""
-    res = ResidualScores.fresh(sm)
+    res = sm.copy()
     out = []
     k = 3
     while has_remaining_penalized_chain(res) and k <= sm.n:
         chains, _ = find_penalized_chains(res, k)
-        alive = [(ch.nodes, res.penalty(ch.nodes)) for ch in chains]
+        alive = [(nodes, res.penalty(nodes)) for nodes in chains]
         while True:
             alive = [(nodes, p) for nodes, p in alive if p > 0]
             if not alive:
@@ -190,7 +190,7 @@ def test_residual_sign_consistency_after_greedy():
         assert res.den == sm.den
         for a in range(sm.n):
             for b in range(a + 1, sm.n):
-                r = res.num[a][b]
+                r = res.S[a][b]
                 s0 = sm.S[a][b]
                 assert r * s0 >= 0
                 assert abs(r) <= abs(s0)

@@ -187,6 +187,52 @@ def test_verify_malformed_listing_exits_2(tmp_path, capsys, mutate):
     assert "cannot parse certificate" in err
 
 
+def _string_for_list(data, field):
+    if field == "communities":
+        data["achieved"]["communities"] = "abc"
+    elif field == "community":
+        data["achieved"]["communities"] = ["abc"]
+    elif field == "nodes":
+        data["components"][0]["nodes"] = "abc"
+    else:
+        comp = next(c for c in data["components"] if c["kind"] == "subnetwork")
+        if field == "scores":
+            comp["scores"] = "abc"
+        elif field == "score-entry":
+            comp["scores"][0] = "".join(comp["scores"][0][:2]) + "1"
+        else:  # a list of the wrong length
+            comp["scores"][0] = comp["scores"][0] + ["1/2"]
+
+
+LIST_FIELD_MESSAGES = {
+    "communities": "achieved communities must be a list, got 'abc'",
+    "community": "achieved community must be a list, got 'abc'",
+    "nodes": "component nodes must be a list, got 'abc'",
+    "scores": "subnetwork scores must be a list, got 'abc'",
+    "score-entry": "subnetwork score entry must be a list of 3 items",
+    "score-entry-length": "subnetwork score entry must be a list of 3 items",
+}
+
+
+@pytest.mark.parametrize("field", list(LIST_FIELD_MESSAGES))
+def test_verify_string_where_list_expected_exits_2(tmp_path, capsys, field):
+    """A JSON string is iterable, but the format has a list there."""
+    message = LIST_FIELD_MESSAGES[field]
+    if field.startswith("score"):
+        path, cert = write_c5_certificate(tmp_path, capsys)
+    else:
+        path = write_path_network(tmp_path)
+        cert = str(tmp_path / "cert.json")
+        run(capsys, "certify", path, "--method", "chains", "-o", cert)
+    data = json.loads(open(cert).read())
+    _string_for_list(data, field)
+    open(cert, "w").write(json.dumps(data))
+    code, out, err = run(capsys, "verify", path, cert)
+    assert code == 2
+    assert f"cannot parse certificate: {message}" in err
+    assert "verification" not in out
+
+
 @pytest.mark.parametrize("body", ["[1, 2]", '"x"', "3", "null"], ids=["list", "string", "number", "null"])
 def test_verify_non_object_certificate_exits_2(tmp_path, capsys, body):
     cert = tmp_path / "cert.json"
@@ -279,6 +325,15 @@ def test_malformed_input_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "score", str(bad))
     assert code == 2
     assert "line 1" in err
+
+
+@pytest.mark.parametrize("token", ["inf", "-Infinity", "nan"])
+def test_non_finite_weight_is_input_error(tmp_path, capsys, token):
+    bad = tmp_path / "bad.edges"
+    bad.write_text(f"a b 1\nb c {token}\n")
+    code, _, err = run(capsys, "score", str(bad))
+    assert code == 2
+    assert f"input error: line 2: bad weight '{token}'" in err
 
 
 def test_bundled_corpus_name(capsys):

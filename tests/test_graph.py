@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,17 @@ def test_as_fraction_decimal_strings_exact():
     assert as_fraction("3/4") == Fraction(3, 4)
     with pytest.raises(GraphError):
         as_fraction("x")
+
+
+@pytest.mark.parametrize("value", [
+    "inf", "-inf", "nan", "Infinity", Decimal("Infinity"), Decimal("NaN"),
+    float("inf"), float("-inf"), float("nan"),
+], ids=repr)
+def test_as_fraction_rejects_non_finite(value):
+    with pytest.raises(GraphError, match="non-finite weight"):
+        as_fraction(value)
+    with pytest.raises(GraphError, match="non-finite weight"):
+        build_network([("a", "b", value)])
 
 
 def test_parse_edge_list_defaults_and_comments():

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import lattice, random_network
 from modcert.brute import brute_force_max
-from modcert.chains import DEFAULT_PATH_BUDGET, ResidualScores, find_penalized_chains, greedy_certify
+from modcert.chains import DEFAULT_PATH_BUDGET, chain_component, find_penalized_chains, greedy_certify
 from modcert.datasets import load_network
 from modcert.graph import build_network
 from modcert.lp import (
@@ -19,7 +19,6 @@ from modcert.lp import (
     solve_lp,
     solve_sparse_system,
 )
-from modcert.pipeline import chain_component
 from modcert.scores import chain_loads, score_matrix, trivial_upper_bound
 
 F = Fraction
@@ -202,8 +201,7 @@ def test_combine_no_worse_than_unit_lambdas():
         cert = greedy_certify(sm)
         if not cert.chains:
             continue
-        pool = [chain_component(c) for c in cert.chains]
-        combined = combine(pool, sm)
+        combined = combine(list(cert.chains), sm)
         assert combined.bound <= cert.bound
         q, _ = brute_force_max(sm)
         assert combined.bound >= q
@@ -212,8 +210,7 @@ def test_combine_no_worse_than_unit_lambdas():
 def test_combine_status_with_achieved():
     sm = score_matrix(build_network([("a", "b", 1), ("b", "c", 1)]))
     cert = greedy_certify(sm)
-    pool = [chain_component(c) for c in cert.chains]
-    combined = combine(pool, sm)
+    combined = combine(list(cert.chains), sm)
     # the bound meets the achieved optimum 0 (all singletons), so it is proven
     assert combined.bound == 0
 
@@ -237,12 +234,13 @@ def test_degenerate_vertex_solved_without_exact_simplex(monkeypatch):
 def _karate_chain_pools():
     """Karate's greedy chain pool, then the pool after each chain length 3 and 4."""
     sm = score_matrix(load_network("karate"))
-    pool = [chain_component(c) for c in greedy_certify(sm).chains]
+    pool = list(greedy_certify(sm).chains)
     pools = [list(pool)]
     seen = {c.dedupe_key() for c in pool}
     for k in (3, 4):
-        chains, _ = find_penalized_chains(ResidualScores.fresh(sm), k, DEFAULT_PATH_BUDGET)
-        for comp in map(chain_component, chains):
+        chains, _ = find_penalized_chains(sm, k, DEFAULT_PATH_BUDGET)
+        for nodes in chains:
+            comp = chain_component(sm, nodes)
             if comp.dedupe_key() not in seen:
                 seen.add(comp.dedupe_key())
                 pool.append(comp)

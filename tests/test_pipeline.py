@@ -1,10 +1,11 @@
+import copy
 from fractions import Fraction
 
 import pytest
 
 from conftest import lattice, random_network
 from modcert.brute import brute_force_max
-from modcert.chains import ResidualScores
+from modcert.chains import find_penalized_chains, greedy_certify
 from modcert.datasets import load_network
 from modcert.document import CertificateDocument, document_to_certificate
 from modcert.graph import build_network
@@ -94,8 +95,7 @@ def test_pentagon_needs_subnetworks():
     assert chains_only.bound > qmax  # fundamentally unresolvable by chains
 
     pool = [c for c, _ in chains_only.components]
-    res = ResidualScores.fresh(sm)
-    for sub in enumerate_subnetworks(res, max_size=5):
+    for sub in enumerate_subnetworks(sm, max_size=5):
         rs = partial_brute_force(sub)
         if rs.penalty > 0:
             red = reduce_weights(rs)
@@ -189,6 +189,20 @@ def test_self_check_rejects_wrong_status(monkeypatch):
         certify(net, method="chains")
 
 
+def test_searches_leave_the_callers_lattice_unchanged():
+    """The stages read the caller's ScoreMatrix itself; the greedy pass alone
+    reduces a lattice, and only its own copy."""
+    sm = score_matrix(load_network("karate"))
+    before = copy.deepcopy(sm.S)
+    cert = greedy_certify(sm)
+    chain_bound(sm)
+    find_penalized_chains(sm, 4)
+    list(pipeline._subnet_stages(sm, 4, 100, {}))
+    assert sm.S == before
+    assert cert.residual is not sm
+    assert cert.residual.S != before  # the copy was reduced
+
+
 @pytest.mark.parametrize("net,max_size", [
     (load_network("karate"), 4),
     (random_network(69, n=10, directed=True, p=0.3), 5),
@@ -200,10 +214,9 @@ def test_shape_memo_matches_fresh_reduction(net, max_size):
     A shape seen for the first time is resolved and reduced on the
     subnetwork itself, so only the repeats are compared against a fresh run.
     """
-    res = ResidualScores.fresh(score_matrix(net))
     shapes = {}
     lp_repeats = 0
-    for sub in enumerate_subnetworks(res, max_size=max_size):
+    for sub in enumerate_subnetworks(score_matrix(net), max_size=max_size):
         known = len(shapes)
         comp = pipeline._resolve_and_reduce(sub, shapes)
         if len(shapes) > known:

@@ -7,7 +7,6 @@ import pytest
 from conftest import lattice, random_network
 from modcert.brute import set_partitions
 from modcert import lp
-from modcert.chains import ResidualScores
 from modcert.graph import build_network
 from modcert.scores import score_matrix
 from modcert.subnets import (
@@ -55,20 +54,20 @@ def random_subnetwork(seed: int, size: int) -> Subnetwork | None:
 
 def test_enumerate_path_single():
     sm = score_matrix(build_network([("a", "b", 1), ("b", "c", 1)]))
-    subs = list(enumerate_subnetworks(ResidualScores.fresh(sm), max_size=3))
+    subs = list(enumerate_subnetworks(sm, max_size=3))
     assert len(subs) == 1
     assert subs[0].nodes == (0, 1, 2)
 
 
 def test_enumerate_dyad_empty():
     sm = score_matrix(build_network([("a", "b", 1)]))
-    assert list(enumerate_subnetworks(ResidualScores.fresh(sm), max_size=6)) == []
+    assert list(enumerate_subnetworks(sm, max_size=6)) == []
 
 
 def test_enumerate_all_positive_empty():
     # 3-clique with nothing negative: synthetic all-positive scores
     sm = lattice(3, {(0, 1): F(1), (0, 2): F(1), (1, 2): F(1)})
-    assert list(enumerate_subnetworks(ResidualScores.fresh(sm), max_size=3)) == []
+    assert list(enumerate_subnetworks(sm, max_size=3)) == []
 
 
 def test_enumerate_unique_and_complete():
@@ -76,11 +75,10 @@ def test_enumerate_unique_and_complete():
     for seed in range(8):
         net = random_network(seed, n=7, p=0.45)
         sm = score_matrix(net)
-        res = ResidualScores.fresh(sm)
-        got = [s.nodes for s in enumerate_subnetworks(res, max_size=5)]
+        got = [s.nodes for s in enumerate_subnetworks(sm, max_size=5)]
         assert len(got) == len(set(got))
 
-        adj = [[res.num[a][b] > 0 for b in range(sm.n)] for a in range(sm.n)]
+        adj = [[sm.S[a][b] > 0 for b in range(sm.n)] for a in range(sm.n)]
 
         def connected(nodes):
             seen = {nodes[0]}
@@ -100,7 +98,7 @@ def test_enumerate_unique_and_complete():
                     continue
                 pos = neg = 0
                 for a, b in itertools.combinations(combo, 2):
-                    v = res.num[a][b]
+                    v = sm.S[a][b]
                     pos += v > 0
                     neg += v < 0
                 if pos >= 2 and neg >= 1:

@@ -9,7 +9,7 @@ import modcert.document
 import modcert.lp
 import modcert.verify
 from conftest import random_network
-from modcert.chains import Chain, greedy_certify
+from modcert.chains import greedy_certify
 from modcert.document import (
     CertificateDocument,
     build_document,
@@ -21,7 +21,7 @@ from modcert.document import (
 )
 from modcert.graph import build_network
 from modcert.lp import CertComponent, CombinedCertificate, combine
-from modcert.pipeline import certify, chain_component
+from modcert.pipeline import certify
 from modcert.scores import chain_loads, score_matrix, trivial_upper_bound
 from modcert.verify import verify_certificate
 
@@ -45,7 +45,7 @@ def test_chain_certificate_verifies():
     for seed in range(10):
         sm = score_matrix(random_network(seed, n=7))
         cert = greedy_certify(sm)
-        components = tuple((chain_component(ch), F(1)) for ch in cert.chains)
+        components = tuple((comp, F(1)) for comp in cert.chains)
         ok, why = verify_certificate(CombinedCertificate(components=components, bound=cert.bound), sm)
         assert ok, why
 
@@ -53,8 +53,7 @@ def test_chain_certificate_verifies():
 def test_combined_certificate_verifies():
     sm = score_matrix(random_network(4, n=7))
     cert = greedy_certify(sm)
-    pool = [chain_component(c) for c in cert.chains]
-    combined = combine(pool, sm)
+    combined = combine(list(cert.chains), sm)
     ok, why = verify_certificate(combined, sm)
     assert ok, why
 
@@ -62,8 +61,7 @@ def test_combined_certificate_verifies():
 def _sample_combined(seed=4):
     sm = score_matrix(random_network(seed, n=7))
     cert = greedy_certify(sm)
-    pool = [chain_component(c) for c in cert.chains]
-    return sm, combine(pool, sm)
+    return sm, combine(list(cert.chains), sm)
 
 
 def test_tampered_lambda_fails_permissibility():
