@@ -2,15 +2,15 @@
 
 Each pass scores, for every ordered pair of communities (src, dst), with dst
 possibly a new empty community, the best Kernighan-Lin series of single-node
-moves from src to dst. The series work in floating point for speed; the pass
-applies the highest-gain series whose gain an exact rational re-check
-confirms, so the reported modularity is exact and monotone over accepted
-steps.
+moves from src to dst, and applies the highest-gain one. The search sums the
+integer scores of the `ScoreMatrix` itself, so a series gain is the exact
+modularity increase in units of 1/den: every gain of at least 1/den is seen,
+and the reported modularity is exact and rises with every applied series.
 
 A series depends only on the two communities' node sets, so each restart
-computes each (src, dst) series once, and each community's float connection
-vector once, and keeps them while both communities exist: a pass recomputes
-only the series that touch the two communities the last move changed.
+computes each (src, dst) series once, and each community's connection vector
+once, and keeps them while both communities exist: a pass recomputes only the
+series that touch the two communities the last move changed.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from fractions import Fraction
 from .scores import Partition, ScoreMatrix, modularity_of_assignment
 
 MAX_PASSES = 1000  # guard on recombination passes per restart
-FLOAT_TOLERANCE = 1e-12
 NEW_COMMUNITY = frozenset()
 
 
@@ -36,17 +35,13 @@ class OptimizerConfig:
             raise ValueError("restarts must be >= 1")
 
 
-def _float_matrix(sm: ScoreMatrix) -> list[list[float]]:
-    return [[v / sm.den for v in row] for row in sm.S]
-
-
 def _kl_series(S, src, to_src, to_dst):
     """Best prefix of single-node best-gain moves from community src to dst.
 
-    to_src[v] and to_dst[v] are v's float connections to all of src and dst.
-    Returns (gain, nodes_to_move) where nodes_to_move is the prefix of the
-    move sequence with the highest cumulative float gain, or (0, ()) if no
-    prefix beats FLOAT_TOLERANCE.
+    to_src[v] and to_dst[v] are v's connections to all of src and dst.
+    Returns (gain, nodes_to_move) where nodes_to_move is the shortest prefix
+    of the move sequence with the highest cumulative gain, or (0, ()) if no
+    prefix gains.
     """
     remaining = sorted(src)
     # S has a zero diagonal, so to_src[v] is v's connection to the rest of
@@ -54,8 +49,8 @@ def _kl_series(S, src, to_src, to_dst):
     conn_src = list(to_src)
     conn_dst = list(to_dst)
     moved: list[int] = []
-    cumulative = 0.0
-    best_gain = 0.0
+    cumulative = 0
+    best_gain = 0
     best_len = 0
     while remaining:
         # best single move at the current state; ties to the smallest node id
@@ -70,7 +65,7 @@ def _kl_series(S, src, to_src, to_dst):
         remaining.remove(v)
         moved.append(v)
         cumulative += best_delta
-        if cumulative > best_gain + FLOAT_TOLERANCE:
+        if cumulative > best_gain:
             best_gain = cumulative
             best_len = len(moved)
         row = S[v]
@@ -78,7 +73,7 @@ def _kl_series(S, src, to_src, to_dst):
             conn_src[u] -= row[u]
             conn_dst[u] += row[u]
     if best_len == 0:
-        return 0.0, ()
+        return 0, ()
     return best_gain, tuple(moved[:best_len])
 
 
@@ -86,16 +81,13 @@ class _SeriesMemo:
     """memo(src, dst) -> (gain, nodes) of `_kl_series`, each pair computed once
     while both communities exist.
 
-    src and dst are frozensets of node ids, each built by inserting its nodes
-    in ascending order, so equal sets iterate alike. A connection vector is
-    summed in that order, which makes it, and so each series, a function of
-    the two sets alone: a memo hit returns the floats a fresh computation
-    would give.
+    src and dst are frozensets of node ids. A series is a function of the two
+    sets alone, so a memo hit returns what a fresh computation would give.
     """
 
     def __init__(self, S):
         self.S = S
-        self.conn: dict[frozenset, list[float]] = {}
+        self.conn: dict[frozenset, list[int]] = {}
         self.series: dict[tuple[frozenset, frozenset], tuple] = {}
 
     def retain(self, communities) -> None:
@@ -107,7 +99,7 @@ class _SeriesMemo:
     def _connection(self, c):
         vec = self.conn.get(c)
         if vec is None:
-            vec = [0.0] * len(self.S)
+            vec = [0] * len(self.S)
             for u in c:  # S is symmetric: column u of S is row u
                 vec = [a + b for a, b in zip(vec, self.S[u])]
             self.conn[c] = vec
@@ -126,15 +118,13 @@ def _members_map(comm_of) -> dict[int, frozenset[int]]:
     members: dict[int, list[int]] = {}
     for v, c in enumerate(comm_of):
         members.setdefault(c, []).append(v)
-    # ascending insertion, as a set built node by node would have
     return {c: frozenset(nodes) for c, nodes in members.items()}
 
 
 def _improve(sm: ScoreMatrix, comm_of: list[int], series: _SeriesMemo):
-    """Apply best-gain recombinations until none improves the exact score."""
+    """Apply the best-gain recombination until none gains."""
     comm_of = list(Partition.canonical_assignment(comm_of))
-    q_exact = modularity_of_assignment(sm, comm_of)
-    S = sm.S
+    q = modularity_of_assignment(sm, comm_of)
     for _ in range(MAX_PASSES):
         members = _members_map(comm_of)
         # an applied move replaced two communities; forget the old ones
@@ -150,30 +140,16 @@ def _improve(sm: ScoreMatrix, comm_of: list[int], series: _SeriesMemo):
                 if dst == new_id and len(src_set) < 2:
                     continue
                 gain, nodes = series(src_set, members.get(dst, NEW_COMMUNITY))
-                if nodes and gain > FLOAT_TOLERANCE:
+                if nodes:
                     candidates.append((gain, src, dst, nodes))
         if not candidates:
             break
-        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-        applied = False
-        for gain, src, dst, nodes in candidates:
-            # exact re-check: only the moved nodes' pairs to src and dst change
-            stay = members[src].difference(nodes)
-            joined = members.get(dst, NEW_COMMUNITY)
-            delta = 0
-            for v in nodes:
-                row = S[v]
-                delta += sum(row[u] for u in joined) - sum(row[u] for u in stay)
-            if delta > 0:
-                for v in nodes:
-                    comm_of[v] = dst
-                comm_of = list(Partition.canonical_assignment(comm_of))
-                q_exact += Fraction(delta, sm.den)
-                applied = True
-                break
-        if not applied:
-            break
-    return comm_of, q_exact
+        gain, _, dst, nodes = min(candidates, key=lambda c: (-c[0], c[1], c[2]))
+        for v in nodes:
+            comm_of[v] = dst
+        comm_of = list(Partition.canonical_assignment(comm_of))
+        q += Fraction(gain, sm.den)
+    return comm_of, q
 
 
 def _starts(n: int, cfg: OptimizerConfig):
@@ -191,10 +167,9 @@ def _starts(n: int, cfg: OptimizerConfig):
 def optimize(sm: ScoreMatrix, cfg: OptimizerConfig | None = None) -> Partition:
     """Best partition across seeded restarts; deterministic for a given seed."""
     cfg = cfg or OptimizerConfig()
-    S = _float_matrix(sm)
     best = None
     for start in _starts(sm.n, cfg):
-        assignment, q = _improve(sm, start, _SeriesMemo(S))
+        assignment, q = _improve(sm, start, _SeriesMemo(sm.S))
         if best is None or q > best[0] or (q == best[0] and tuple(assignment) < tuple(best[1])):
             best = (q, assignment)
     q, assignment = best

@@ -127,9 +127,7 @@ def _subnet_stages(sm, max_subnet_size, subnet_budget, provenance):
     spent = 0
     for size in range(3, max_subnet_size + 1):
         found = []
-        for sub in enumerate_subnetworks(sm, max_size=size):
-            if len(sub.nodes) != size:
-                continue
+        for sub in enumerate_subnetworks(sm, size):
             if subnet_budget is not None and spent >= subnet_budget:
                 provenance["subnet_budget_exhausted"] = True
                 break

@@ -2,11 +2,11 @@
 
 A subnetwork is a node subset carrying per-pair scores no larger in magnitude
 than (and matching the sign of) the scores it was cut from; enumeration cuts
-them from a `ScoreMatrix`. Resolving one means proving the exact maximum any
-partition of it can collect; the shortfall against its all-positives sum is a
-penalty that can be charged against the whole network. Reducing one shrinks
-its scores to the minimum weight that still proves the same penalty, so that
-many subnetworks can be combined.
+them from a `ScoreMatrix`, all of one size per call. Resolving one means
+proving the exact maximum any partition of it can collect; the shortfall
+against its all-positives sum is a penalty that can be charged against the
+whole network. Reducing one shrinks its scores to the minimum weight that
+still proves the same penalty, so that many subnetworks can be combined.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from typing import Iterator
 
 from . import lp
 from .scores import Pair, ScoreMatrix
-
-DEFAULT_MAX_SIZE = 6
 
 
 @dataclass
@@ -43,8 +41,8 @@ class ResolvedSubnetwork:
     final_m: int
 
 
-def enumerate_subnetworks(sm: ScoreMatrix, max_size: int = DEFAULT_MAX_SIZE) -> Iterator[Subnetwork]:
-    """Connected induced subsets of size 3..max_size, each emitted once.
+def enumerate_subnetworks(sm: ScoreMatrix, size: int) -> Iterator[Subnetwork]:
+    """Connected induced subsets of exactly `size` nodes, each emitted once.
 
     Connectivity is over positive pairs of sm, which provably still
     reaches every subnetwork able to carry a positive penalty (a penalty needs
@@ -52,8 +50,8 @@ def enumerate_subnetworks(sm: ScoreMatrix, max_size: int = DEFAULT_MAX_SIZE) -> 
     over positively-connected parts). Only subsets with at least one negative
     and at least two positive internal pairs are emitted. Deterministic order.
     """
-    if max_size < 3:
-        raise ValueError("max_size must be >= 3")
+    if size < 3:
+        raise ValueError("size must be >= 3")
     n = sm.n
     adj = [set(nbrs) for nbrs in sm.positive_adjacency()]
 
@@ -77,11 +75,10 @@ def enumerate_subnetworks(sm: ScoreMatrix, max_size: int = DEFAULT_MAX_SIZE) -> 
     # are exclusive neighbors of the just-added node, so every connected
     # subset appears exactly once
     def extend(sub: list[int], sub_set: set[int], ext: list[int], anchor: int):
-        if len(sub) >= 3:
+        if len(sub) == size:
             cand = make(sub)
             if cand is not None:
                 yield cand
-        if len(sub) == max_size:
             return
         for i, w in enumerate(ext):
             extra = []

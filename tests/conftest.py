@@ -11,6 +11,10 @@ import pytest
 from modcert.graph import Network, build_network
 from modcert.scores import ScoreMatrix
 
+# A 4-cycle whose one improving split, {a, b} | {c, d}, raises modularity
+# from 0 by about 1.25e-16: below float resolution next to the scores summed.
+C4_NEAR_TIE = "a b\nb c\nc d\nd a 0.999999999999999\n"
+
 WEIGHT_CHOICES = [1, 1, 1, 2, 3, Fraction(1, 2), Fraction(3, 2), Fraction(5, 4)]
 
 

@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_network
+from conftest import C4_NEAR_TIE, random_network
 from modcert import optimizer
 from modcert.brute import brute_force_max
 from modcert.datasets import load_network
+from modcert.edgelist import parse_edge_list
 from modcert.graph import build_network
-from modcert.optimizer import FLOAT_TOLERANCE, MAX_PASSES, OptimizerConfig, optimize
+from modcert.optimizer import MAX_PASSES, OptimizerConfig, optimize
 from modcert.scores import Partition, modularity_of_assignment, score_matrix
 
 
@@ -46,6 +47,13 @@ def test_oracle_parity_small_networks():
     assert hits >= 95, f"optimizer matched brute force on only {hits}/{total}"
 
 
+def test_gain_below_float_resolution_is_found():
+    sm = score_matrix(parse_edge_list(C4_NEAR_TIE))
+    best, _ = brute_force_max(sm)
+    assert best > 0
+    assert optimize(sm, OptimizerConfig(seed=0, restarts=1)).modularity == best
+
+
 def test_cached_modularity_consistent():
     net = random_network(3, n=8)
     sm = score_matrix(net)
@@ -58,17 +66,17 @@ def test_cached_modularity_consistent():
 def reference_kl_series(S, members, src, dst):
     pool = sorted(members[src])
     if not pool:
-        return 0.0, []
+        return 0, []
     conn_src = {}
     conn_dst = {}
     dst_members = members.get(dst, set())
     for v in pool:
         row = S[v]
-        cs = 0.0
+        cs = 0
         for u in members[src]:
             if u != v:
                 cs += row[u]
-        cd = 0.0
+        cd = 0
         for u in dst_members:
             cd += row[u]
         conn_src[v] = cs
@@ -76,8 +84,8 @@ def reference_kl_series(S, members, src, dst):
 
     remaining = pool[:]
     moved = []
-    cumulative = 0.0
-    best_gain = 0.0
+    cumulative = 0
+    best_gain = 0
     best_len = 0
     while remaining:
         best_v = None
@@ -91,7 +99,7 @@ def reference_kl_series(S, members, src, dst):
         remaining.remove(v)
         moved.append(v)
         cumulative += best_delta
-        if cumulative > best_gain + FLOAT_TOLERANCE:
+        if cumulative > best_gain:
             best_gain = cumulative
             best_len = len(moved)
         row = S[v]
@@ -99,14 +107,15 @@ def reference_kl_series(S, members, src, dst):
             conn_src[u] -= row[u]
             conn_dst[u] += row[u]
     if best_len == 0:
-        return 0.0, []
+        return 0, []
     return best_gain, moved[:best_len]
 
 
 def reference_improve(sm, comm_of, calls=None):
     """Returns the (assignment, modularity) the unmemoized search reaches;
-    counts its series computations in calls[0] when given."""
-    S = [[v / sm.den for v in row] for row in sm.S]
+    counts its series computations in calls[0] when given. Each applied
+    series' modularity is re-derived from scratch and must rise by exactly
+    its gain."""
     comm_of = list(Partition.canonical_assignment(comm_of))
     q_exact = modularity_of_assignment(sm, comm_of)
     for _ in range(MAX_PASSES):
@@ -124,31 +133,27 @@ def reference_improve(sm, comm_of, calls=None):
                     continue
                 if calls is not None:
                     calls[0] += 1
-                gain, nodes = reference_kl_series(S, members, src, dst)
-                if nodes and gain > FLOAT_TOLERANCE:
+                gain, nodes = reference_kl_series(sm.S, members, src, dst)
+                if nodes:
                     candidates.append((gain, src, dst, nodes))
         if not candidates:
             break
         candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-        applied = False
-        for gain, src, dst, nodes in candidates:
-            trial = comm_of[:]
-            for v in nodes:
-                trial[v] = dst
-            trial_q = modularity_of_assignment(sm, trial)
-            if trial_q > q_exact:
-                comm_of = list(Partition.canonical_assignment(trial))
-                q_exact = trial_q
-                applied = True
-                break
-        if not applied:
-            break
+        gain, src, dst, nodes = candidates[0]
+        trial = comm_of[:]
+        for v in nodes:
+            trial[v] = dst
+        trial_q = modularity_of_assignment(sm, trial)
+        assert gain > 0
+        assert trial_q - q_exact == Fraction(gain, sm.den)
+        comm_of = list(Partition.canonical_assignment(trial))
+        q_exact = trial_q
     return comm_of, q_exact
 
 
 class CheckedMemo(optimizer._SeriesMemo):
-    """A series memo that checks every series it returns, gain bits included,
-    against the reference, and holds only the current communities' entries."""
+    """A series memo that checks every series it returns against the
+    reference, and holds only the current communities' entries."""
 
     def retain(self, communities):
         super().retain(communities)
@@ -169,9 +174,8 @@ class CheckedMemo(optimizer._SeriesMemo):
 
 def assert_matches_reference(sm, cfg):
     """Every restart's result equals the reference's."""
-    S = [[v / sm.den for v in row] for row in sm.S]
     for start in optimizer._starts(sm.n, cfg):
-        assert optimizer._improve(sm, start, CheckedMemo(S)) == reference_improve(sm, start)
+        assert optimizer._improve(sm, start, CheckedMemo(sm.S)) == reference_improve(sm, start)
 
 
 def test_memoized_search_matches_reference():

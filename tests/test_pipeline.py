@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import lattice, random_network
+from conftest import C4_NEAR_TIE, lattice, random_network
 from modcert.brute import brute_force_max
 from modcert.chains import find_penalized_chains, greedy_certify
 from modcert.datasets import load_network
 from modcert.document import CertificateDocument, document_to_certificate
+from modcert.edgelist import parse_edge_list
 from modcert.graph import build_network
 from modcert.lp import CertComponent, combine
 from modcert import pipeline
@@ -30,6 +31,10 @@ def test_path_pipeline_exact():
     assert comp["kind"] == "chain"
     assert comp["nodes"] == ["a", "b", "c"]
     assert comp["penalty"] == "1/8"
+
+
+def test_gain_below_float_resolution_is_proved_optimal():
+    assert certify(parse_edge_list(C4_NEAR_TIE), restarts=1).status == "optimal-proved"
 
 
 def test_certify_method_validation():
@@ -95,11 +100,12 @@ def test_pentagon_needs_subnetworks():
     assert chains_only.bound > qmax  # fundamentally unresolvable by chains
 
     pool = [c for c, _ in chains_only.components]
-    for sub in enumerate_subnetworks(sm, max_size=5):
-        rs = partial_brute_force(sub)
-        if rs.penalty > 0:
-            red = reduce_weights(rs)
-            pool.append(CertComponent(nodes=red.nodes, loads=red.scores, penalty=rs.penalty))
+    for size in (3, 4, 5):
+        for sub in enumerate_subnetworks(sm, size):
+            rs = partial_brute_force(sub)
+            if rs.penalty > 0:
+                red = reduce_weights(rs)
+                pool.append(CertComponent(nodes=red.nodes, loads=red.scores, penalty=rs.penalty))
     combined = combine(pool, sm)
     assert combined.bound == qmax
 
@@ -216,7 +222,9 @@ def test_shape_memo_matches_fresh_reduction(net, max_size):
     """
     shapes = {}
     lp_repeats = 0
-    for sub in enumerate_subnetworks(score_matrix(net), max_size=max_size):
+    sm = score_matrix(net)
+    subs = (sub for size in range(3, max_size + 1) for sub in enumerate_subnetworks(sm, size))
+    for sub in subs:
         known = len(shapes)
         comp = pipeline._resolve_and_reduce(sub, shapes)
         if len(shapes) > known:

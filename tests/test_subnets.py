@@ -54,30 +54,28 @@ def random_subnetwork(seed: int, size: int) -> Subnetwork | None:
 
 def test_enumerate_path_single():
     sm = score_matrix(build_network([("a", "b", 1), ("b", "c", 1)]))
-    subs = list(enumerate_subnetworks(sm, max_size=3))
+    subs = list(enumerate_subnetworks(sm, 3))
     assert len(subs) == 1
     assert subs[0].nodes == (0, 1, 2)
 
 
 def test_enumerate_dyad_empty():
     sm = score_matrix(build_network([("a", "b", 1)]))
-    assert list(enumerate_subnetworks(sm, max_size=6)) == []
+    for size in range(3, 7):
+        assert list(enumerate_subnetworks(sm, size)) == []
 
 
 def test_enumerate_all_positive_empty():
     # 3-clique with nothing negative: synthetic all-positive scores
     sm = lattice(3, {(0, 1): F(1), (0, 2): F(1), (1, 2): F(1)})
-    assert list(enumerate_subnetworks(sm, max_size=3)) == []
+    assert list(enumerate_subnetworks(sm, 3)) == []
 
 
 def test_enumerate_unique_and_complete():
-    """Extension enumeration agrees with brute-force subset filtering."""
+    """Extension enumeration agrees with brute-force subset filtering, size by size."""
     for seed in range(8):
         net = random_network(seed, n=7, p=0.45)
         sm = score_matrix(net)
-        got = [s.nodes for s in enumerate_subnetworks(sm, max_size=5)]
-        assert len(got) == len(set(got))
-
         adj = [[sm.S[a][b] > 0 for b in range(sm.n)] for a in range(sm.n)]
 
         def connected(nodes):
@@ -91,8 +89,10 @@ def test_enumerate_unique_and_complete():
                         stack.append(v)
             return len(seen) == len(nodes)
 
-        expect = []
         for size in (3, 4, 5):
+            got = [s.nodes for s in enumerate_subnetworks(sm, size)]
+            assert len(got) == len(set(got))
+            expect = []
             for combo in itertools.combinations(range(sm.n), size):
                 if not connected(combo):
                     continue
@@ -103,7 +103,7 @@ def test_enumerate_unique_and_complete():
                     neg += v < 0
                 if pos >= 2 and neg >= 1:
                     expect.append(tuple(combo))
-        assert sorted(got) == sorted(expect)
+            assert sorted(got) == sorted(expect)
 
 
 def test_partial_brute_force_triangle():
