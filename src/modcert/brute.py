@@ -73,9 +73,5 @@ def brute_force_max(sm: ScoreMatrix, limit: int = DEFAULT_LIMIT) -> tuple[Fracti
 
     rec(0, 0)
     q = Fraction(best_val + sum(sm.diag), sm.den)
-    part = Partition(
-        assignment=Partition.canonical_assignment(best_assignment),
-        num_communities=max(best_assignment) + 1,
-        modularity=q,
-    )
+    part = Partition(assignment=Partition.canonical_assignment(best_assignment), modularity=q)
     return q, part

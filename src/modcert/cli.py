@@ -44,6 +44,11 @@ def _add_network(parser):
     parser.add_argument("--directed", action="store_true", help="treat input as directed")
 
 
+def _exact(v) -> str:
+    """A value as 6 decimals followed by its exact fraction."""
+    return f"{float(v):.6f} ({frac_str(v)})"
+
+
 def cmd_score(args) -> int:
     net = _load_input(args.network, args.directed)
     sm = score_matrix(net)
@@ -73,7 +78,7 @@ def cmd_optimize(args) -> int:
                           "modularity_float": float(part.modularity),
                           "communities": communities}, indent=2))
     else:
-        print(f"modularity: {float(part.modularity):.6f} ({frac_str(part.modularity)})")
+        print(f"modularity: {_exact(part.modularity)}")
         for i, c in enumerate(communities):
             print(f"community {i}: {' '.join(c)}")
     return 0
@@ -84,14 +89,14 @@ def cmd_bound(args) -> int:
     sm = score_matrix(net)
     trivial = trivial_upper_bound(sm)
     if args.method == "trivial":
-        print(f"trivial bound: {float(trivial):.6f} ({frac_str(trivial)})")
+        print(f"trivial bound: {_exact(trivial)}")
         return 0
     achieved = optimize(sm, OptimizerConfig(seed=args.seed)).modularity
     result = chain_bound(sm, achieved=achieved, path_budget=args.path_budget)
-    print(f"trivial bound: {float(trivial):.6f} ({frac_str(trivial)})")
-    print(f"achieved: {float(achieved):.6f} ({frac_str(achieved)})")
+    print(f"trivial bound: {_exact(trivial)}")
+    print(f"achieved: {_exact(achieved)}")
     print(f"greedy chains: {result.chains_applied}, greedy bound {float(result.greedy_bound):.6f}")
-    print(f"bound: {float(result.bound):.6f} ({frac_str(result.bound)})")
+    print(f"bound: {_exact(result.bound)}")
     if result.truncated:
         print("path budget exhausted: chain enumeration was cut short, so the bound may be weaker")
     return 0
@@ -112,8 +117,8 @@ def cmd_certify(args) -> int:
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
-        print(f"status: {doc.status}  achieved {float(doc.achieved_modularity):.6f}  "
-              f"bound {float(doc.bound):.6f}  -> {args.output}")
+        print(f"status: {doc.status}  achieved {_exact(doc.achieved_modularity)}  "
+              f"bound {_exact(doc.bound)}  gap {frac_str(doc.gap)}  -> {args.output}")
     else:
         print(text, end="")
     return 0
@@ -138,8 +143,8 @@ def cmd_verify(args) -> int:
     if not ok:
         print(f"verification failed: {why}")
         return 1
-    print(f"verification passed: {doc.status}, bound {float(doc.bound):.6f}, "
-          f"achieved {float(doc.achieved_modularity):.6f}")
+    print(f"verification passed: {doc.status}, bound {_exact(doc.bound)}, "
+          f"achieved {_exact(doc.achieved_modularity)}, gap {frac_str(doc.gap)}")
     return 0
 
 

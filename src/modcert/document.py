@@ -188,9 +188,12 @@ def build_document(
 
 
 def _claimed_partition(doc: CertificateDocument, label_to_id: dict) -> Partition:
-    """The achieved listing as a partition; ValueError unless it lists every node once."""
+    """The achieved listing as a partition; ValueError unless it lists every
+    node once, in communities that are not empty."""
     assignment: list[int | None] = [None] * len(label_to_id)
     for ci, community in enumerate(doc.achieved_communities):
+        if not community:
+            raise ValueError(f"achieved listing: community {ci} is empty")
         for lab in community:
             v = _node_id(lab, label_to_id)
             if assignment[v] is not None:
@@ -198,8 +201,7 @@ def _claimed_partition(doc: CertificateDocument, label_to_id: dict) -> Partition
             assignment[v] = ci
     if None in assignment:
         raise ValueError(f"achieved listing: {assignment.count(None)} node(s) not listed")
-    return Partition(assignment=tuple(assignment), num_communities=len(doc.achieved_communities),
-                     modularity=doc.achieved_modularity)
+    return Partition(assignment=tuple(assignment), modularity=doc.achieved_modularity)
 
 
 def document_to_certificate(doc: CertificateDocument, net: Network) -> CombinedCertificate:

@@ -173,4 +173,4 @@ def optimize(sm: ScoreMatrix, cfg: OptimizerConfig | None = None) -> Partition:
         if best is None or q > best[0] or (q == best[0] and tuple(assignment) < tuple(best[1])):
             best = (q, assignment)
     q, assignment = best
-    return Partition(assignment=tuple(assignment), num_communities=max(assignment) + 1, modularity=q)
+    return Partition(assignment=tuple(assignment), modularity=q)

@@ -96,25 +96,20 @@ def _tighten(sm, best, stages, achieved):
 def _resolve_and_reduce(sub: Subnetwork, shapes: dict) -> CertComponent | None:
     """A subnetwork's reduced component, None if it has no penalty.
 
-    shapes maps a shape (the scores relabeled to positions 0..k-1 in sorted
-    node order) to its (penalty, reduced relabeled scores). The relabeling
-    keeps every order the resolution and the reduction sort by, so each
-    shape is resolved and reduced once and a repeat gets what a fresh run
-    would give.
+    shapes maps a shape (the rows of the subnetwork's lattice, all on the
+    run's one denominator) to its (penalty, reduced lattice). Resolution and
+    reduction read positions only, so each shape is resolved and reduced once
+    and a repeat gets what a fresh run would give.
     """
-    nodes = sub.nodes
-    pos = {v: i for i, v in enumerate(nodes)}
-    shape = (len(nodes), tuple(sorted((pos[a], pos[b], v) for (a, b), v in sub.scores.items())))
+    shape = tuple(map(tuple, sub.lattice.S))
     if shape not in shapes:
         resolved = partial_brute_force(sub)
-        loads = None
-        if resolved.penalty > 0:
-            loads = {(pos[a], pos[b]): v for (a, b), v in reduce_weights(resolved).scores.items()}
-        shapes[shape] = (resolved.penalty, loads)
-    penalty, loads = shapes[shape]
-    if loads is None:
+        reduced = reduce_weights(resolved).lattice if resolved.penalty > 0 else None
+        shapes[shape] = (resolved.penalty, reduced)
+    penalty, reduced = shapes[shape]
+    if reduced is None:
         return None
-    return CertComponent(nodes, {(nodes[i], nodes[j]): v for (i, j), v in loads.items()}, penalty)
+    return CertComponent(sub.nodes, Subnetwork(sub.nodes, reduced).loads(), penalty)
 
 
 def _subnet_stages(sm, max_subnet_size, subnet_budget, provenance):

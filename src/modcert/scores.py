@@ -38,8 +38,8 @@ class ScoreMatrix:
     matrices produced by `score_matrix` den is T^2 of the integer-scaled
     weights and the balance identity sum(S over a < b) + sum(diag) == 0
     holds. Tests may construct synthetic instances that do not satisfy it,
-    and a copy reduced by `apply` does not keep it; nothing here relies on
-    balance.
+    and neither a copy reduced by `apply` nor a subnetwork's lattice keeps
+    it; nothing here relies on balance.
     """
 
     n: int
@@ -113,8 +113,11 @@ class Partition:
     """Node -> community assignment with its exact modularity cached."""
 
     assignment: tuple[int, ...]
-    num_communities: int
     modularity: Fraction
+
+    @property
+    def num_communities(self) -> int:
+        return len(set(self.assignment))
 
     @staticmethod
     def canonical_assignment(assignment: Sequence[int]) -> tuple[int, ...]:
@@ -131,7 +134,7 @@ class Partition:
     def from_assignment(cls, sm: ScoreMatrix, assignment: Sequence[int]) -> "Partition":
         canon = cls.canonical_assignment(assignment)
         q = modularity_of_assignment(sm, canon)
-        return cls(assignment=canon, num_communities=max(canon) + 1 if canon else 0, modularity=q)
+        return cls(assignment=canon, modularity=q)
 
     def communities(self) -> list[list[int]]:
         groups: dict[int, list[int]] = {}

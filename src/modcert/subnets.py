@@ -1,12 +1,14 @@
 """Small-subnetwork resolution: proven penalties beyond what chains capture.
 
-A subnetwork is a node subset carrying per-pair scores no larger in magnitude
-than (and matching the sign of) the scores it was cut from; enumeration cuts
-them from a `ScoreMatrix`, all of one size per call. Resolving one means
-proving the exact maximum any partition of it can collect; the shortfall
-against its all-positives sum is a penalty that can be charged against the
-whole network. Reducing one shrinks its scores to the minimum weight that
-still proves the same penalty, so that many subnetworks can be combined.
+A subnetwork is a sorted node tuple plus the `ScoreMatrix` it carries on
+positions 0..k-1, position i standing for nodes[i]. Enumeration cuts it from
+a network's lattice (same scores, same denominator, zero diagonal); every
+search here reads positions only, and `Subnetwork.loads` turns them back into
+node-id pairs. Resolving one means proving the exact maximum any partition of
+it can collect; the shortfall against its all-positives sum is a penalty that
+can be charged against the whole network. Reducing one shrinks its scores to
+the minimum weight that still proves the same penalty, so that many
+subnetworks can be combined.
 """
 
 from __future__ import annotations
@@ -23,11 +25,13 @@ from .scores import Pair, ScoreMatrix
 
 @dataclass
 class Subnetwork:
-    nodes: tuple[int, ...]
-    scores: dict[Pair, Fraction]
+    nodes: tuple[int, ...]  # ascending node ids
+    lattice: ScoreMatrix  # scores on positions: lattice.S[i][j] is the pair (nodes[i], nodes[j])
 
-    def positive_pairs(self) -> list[Pair]:
-        return sorted(p for p, v in self.scores.items() if v > 0)
+    def loads(self) -> dict[Pair, Fraction]:
+        """The nonzero scores keyed by node-id pairs, in ascending pair order."""
+        nodes, lattice = self.nodes, self.lattice
+        return {(nodes[i], nodes[j]): lattice.score(i, j) for i, j in _nonzero_pairs(lattice)}
 
 
 @dataclass
@@ -35,10 +39,16 @@ class ResolvedSubnetwork:
     sub: Subnetwork
     q_star_best: Fraction
     penalty: Fraction
-    # pairs that cost each evaluated partition value (excluded positives and
-    # negatives caught inside a group), one set per distinct non-empty pattern
+    # position pairs costing each evaluated partition value (excluded positives
+    # and negatives caught inside a group), one set per distinct non-empty pattern
     contributing_sets: frozenset[frozenset[Pair]]
     final_m: int
+
+
+def _nonzero_pairs(lattice: ScoreMatrix) -> list[Pair]:
+    """The position pairs with a nonzero score, ascending."""
+    S = lattice.S
+    return [(i, j) for i, j in itertools.combinations(range(lattice.n), 2) if S[i][j]]
 
 
 def enumerate_subnetworks(sm: ScoreMatrix, size: int) -> Iterator[Subnetwork]:
@@ -48,7 +58,8 @@ def enumerate_subnetworks(sm: ScoreMatrix, size: int) -> Iterator[Subnetwork]:
     reaches every subnetwork able to carry a positive penalty (a penalty needs
     a negative pair inside a positively-connected group, and penalties add
     over positively-connected parts). Only subsets with at least one negative
-    and at least two positive internal pairs are emitted. Deterministic order.
+    and at least two positive internal pairs are emitted, each with the
+    lattice sm induces on it. Deterministic order.
     """
     if size < 3:
         raise ValueError("size must be >= 3")
@@ -57,18 +68,10 @@ def enumerate_subnetworks(sm: ScoreMatrix, size: int) -> Iterator[Subnetwork]:
 
     def make(sub: list[int]) -> Subnetwork | None:
         nodes = tuple(sorted(sub))
-        pos = neg = 0
-        scores: dict[Pair, Fraction] = {}
-        for a, b in itertools.combinations(nodes, 2):
-            v = sm.S[a][b]
-            if v:
-                scores[(a, b)] = Fraction(v, sm.den)
-                if v > 0:
-                    pos += 1
-                else:
-                    neg += 1
-        if neg >= 1 and pos >= 2:
-            return Subnetwork(nodes=nodes, scores=scores)
+        S = [[sm.S[a][b] for b in nodes] for a in nodes]
+        upper = [v for i, row in enumerate(S) for v in row[i + 1:]]
+        if any(v < 0 for v in upper) and sum(v > 0 for v in upper) >= 2:
+            return Subnetwork(nodes, ScoreMatrix(n=size, den=sm.den, S=S, diag=(0,) * size))
         return None
 
     # extension enumeration anchored at the smallest node id; new candidates
@@ -99,13 +102,6 @@ def enumerate_subnetworks(sm: ScoreMatrix, size: int) -> Iterator[Subnetwork]:
         yield from extend([v], {v}, ext0, v)
 
 
-def _integer_scores(sub: Subnetwork) -> tuple[int, dict[Pair, int]]:
-    den = 1
-    for v in sub.scores.values():
-        den = math.lcm(den, v.denominator)
-    return den, {p: v.numerator * (den // v.denominator) for p, v in sub.scores.items()}
-
-
 def partial_brute_force(sub: Subnetwork, _disable_discard: bool = False) -> ResolvedSubnetwork:
     """Resolve a subnetwork by excluding m positive pairs and merging the rest.
 
@@ -118,21 +114,20 @@ def partial_brute_force(sub: Subnetwork, _disable_discard: bool = False) -> Reso
     best value found, which happens by m = number of positive pairs at the
     latest, so every subnetwork is resolved.
     """
-    nodes = sub.nodes
-    local = {v: i for i, v in enumerate(nodes)}
-    nn = len(nodes)
-    den, scaled = _integer_scores(sub)
-    positives = sorted((p for p, v in scaled.items() if v > 0), key=lambda p: (scaled[p], p))
-    negatives = [p for p, v in scaled.items() if v < 0]
-    pos_total = sum(scaled[p] for p in positives)
-    pos_sorted_vals = [scaled[p] for p in positives]  # ascending
+    lattice = sub.lattice
+    S = lattice.S
+    positives = sorted((q for q in _nonzero_pairs(lattice) if S[q[0]][q[1]] > 0),
+                       key=lambda q: (S[q[0]][q[1]], q))
+    negatives = lattice.negative_pairs()
+    pos_sorted_vals = [S[a][b] for a, b in positives]  # ascending
+    pos_total = sum(pos_sorted_vals)
 
     best_val = 0  # all singletons
     contributing_sets: set[frozenset[Pair]] = set()
 
     def evaluate(excluded: tuple[Pair, ...]) -> None:
         nonlocal best_val
-        parent = list(range(nn))
+        parent = list(range(lattice.n))
 
         def find(x):
             while parent[x] != x:
@@ -141,24 +136,23 @@ def partial_brute_force(sub: Subnetwork, _disable_discard: bool = False) -> Reso
             return x
 
         excl = set(excluded)
-        for p in positives:
-            if p not in excl:
-                a, b = local[p[0]], local[p[1]]
-                ra, rb = find(a), find(b)
+        for q in positives:
+            if q not in excl:
+                ra, rb = find(q[0]), find(q[1])
                 if ra != rb:
                     parent[rb] = ra
         # discard: an excluded pair that still lands inside one group was
         # already covered with fewer exclusions
         if not _disable_discard:
-            for p in excluded:
-                if find(local[p[0]]) == find(local[p[1]]):
+            for a, b in excluded:
+                if find(a) == find(b):
                     return
-        value = pos_total - sum(scaled[p] for p in excluded)
+        value = pos_total - sum(S[a][b] for a, b in excluded)
         contributing = list(excluded)
-        for p in negatives:
-            if find(local[p[0]]) == find(local[p[1]]):
-                value += scaled[p]
-                contributing.append(p)
+        for a, b in negatives:
+            if find(a) == find(b):
+                value += S[a][b]
+                contributing.append((a, b))
         if contributing:
             contributing_sets.add(frozenset(contributing))
         best_val = max(best_val, value)
@@ -170,11 +164,10 @@ def partial_brute_force(sub: Subnetwork, _disable_discard: bool = False) -> Reso
         if pos_total - sum(pos_sorted_vals[: m + 1]) <= best_val:
             break
 
-    q_star = Fraction(best_val, den)
     return ResolvedSubnetwork(
         sub=sub,
-        q_star_best=q_star,
-        penalty=Fraction(pos_total, den) - q_star,
+        q_star_best=Fraction(best_val, lattice.den),
+        penalty=Fraction(pos_total - best_val, lattice.den),
         contributing_sets=frozenset(contributing_sets),
         final_m=m,
     )
@@ -190,18 +183,18 @@ def _minimal_constraint_sets(rs: ResolvedSubnetwork) -> list[frozenset[Pair]]:
 
 
 def _minimum_weights(rs: ResolvedSubnetwork) -> dict[Pair, Fraction] | None:
-    """The reduction LP's exact minimizer, None if it has none.
+    """The reduction LP's exact minimizer on position pairs, None if it has none.
 
     Minimizes total absolute score subject to: every evaluated partition still
     pays at least the penalty, and (added lazily as cutting planes) every
     (m+1)-subset of positive pairs sums to at least the penalty.
     """
     p = rs.penalty
-    sub = rs.sub
-    all_pairs = sorted(sub.scores)
-    ub = {q: abs(sub.scores[q]) for q in all_pairs}
+    lattice = rs.sub.lattice
+    all_pairs = _nonzero_pairs(lattice)
+    ub = {q: abs(lattice.score(*q)) for q in all_pairs}
     constraint_sets = _minimal_constraint_sets(rs)
-    positives = sub.positive_pairs()
+    positives = [q for q in all_pairs if lattice.S[q[0]][q[1]] > 0]
     m_plus_1 = rs.final_m + 1
 
     while True:
@@ -221,30 +214,33 @@ def _minimum_weights(rs: ResolvedSubnetwork) -> dict[Pair, Fraction] | None:
 def reduce_weights(rs: ResolvedSubnetwork) -> Subnetwork:
     """Shrink a resolved subnetwork's scores while provably keeping its penalty.
 
-    The scores become the reduction LP's minimizer (see _minimum_weights);
-    a triangle gets it in closed form. The result is re-verified by a fresh
-    resolution run; on any failure the original subnetwork is returned
-    unchanged.
+    The scores become the reduction LP's minimizer (see _minimum_weights) on
+    one denominator, the lcm of the minimizer's; a triangle gets it in closed
+    form. The result is re-verified by a fresh resolution run; on any failure
+    the original subnetwork is returned unchanged.
     """
     p = rs.penalty
     if p <= 0:
         return rs.sub
     sub = rs.sub
-    if len(sub.nodes) == 3 and len(sub.scores) == 3:
+    S, k = sub.lattice.S, sub.lattice.n
+    pairs = _nonzero_pairs(sub.lattice)
+    if k == 3 and len(pairs) == 3:
         # a penalized triangle is a positive path closed by a negative pair,
         # and p = min(u1, u2, |n|); each of its partitions pays exactly one
         # pair, so +-p on every pair is the LP's unique minimum
-        x = dict.fromkeys(sub.scores, p)
+        x = dict.fromkeys(pairs, p)
     else:
         x = _minimum_weights(rs)
         if x is None:
             return rs.sub
 
-    reduced_scores = {}
-    for q in sorted(sub.scores):
-        if x[q] != 0:
-            reduced_scores[q] = x[q] if sub.scores[q] > 0 else -x[q]
-    reduced = Subnetwork(nodes=sub.nodes, scores=reduced_scores)
+    den = math.lcm(*(v.denominator for v in x.values()))
+    reduced_S = [[0] * k for _ in range(k)]
+    for (a, b), v in x.items():
+        r = v.numerator * (den // v.denominator)
+        reduced_S[a][b] = reduced_S[b][a] = r if S[a][b] > 0 else -r
+    reduced = Subnetwork(sub.nodes, ScoreMatrix(n=k, den=den, S=reduced_S, diag=(0,) * k))
     if partial_brute_force(reduced).penalty < p:
         return rs.sub
     return reduced

@@ -160,7 +160,7 @@ def test_criterion_6_partial_brute_force_oracle():
         if rs.penalty > 0:
             red = reduce_weights(rs)
             rcheck = partial_brute_force(red)
-            pos_total = sum((v for v in red.scores.values() if v > 0), F(0))
+            pos_total = sum((v for v in red.loads().values() if v > 0), F(0))
             if pos_total - rcheck.q_star_best < rs.penalty:
                 reduce_failures += 1
         resolved_checked += 1

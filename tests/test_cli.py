@@ -16,10 +16,15 @@ def test_parser_built_once():
     assert build_parser() is build_parser()
 
 
-def write_c5_certificate(tmp_path, capsys):
+def write_c5_network(tmp_path):
     path = str(tmp_path / "c5.edges")
     with open(path, "w") as fh:
         fh.write("\n".join(f"{i} {(i + 1) % 5}" for i in range(5)) + "\n")
+    return path
+
+
+def write_c5_certificate(tmp_path, capsys):
+    path = write_c5_network(tmp_path)
     cert = str(tmp_path / "c5.cert.json")
     code, out, _ = run(capsys, "certify", path, "--max-subnet-size", "5", "-o", cert)
     assert code == 0 and "optimal-proved" in out
@@ -83,6 +88,19 @@ def test_certify_verify_round_trip(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", path, cert)
     assert code == 0
     assert "verification passed" in out
+
+
+def test_summary_lines_show_exact_values(tmp_path, capsys):
+    # chains alone leave the pentagon at a gap of 1/50, which 6 decimals of
+    # 2/25 and 1/10 would not show
+    path = write_c5_network(tmp_path)
+    cert = str(tmp_path / "c5-chains.cert.json")
+    code, certify_out, _ = run(capsys, "certify", path, "--method", "chains", "-o", cert)
+    assert code == 0
+    code, verify_out, _ = run(capsys, "verify", path, cert)
+    assert code == 0
+    for out in (certify_out, verify_out):
+        assert "(2/25)" in out and "(1/10)" in out and "gap 1/50" in out
 
 
 def test_verify_tampered_bound_exits_1(tmp_path, capsys):
@@ -174,6 +192,7 @@ def test_verify_repeated_subnetwork_entry_exits_2(tmp_path, capsys, field):
     lambda listing: listing[0].append("a"),  # node listed twice
     lambda listing: listing[0].append(["a"]),  # a list as a label
     lambda listing: listing.append(5),  # a number as a community
+    lambda listing: listing.append([]),  # an empty community
 ])
 def test_verify_malformed_listing_exits_2(tmp_path, capsys, mutate):
     path = write_path_network(tmp_path)

@@ -105,7 +105,7 @@ def test_pentagon_needs_subnetworks():
             rs = partial_brute_force(sub)
             if rs.penalty > 0:
                 red = reduce_weights(rs)
-                pool.append(CertComponent(nodes=red.nodes, loads=red.scores, penalty=rs.penalty))
+                pool.append(CertComponent(nodes=red.nodes, loads=red.loads(), penalty=rs.penalty))
     combined = combine(pool, sm)
     assert combined.bound == qmax
 
@@ -234,8 +234,8 @@ def test_shape_memo_matches_fresh_reduction(net, max_size):
             assert comp is None
             continue
         red = reduce_weights(rs)
-        assert comp == CertComponent(nodes=red.nodes, loads=red.scores, penalty=rs.penalty)
-        assert list(comp.loads) == list(red.scores)
+        assert comp == CertComponent(nodes=red.nodes, loads=red.loads(), penalty=rs.penalty)
+        assert list(comp.loads) == list(red.loads())
         lp_repeats += len(sub.nodes) > 3
     assert lp_repeats > 0  # repeats reduced by the LP, not only triangles
 

@@ -21,14 +21,13 @@ F = Fraction
 
 def exhaustive_best(sub: Subnetwork) -> Fraction:
     """Full set-partition maximum of a subnetwork's scores (oracle)."""
-    nodes = list(sub.nodes)
-    idx = {v: i for i, v in enumerate(nodes)}
+    k = len(sub.nodes)
     best = None
-    for rgs in set_partitions(len(nodes)):
+    for rgs in set_partitions(k):
         val = F(0)
-        for (a, b), v in sub.scores.items():
-            if rgs[idx[a]] == rgs[idx[b]]:
-                val += v
+        for a, b in itertools.combinations(range(k), 2):
+            if rgs[a] == rgs[b]:
+                val += sub.lattice.score(a, b)
         if best is None or val > best:
             best = val
     return best
@@ -49,7 +48,7 @@ def random_subnetwork(seed: int, size: int) -> Subnetwork | None:
             nneg += 1
     if npos < 2 or nneg < 1:
         return None
-    return Subnetwork(nodes=nodes, scores=scores)
+    return Subnetwork(nodes, lattice(size, scores))
 
 
 def test_enumerate_path_single():
@@ -90,7 +89,15 @@ def test_enumerate_unique_and_complete():
             return len(seen) == len(nodes)
 
         for size in (3, 4, 5):
-            got = [s.nodes for s in enumerate_subnetworks(sm, size)]
+            subs = list(enumerate_subnetworks(sm, size))
+            for s in subs:  # the lattice sm induces on the nodes, in ascending order
+                assert list(s.nodes) == sorted(s.nodes)
+                assert s.lattice.n == size and s.lattice.den == sm.den
+                assert s.lattice.diag == (0,) * size
+                for i, j in itertools.product(range(size), repeat=2):
+                    want = sm.S[s.nodes[i]][s.nodes[j]] if i != j else 0
+                    assert s.lattice.S[i][j] == want
+            got = [s.nodes for s in subs]
             assert len(got) == len(set(got))
             expect = []
             for combo in itertools.combinations(range(sm.n), size):
@@ -107,21 +114,21 @@ def test_enumerate_unique_and_complete():
 
 
 def test_partial_brute_force_triangle():
-    sub = Subnetwork(nodes=(0, 1, 2), scores={(0, 1): F(1, 5), (0, 2): F(3, 10), (1, 2): F(-1, 10)})
+    sub = Subnetwork((0, 1, 2), lattice(3, {(0, 1): F(1, 5), (0, 2): F(3, 10), (1, 2): F(-1, 10)}))
     rs = partial_brute_force(sub)
     assert rs.q_star_best == F(2, 5)
     assert rs.penalty == F(1, 10)
 
 
 def test_partial_brute_force_path_pattern():
-    sub = Subnetwork(nodes=(0, 1, 2), scores={(0, 1): F(1, 4), (1, 2): F(1, 4), (0, 2): F(-1, 8)})
+    sub = Subnetwork((0, 1, 2), lattice(3, {(0, 1): F(1, 4), (1, 2): F(1, 4), (0, 2): F(-1, 8)}))
     rs = partial_brute_force(sub)
     assert rs.q_star_best == F(3, 8)
     assert rs.penalty == F(1, 8)
 
 
 def test_star_without_negative_has_zero_penalty():
-    sub = Subnetwork(nodes=(0, 1, 2), scores={(0, 1): F(3, 10), (0, 2): F(3, 10)})
+    sub = Subnetwork((0, 1, 2), lattice(3, {(0, 1): F(3, 10), (0, 2): F(3, 10)}))
     rs = partial_brute_force(sub)
     assert rs.penalty == 0
 
@@ -151,17 +158,17 @@ def test_discard_rule_never_changes_result():
 
 
 def test_reduce_triangle_canonical():
-    sub = Subnetwork(nodes=(0, 1, 2), scores={(0, 1): F(1, 5), (0, 2): F(3, 10), (1, 2): F(-1, 10)})
+    sub = Subnetwork((0, 1, 2), lattice(3, {(0, 1): F(1, 5), (0, 2): F(3, 10), (1, 2): F(-1, 10)}))
     rs = partial_brute_force(sub)
     red = reduce_weights(rs)
-    assert red.scores == {(0, 1): F(1, 10), (0, 2): F(1, 10), (1, 2): F(-1, 10)}
+    assert red.loads() == {(0, 1): F(1, 10), (0, 2): F(1, 10), (1, 2): F(-1, 10)}
 
 
 def test_reduce_path_pattern():
-    sub = Subnetwork(nodes=(0, 1, 2), scores={(0, 1): F(1, 4), (1, 2): F(1, 4), (0, 2): F(-1, 8)})
+    sub = Subnetwork((0, 1, 2), lattice(3, {(0, 1): F(1, 4), (1, 2): F(1, 4), (0, 2): F(-1, 8)}))
     rs = partial_brute_force(sub)
     red = reduce_weights(rs)
-    assert red.scores == {(0, 1): F(1, 8), (1, 2): F(1, 8), (0, 2): F(-1, 8)}
+    assert red.loads() == {(0, 1): F(1, 8), (1, 2): F(1, 8), (0, 2): F(-1, 8)}
 
 
 def test_reduce_triangle_closed_form_is_lp_optimum():
@@ -179,10 +186,10 @@ def test_reduce_triangle_closed_form_is_lp_optimum():
         u = iter((u1, u2))
         scores = {q: -n if q == neg else next(u) for q in pairs}
         p = min(u1, u2, n)
-        rs = partial_brute_force(Subnetwork(nodes=(0, 1, 2), scores=scores))
+        rs = partial_brute_force(Subnetwork((0, 1, 2), lattice(3, scores)))
         assert rs.penalty == p
         red = reduce_weights(rs)
-        assert red.scores == {q: p if v > 0 else -p for q, v in scores.items()}
+        assert red.loads() == {q: p if v > 0 else -p for q, v in scores.items()}
         ub = {q: abs(v) for q, v in scores.items()}
         singletons = [frozenset([q]) for q in pairs]
         assert lp.minimize_totals_exact(pairs, ub, singletons, p) == dict.fromkeys(pairs, p)
@@ -190,10 +197,10 @@ def test_reduce_triangle_closed_form_is_lp_optimum():
 
 
 def test_reduce_fixed_point():
-    sub = Subnetwork(nodes=(0, 1, 2), scores={(0, 1): F(1, 10), (0, 2): F(1, 10), (1, 2): F(-1, 10)})
+    sub = Subnetwork((0, 1, 2), lattice(3, {(0, 1): F(1, 10), (0, 2): F(1, 10), (1, 2): F(-1, 10)}))
     rs = partial_brute_force(sub)
     red = reduce_weights(rs)
-    assert red.scores == sub.scores
+    assert red.loads() == sub.loads()
 
 
 def test_reduction_preserves_penalty_and_definition_bounds():
@@ -208,10 +215,10 @@ def test_reduction_preserves_penalty_and_definition_bounds():
         if rs.penalty <= 0:
             continue
         red = reduce_weights(rs)
-        for q, v in red.scores.items():
-            orig = sub.scores[q]
+        for q, v in red.loads().items():
+            orig = sub.loads()[q]
             assert v * orig > 0
             assert abs(v) <= abs(orig)
         rcheck = partial_brute_force(red)
-        assert F(sum(v for v in red.scores.values() if v > 0)) - rcheck.q_star_best >= rs.penalty
+        assert F(sum(v for v in red.loads().values() if v > 0)) - rcheck.q_star_best >= rs.penalty
         checked += 1
