@@ -97,9 +97,13 @@ class CertificateDocument:
         if type(version) is not int or version != FORMAT_VERSION:  # a JSON true is not 1
             raise ValueError(f"unsupported certificate format: {version!r}")
         for field, kind, name in (("status", str, "a string"), ("network", dict, "an object"),
-                                  ("provenance", dict, "an object")):
+                                  ("provenance", dict, "an object"), ("achieved", dict, "an object")):
             if not isinstance(data[field], kind):
                 raise ValueError(f"{field} must be {name}, got {data[field]!r}")
+        components = _json_list(data["components"], "components")
+        for c in components:
+            if not isinstance(c, dict):  # dict() would read a list of [key, value] pairs
+                raise ValueError(f"component must be an object, got {c!r}")
         return cls(
             fingerprint=dict(data["network"]),
             achieved_communities=[
@@ -108,7 +112,7 @@ class CertificateDocument:
             ],
             achieved_modularity=parse_frac(data["achieved"]["modularity"]),
             bound=parse_frac(data["bound"]),
-            components=[dict(c) for c in data["components"]],
+            components=[dict(c) for c in components],
             status=data["status"],
             gap=parse_frac(data["gap"]),
             provenance=dict(data["provenance"]),

@@ -10,6 +10,12 @@ their patterns, and the answer is kept only if strong duality holds exactly
 problems, 2007). If HiGHS fails or the check rejects its answer, a
 single-phase exact simplex over Fractions with Bland's rule solves the whole
 LP. Every number that leaves this module is exact.
+
+HiGHS (Huangfu & Hall, Parallelizing the dual revised simplex method, 2018)
+is called through the binding bundled with scipy, `scipy.optimize._highspy`:
+one fresh solver per LP, with the options `scipy.optimize.linprog` sets for
+method="highs". Most LPs here have at most six columns, and on those
+linprog's own input checks and result objects cost several times the solve.
 """
 
 from __future__ import annotations
@@ -18,9 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highspy
 
 from .scores import Pair, Partition, ScoreMatrix, trivial_upper_bound
 
@@ -153,35 +157,58 @@ def solve_sparse_system(rows: list[dict[int, Fraction]], rhs: list[Fraction], nc
 # ---------------------------------------------------------------------------
 # float solve, exact primal-dual recovery, exact fallback
 
-def _float_solve(obj, rows):
+# the options scipy.optimize.linprog passes HiGHS for method="highs"
+_HIGHS_OPTIONS = {
+    "presolve": "on",
+    "simplex_strategy": int(highspy.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
+    "output_flag": False,
+    "log_to_console": False,
+}
+
+
+def linprog(obj, rows):
     """HiGHS's answer to max obj.x, rows <=, x >= 0; None if it has no optimum.
 
-    Returns the point x, the row duals y >= 0 and the reduced costs, which
-    are zero on the columns where the dual constraint is tight.
+    The rows go to one fresh HiGHS solver as a column-wise matrix, with the
+    options linprog sets for method="highs", so the answer is linprog's
+    bit for bit. Returns the point x, the row duals y >= 0 and the reduced
+    costs, which are zero on the columns where the dual constraint is tight.
     """
-    nv = len(obj)
-    m = len(rows)
-    c = np.array([-float(v) for v in obj])
-    data, ri, ci = [], [], []
-    b = np.zeros(m)
-    for i, (coeffs, rhs) in enumerate(rows):
-        b[i] = float(rhs)
+    nv, m = len(obj), len(rows)
+    cols: list[list[tuple[int, float]]] = [[] for _ in range(nv)]
+    for i, (coeffs, _) in enumerate(rows):
         for j, v in coeffs.items():
-            ri.append(i)
-            ci.append(j)
-            data.append(float(v))
-    A = sparse.csr_matrix((data, (ri, ci)), shape=(m, nv))
-    if m * nv <= 10_000:
-        # on the small weight-reduction LPs scipy's sparse-input handling
-        # costs more than HiGHS's solve
-        A = A.toarray()
-    try:
-        res = linprog(c, A_ub=A, b_ub=b, bounds=(0, None), method="highs")
-    except ValueError:
+            cols[j].append((i, float(v)))
+    start, index, value = [0], [], []
+    for col in cols:
+        for i, v in col:
+            index.append(i)
+            value.append(v)
+        start.append(len(index))
+    model = highspy.HighsLp()
+    model.num_col_, model.num_row_ = nv, m
+    model.col_cost_ = [-float(v) for v in obj]
+    model.col_lower_ = [0.0] * nv
+    model.col_upper_ = [highspy.kHighsInf] * nv
+    model.row_lower_ = [-highspy.kHighsInf] * m
+    model.row_upper_ = [float(rhs) for _, rhs in rows]
+    matrix = model.a_matrix_
+    matrix.format_ = highspy.MatrixFormat.kColwise
+    matrix.num_col_, matrix.num_row_ = nv, m
+    matrix.start_, matrix.index_, matrix.value_ = start, index, value
+
+    highs = highspy._Highs()
+    for key, val in _HIGHS_OPTIONS.items():
+        highs.setOptionValue(key, val)
+    error = highspy.HighsStatus.kError
+    if highs.passModel(model) == error or highs.run() == error:
         return None
-    if not res.success:
+    if highs.getModelStatus() != highspy.HighsModelStatus.kOptimal:
         return None
-    return res.x, -res.ineqlin.marginals, res.lower.marginals
+    sol = highs.getSolution()
+    lower = highspy.HighsBasisStatus.kLower
+    reduced = [d if s == lower else 0.0 for d, s in zip(sol.col_dual, highs.getBasis().col_status)]
+    return sol.col_value, [-d for d in sol.row_dual], reduced
 
 
 def _solve_on_pattern(eqs, unknowns: list[int]) -> dict[int, Fraction] | None:
@@ -284,7 +311,7 @@ def solve_lp(lp: LinearProgram) -> tuple[list[Fraction], Fraction]:
     """
     obj, rows = lp.objective, lp.rows
     if rows:
-        floats = _float_solve(obj, rows)
+        floats = linprog(obj, rows)
         if floats is not None:
             exact = _exact_from_float(obj, rows, *floats)
             if exact is not None:

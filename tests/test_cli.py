@@ -252,6 +252,38 @@ def test_verify_string_where_list_expected_exits_2(tmp_path, capsys, field):
     assert "verification" not in out
 
 
+def _wrong_container(data, field):
+    if field == "components":
+        data["components"] = "ab"
+    elif field == "component":
+        data["components"][0] = [[key, value] for key, value in data["components"][0].items()]
+    else:
+        data["achieved"] = [1]
+
+
+CONTAINER_FIELD_MESSAGES = {
+    "components": "components must be a list, got 'ab'",
+    "component": "component must be an object, got [['kind', 'chain'], ",
+    "achieved": "achieved must be an object, got [1]",
+}
+
+
+@pytest.mark.parametrize("field", list(CONTAINER_FIELD_MESSAGES))
+def test_verify_wrong_container_exits_2(tmp_path, capsys, field):
+    """A list of [key, value] pairs converts to a dict, but the format has an object there."""
+    message = CONTAINER_FIELD_MESSAGES[field]
+    path = write_path_network(tmp_path)
+    cert = str(tmp_path / "cert.json")
+    run(capsys, "certify", path, "--method", "chains", "-o", cert)
+    data = json.loads(open(cert).read())
+    _wrong_container(data, field)
+    open(cert, "w").write(json.dumps(data))
+    code, out, err = run(capsys, "verify", path, cert)
+    assert code == 2
+    assert f"cannot parse certificate: {message}" in err
+    assert "verification" not in out
+
+
 @pytest.mark.parametrize("body", ["[1, 2]", '"x"', "3", "null"], ids=["list", "string", "number", "null"])
 def test_verify_non_object_certificate_exits_2(tmp_path, capsys, body):
     cert = tmp_path / "cert.json"

@@ -1,9 +1,9 @@
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from conftest import lattice, random_network
 from modcert.brute import brute_force_max
@@ -15,6 +15,7 @@ from modcert.lp import (
     LinearProgram,
     combine,
     exact_simplex,
+    linprog,
     minimize_totals_exact,
     solve_lp,
     solve_sparse_system,
@@ -98,7 +99,7 @@ def test_minimize_totals_exact_infeasible_set():
 
 
 def _no_float_solver(*args, **kwargs):
-    raise ValueError("float solver unavailable")
+    return None  # HiGHS has no answer
 
 
 def test_minimize_totals_exact_fallback_triangle(monkeypatch):
@@ -272,6 +273,58 @@ def test_karate_greedy_pool_fallback(monkeypatch):
     assert widths == [len(greedy_pool)] == [168]
 
 
+def _recorded_lps(monkeypatch, solve):
+    """Every (obj, rows) that solve() hands the float solver."""
+    lps = []
+
+    def recording(obj, rows):
+        lps.append((obj, rows))
+        return linprog(obj, rows)
+
+    with monkeypatch.context() as m:
+        m.setattr("modcert.lp.linprog", recording)
+        solve()
+    return lps
+
+
+def _reduction_cases(count):
+    """Random weight-reduction LPs (keys, ub, sets, p) on up to 6 pairs, every set coverable."""
+    rng = random.Random(0)
+    cases = []
+    while len(cases) < count:
+        keys = [(a, b) for a in range(4) for b in range(a + 1, 4)][:rng.randint(2, 6)]
+        ub = {k: F(rng.randint(1, 12), rng.choice([4, 5, 6, 8])) for k in keys}
+        p = F(rng.randint(1, 6), 4)
+        sets = [frozenset(rng.sample(keys, rng.randint(1, len(keys)))) for _ in range(rng.randint(1, 5))]
+        sets = [s for s in sets if sum(ub[k] for k in s) >= p]
+        if sets:
+            cases.append((keys, ub, sets, p))
+    return cases
+
+
+def test_linprog_matches_scipy_linprog(monkeypatch):
+    """The HiGHS binding gives scipy's linprog answer bit for bit, so certificates keep their bytes."""
+    sm, (greedy_pool, _, _) = _karate_chain_pools()
+    cases = _reduction_cases(200)
+    lps = _recorded_lps(monkeypatch, lambda: [minimize_totals_exact(*case) for case in cases])
+    lps += _recorded_lps(monkeypatch, lambda: combine(greedy_pool, sm))
+    assert len(lps) == 201 and len(lps[-1][0]) == 168
+    for obj, rows in lps:
+        a_ub = np.zeros((len(rows), len(obj)))
+        for i, (coeffs, _) in enumerate(rows):
+            for j, v in coeffs.items():
+                a_ub[i, j] = float(v)
+        res = scipy.optimize.linprog(
+            [-float(v) for v in obj], A_ub=a_ub, b_ub=[float(rhs) for _, rhs in rows],
+            bounds=(0, None), method="highs",
+        )
+        assert res.success
+        x, y, reduced = linprog(obj, rows)
+        assert np.array_equal(res.x, x)
+        assert np.array_equal(-res.ineqlin.marginals, y)
+        assert np.array_equal(res.lower.marginals, reduced)
+
+
 # max 3x0 + 5x1 s.t. x0 <= 4, 2x1 <= 12, 3x0 + 2x1 <= 18: optimum (2, 6), 36,
 # duals (0, 3/2, 1); (4, 3) is a feasible vertex with objective 27
 SMALL_OBJ = [F(3), F(5)]
@@ -280,14 +333,12 @@ SMALL_ROWS = [({0: F(1)}, F(4)), ({1: F(2)}, F(12)), ({0: F(3), 1: F(2)}, F(18))
 
 def _fake_highs(x, y):
     """A linprog stand-in returning the point x with row duals y, as HiGHS reports them."""
-    def fake(c, A_ub, b_ub, **kwargs):
-        x_arr = np.array(x, dtype=float)
-        y_arr = np.array(y, dtype=float)
-        reduced = c + A_ub.T @ y_arr
-        return SimpleNamespace(
-            success=True, x=x_arr,
-            ineqlin=SimpleNamespace(marginals=-y_arr), lower=SimpleNamespace(marginals=reduced),
-        )
+    def fake(obj, rows):
+        reduced = [-float(c) for c in obj]
+        for (coeffs, _), yi in zip(rows, y):
+            for j, v in coeffs.items():
+                reduced[j] += float(v) * yi
+        return [float(v) for v in x], [float(v) for v in y], reduced
     return fake
 
 
