@@ -3,13 +3,19 @@
 Every LP here has one form: maximize c.x subject to sparse rows
 coeffs.x <= rhs with every rhs >= 0, and x >= 0, so the origin is feasible
 and the slack basis is a starting vertex. Every solve, the combination LP
-and the weight-reduction LPs alike, takes one path: HiGHS solves it in
-floating point, its primal and its dual are each solved again exactly on
-their patterns, and the answer is kept only if strong duality holds exactly
-(Applegate, Cook, Dash & Espinoza, Exact solutions to linear programming
-problems, 2007). If HiGHS fails or the check rejects its answer, a
-single-phase exact simplex over Fractions with Bland's rule solves the whole
-LP. Every number that leaves this module is exact.
+and the weight-reduction LPs alike, takes one path. The LP is put once into
+an integer form (`IntegerLP`): integer rows and right-hand sides over one
+row denominator, integer costs over one cost denominator, and a positive
+unit per column, the gcd of its entries, so that a chain column of the
+combination LP becomes 0/1. HiGHS solves it in floating point, fed the float
+of each of the LP's own rationals. Its primal and its dual are each solved
+again exactly on their patterns, in integers by fraction-free elimination,
+and the answer is kept only if strong duality holds exactly (Applegate,
+Cook, Dash & Espinoza, Exact solutions to linear programming problems,
+2007). If HiGHS fails or the check rejects its answer, a single-phase exact
+simplex over Fractions with Bland's rule solves the whole LP. A Fraction is
+built only for the answer, and every number that leaves this module is
+exact.
 
 HiGHS (Huangfu & Hall, Parallelizing the dual revised simplex method, 2018)
 is called through the binding bundled with scipy, `scipy.optimize._highspy`:
@@ -20,9 +26,11 @@ linprog's own input checks and result objects cost several times the solve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from numbers import Rational
+from typing import Iterator, Sequence
 
 from scipy.optimize._highspy import _core as highspy
 
@@ -90,18 +98,32 @@ def exact_simplex(c: Sequence[Fraction], rows: Sequence[Row]):
 
 
 # ---------------------------------------------------------------------------
-# exact linear systems (sparse-aware Gaussian elimination)
+# exact linear systems (sparse fraction-free elimination)
 
-def solve_sparse_system(rows: list[dict[int, Fraction]], rhs: list[Fraction], ncols: int) -> list[Fraction] | None:
-    """Solve a sparse exact linear system; pivots chosen to limit fill-in."""
+def solve_sparse_system(rows: list[dict[int, int]], rhs: list[int], ncols: int) -> tuple[list[int], int] | None:
+    """Solve a sparse integer linear system exactly; (numerators, denominator) or None.
+
+    The answer is x[j] = numerators[j] / denominator with the denominator
+    positive. None unless the rows are consistent and determine every one of
+    the ncols unknowns. The elimination is Bareiss's fraction-free one
+    (Sylvester's identity and multistep integer-preserving Gaussian
+    elimination, Math. Comp. 1968), so every entry stays a minor of the input
+    and every division is exact. Pivots are chosen to limit fill-in, and a row the
+    pivot column misses is left alone: it is brought up to date, by one
+    exact scaling, only when an elimination reaches it.
+    """
     rows = [dict(r) for r in rows]
     rhs = list(rhs)
     m = len(rows)
+    # a row last updated at some step holds the minors Bareiss gives it there,
+    # and level[i] is the pivot of that step (1 before any)
+    level = [1] * m
     col_rows: dict[int, set[int]] = {}  # column -> rows using it, eliminated rows left out
     for i, r in enumerate(rows):
         for j in r:
             col_rows.setdefault(j, set()).add(i)
     assign_order: list[tuple[int, int]] = []  # (pivot row, pivot col)
+    last = 1  # the latest pivot: the determinant of the rows and columns eliminated so far
 
     for _ in range(min(m, ncols)):
         # Markowitz-style: pick the column with fewest live rows, then the
@@ -111,51 +133,122 @@ def solve_sparse_system(rows: list[dict[int, Fraction]], rhs: list[Fraction], nc
             break
         pcol = best[1]
         prow = min(col_rows[pcol], key=lambda i: (len(rows[i]), i))
-        piv = rows[prow][pcol]
-        inv = 1 / piv
-        rows[prow] = {j: v * inv for j, v in rows[prow].items()}
-        rhs[prow] *= inv
-        for j in rows[prow]:
+        if level[prow] != last:
+            d = level[prow]
+            rows[prow] = {j: v * last // d for j, v in rows[prow].items()}
+            rhs[prow] = rhs[prow] * last // d
+        pr = rows[prow]
+        piv, pb = pr[pcol], rhs[prow]
+        for j in pr:
             col_rows[j].discard(prow)
-        for i in list(col_rows[pcol]):
-            f = rows[i].get(pcol)
-            if not f:
-                continue
-            ri = rows[i]
-            for j, v in rows[prow].items():
-                nv = ri.get(j, Fraction(0)) - f * v
-                if nv == 0:
-                    ri.pop(j, None)
-                    col_rows.get(j, set()).discard(i)
-                else:
-                    ri[j] = nv
-                    col_rows.setdefault(j, set()).add(i)
-            rhs[i] -= f * rhs[prow]
+        for i in col_rows[pcol]:
+            # Bareiss: row i becomes (piv * row i - f * pivot row) / d, exactly
+            ri, d = rows[i], level[i]
+            f = ri.pop(pcol)
+            if piv != 1:
+                ri = {j: v * piv for j, v in ri.items()}
+            for j, w in pr.items():
+                if j != pcol:
+                    v = ri.get(j, 0) - f * w
+                    if v:
+                        ri[j] = v
+                        col_rows[j].add(i)
+                    else:
+                        del ri[j]
+                        col_rows[j].discard(i)
+            if d != 1:
+                ri = {j: v // d for j, v in ri.items()}
+            rows[i] = ri
+            rhs[i] = (rhs[i] * piv - f * pb) // d
+            level[i] = piv
+        col_rows[pcol].clear()
         assign_order.append((prow, pcol))
+        last = piv
 
     eliminated_rows = {r for r, _ in assign_order}
-    solved_cols = {c for _, c in assign_order}
     for i in range(m):
-        if i not in eliminated_rows:
-            if rows[i]:
-                return None  # leftover row with unsolved columns: underdetermined
-            if rhs[i] != 0:
-                return None  # inconsistent
-    if len(solved_cols) < ncols:
-        return None
-    x = [Fraction(0)] * ncols
-    # back-substitute in reverse elimination order
+        if i not in eliminated_rows and (rows[i] or rhs[i]):
+            return None  # a leftover row with unsolved columns or a nonzero rhs
+    if len(assign_order) < ncols:
+        return None  # underdetermined
+    # back-substitute in reverse elimination order; last * x is integral (Cramer)
+    x = [0] * ncols
     for prow, pcol in reversed(assign_order):
-        acc = rhs[prow]
-        for j, v in rows[prow].items():
+        r = rows[prow]
+        acc = rhs[prow] * last
+        for j, v in r.items():
             if j != pcol:
                 acc -= v * x[j]
-        x[pcol] = acc
-    return x
+        x[pcol] = acc // r[pcol]
+    if last < 0:
+        return [-v for v in x], -last
+    return x, last
 
 
 # ---------------------------------------------------------------------------
-# float solve, exact primal-dual recovery, exact fallback
+# the integer form, float solve, exact primal-dual recovery, exact fallback
+
+@dataclass
+class IntegerLP:
+    """max c.x subject to a.x <= b and x >= 0, held in integers.
+
+    With units[j] = (num, den) > 0 standing for num/den, the LP reads
+    a[i][j] = rows[i][j] * units[j], b[i] = rhs[i] / den and
+    c[j] = cost[j] * units[j] / cost_den. Every rhs is >= 0. In the scaled
+    variables X[j] = units[j] * x[j] the rows are integer and the costs share
+    one denominator, which is what the exact recovery solves in.
+    """
+
+    rows: list[dict[int, int]]
+    rhs: list[int]
+    den: int
+    cost: list[int]
+    cost_den: int
+    units: list[tuple[int, int]]
+
+    def floats(self) -> tuple[list[float], Iterator[dict[int, float]], list[float]]:
+        """The costs, rows and right-hand sides as HiGHS gets them.
+
+        Each is one int/int true division, which rounds correctly, so it is
+        bit for bit the float of the LP's own rational. The rows come one at
+        a time, so no float copy of the matrix is held.
+        """
+        units, cden = self.units, self.cost_den
+        return (
+            [c * u / (cden * v) for c, (u, v) in zip(self.cost, units)],
+            ({j: a * units[j][0] / units[j][1] for j, a in r.items()} for r in self.rows),
+            [b / self.den for b in self.rhs],
+        )
+
+    @classmethod
+    def from_rationals(cls, objective, rows: Sequence[dict[int, Rational]], rhs: list[int], den: int) -> "IntegerLP":
+        """The integer form of max objective.x s.t. rows.x <= rhs/den, x >= 0.
+
+        Each column's unit is the gcd of its entries (numerators' gcd over
+        denominators' lcm), so the column divided by it is integer with
+        coprime entries. Built from numerators and denominators with int
+        operations only.
+        """
+        nv = len(objective)
+        gnum, gden = [0] * nv, [1] * nv
+        for coeffs in rows:
+            for j, v in coeffs.items():
+                gnum[j] = math.gcd(gnum[j], v.numerator)
+                gden[j] = math.lcm(gden[j], v.denominator)
+        units = [(g, h) if g else (1, 1) for g, h in zip(gnum, gden)]
+        int_rows = [
+            {j: v.numerator // units[j][0] * (units[j][1] // v.denominator) for j, v in coeffs.items()}
+            for coeffs in rows
+        ]
+        # cost per scaled variable: c[j] / units[j], reduced, then on one denominator
+        scaled = []
+        for c, (u, v) in zip(objective, units):
+            num, d = c.numerator * v, c.denominator * u
+            g = math.gcd(num, d)
+            scaled.append((num // g, d // g))
+        cost_den = math.lcm(*(d for _, d in scaled))
+        return cls(int_rows, rhs, den, [num * (cost_den // d) for num, d in scaled], cost_den, units)
+
 
 # the options scipy.optimize.linprog passes HiGHS for method="highs"
 _HIGHS_OPTIONS = {
@@ -166,19 +259,21 @@ _HIGHS_OPTIONS = {
 }
 
 
-def linprog(obj, rows):
-    """HiGHS's answer to max obj.x, rows <=, x >= 0; None if it has no optimum.
+def linprog(lp: IntegerLP):
+    """HiGHS's answer to lp in floats; None if it has no optimum.
 
-    The rows go to one fresh HiGHS solver as a column-wise matrix, with the
-    options linprog sets for method="highs", so the answer is linprog's
-    bit for bit. Returns the point x, the row duals y >= 0 and the reduced
-    costs, which are zero on the columns where the dual constraint is tight.
+    The float rows go to one fresh HiGHS solver as a column-wise matrix,
+    with the options linprog sets for method="highs", so the answer is
+    linprog's bit for bit. Returns the point x, the row duals y >= 0 and the
+    reduced costs, which are zero on the columns where the dual constraint
+    is tight.
     """
-    nv, m = len(obj), len(rows)
+    nv, m = len(lp.cost), len(lp.rows)
+    cost, rows, rhs = lp.floats()
     cols: list[list[tuple[int, float]]] = [[] for _ in range(nv)]
-    for i, (coeffs, _) in enumerate(rows):
+    for i, coeffs in enumerate(rows):
         for j, v in coeffs.items():
-            cols[j].append((i, float(v)))
+            cols[j].append((i, v))
     start, index, value = [0], [], []
     for col in cols:
         for i, v in col:
@@ -187,11 +282,11 @@ def linprog(obj, rows):
         start.append(len(index))
     model = highspy.HighsLp()
     model.num_col_, model.num_row_ = nv, m
-    model.col_cost_ = [-float(v) for v in obj]
+    model.col_cost_ = [-v for v in cost]
     model.col_lower_ = [0.0] * nv
     model.col_upper_ = [highspy.kHighsInf] * nv
     model.row_lower_ = [-highspy.kHighsInf] * m
-    model.row_upper_ = [float(rhs) for _, rhs in rows]
+    model.row_upper_ = rhs
     matrix = model.a_matrix_
     matrix.format_ = highspy.MatrixFormat.kColwise
     matrix.num_col_, matrix.num_row_ = nv, m
@@ -211,75 +306,103 @@ def linprog(obj, rows):
     return sol.col_value, [-d for d in sol.row_dual], reduced
 
 
-def _solve_on_pattern(eqs, unknowns: list[int]) -> dict[int, Fraction] | None:
-    """Exact values of the unknowns solving eqs (coeffs, rhs), every other index at 0.
+def _solve_on_pattern(eqs: list[dict[int, int]], rhs: list[int], unknowns: list[int]) -> tuple[dict[int, int], int] | None:
+    """The unknowns solving the integer equations eqs.x == rhs, every other index at 0.
 
-    The equations may outnumber the unknowns, as long as they are consistent
-    and determine every one of them. None unless the solution is unique and
-    nonnegative.
+    Returns their numerators over one positive denominator. The equations may
+    outnumber the unknowns, as long as they are consistent and determine
+    every one of them. None unless the solution is unique and nonnegative.
     """
     pos = {u: k for k, u in enumerate(unknowns)}
     sol = solve_sparse_system(
-        [{pos[j]: v for j, v in coeffs.items() if j in pos} for coeffs, _ in eqs],
-        [rhs for _, rhs in eqs],
-        len(unknowns),
+        [{pos[j]: v for j, v in coeffs.items() if j in pos} for coeffs in eqs], rhs, len(unknowns)
     )
-    if sol is None or any(v < 0 for v in sol):
+    if sol is None or any(v < 0 for v in sol[0]):
         return None
-    return dict(zip(unknowns, sol))
+    return dict(zip(unknowns, sol[0])), sol[1]
 
 
-def _reduced_profits(obj, rows: Sequence[Row], y: dict[int, Fraction]) -> list[Fraction]:
-    """Each column's objective minus its charge under the row duals y."""
-    profit = [Fraction(v) for v in obj]
-    for i, yv in y.items():
-        if yv == 0:
-            continue
-        for j, v in rows[i][0].items():
-            profit[j] -= yv * v
-    return profit
+def _exact_from_float(lp: IntegerLP, xf, yf, df) -> tuple[list[int], int] | None:
+    """An exact optimum from HiGHS's primal and dual; None unless provably optimal.
 
-
-def _exact_from_float(obj, rows: Sequence[Row], xf, yf, df):
-    """Exact (x, objective) from HiGHS's primal and dual; None unless provably optimal.
-
-    x solves the rows the float point binds, in its support variables; y
-    solves the columns with zero reduced cost, in the rows with a positive
-    float dual. Both patterns are read to a scaled tolerance. The pair is
-    kept only if x is feasible, y >= 0 prices every column out and
-    c.x == b.y, which by strong duality makes x optimal.
+    X (the scaled point) solves the rows the float point binds, in its
+    support variables; the duals solve the columns with zero reduced cost,
+    in the rows with a positive float dual. Both patterns are read from the
+    floats to a scaled tolerance, and both systems are solved in integers.
+    The pair is kept only if X is feasible, the duals are >= 0 and price
+    every column out and c.x == b.y, which by strong duality makes the point
+    optimal. Returns X's numerators over one positive denominator.
     """
-    nv = len(obj)
-    b = [float(rhs) for _, rhs in rows]
+    rows, rhs, cost = lp.rows, lp.rhs, lp.cost
+    nv = len(cost)
+    float_cost, float_rows, b = lp.floats()
     tol = 1e-8 * max(1.0, max(b))
     support = [j for j in range(nv) if xf[j] > tol]
     binding = [
-        i for i, (coeffs, _) in enumerate(rows)
-        if b[i] - sum(float(v) * xf[j] for j, v in coeffs.items()) < tol
+        i for i, coeffs in enumerate(float_rows)
+        if b[i] - sum(v * xf[j] for j, v in coeffs.items()) < tol
     ]
-    xs = _solve_on_pattern([rows[i] for i in binding], support)
-    if xs is None:
+    # rows.X' == rhs on the pattern, X' = den * X = xs / xden
+    primal = _solve_on_pattern([rows[i] for i in binding], [rhs[i] for i in binding], support)
+    if primal is None:
         return None
-    x = [xs.get(j, Fraction(0)) for j in range(nv)]
-    for coeffs, rhs in rows:
-        if sum((v * xs[j] for j, v in coeffs.items() if j in xs), Fraction(0)) > rhs:
+    xs, xden = primal
+    bound = set(binding)
+    for i, coeffs in enumerate(rows):
+        if i not in bound and sum(v * xs[j] for j, v in coeffs.items() if j in xs) > rhs[i] * xden:
             return None
 
-    dtol = 1e-8 * max(1.0, max((abs(float(v)) for v in obj), default=1.0))
-    cols: list[dict[int, Fraction]] = [{} for _ in range(nv)]
-    for i, (coeffs, _) in enumerate(rows):
+    dtol = 1e-8 * max(1.0, max((abs(v) for v in float_cost), default=1.0))
+    cols: list[dict[int, int]] = [{} for _ in range(nv)]
+    for i, coeffs in enumerate(rows):
         for j, v in coeffs.items():
             cols[j][i] = v
-    y = _solve_on_pattern(
-        [(cols[j], Fraction(obj[j])) for j in range(nv) if abs(df[j]) < dtol],
-        [i for i in range(len(rows)) if yf[i] > dtol],
-    )
-    if y is None or any(g > 0 for g in _reduced_profits(obj, rows, y)):
+    tight = [j for j in range(nv) if abs(df[j]) < dtol]
+    # cols.Y == cost on the pattern, Y = cost_den * y = ys / yden
+    dual = _solve_on_pattern([cols[j] for j in tight], [cost[j] for j in tight],
+                             [i for i in range(len(rows)) if yf[i] > dtol])
+    if dual is None:
         return None
-    objective = sum((Fraction(obj[j]) * v for j, v in xs.items()), Fraction(0))
-    if objective != sum((rows[i][1] * v for i, v in y.items()), Fraction(0)):
+    ys, yden = dual
+    for j in range(nv):
+        if cost[j] * yden > sum(v * ys[i] for i, v in cols[j].items() if i in ys):
+            return None  # a positive reduced profit
+    # c.x == b.y, both over cost_den * den * xden * yden
+    if yden * sum(cost[j] * v for j, v in xs.items()) != xden * sum(rhs[i] * v for i, v in ys.items()):
         return None
-    return x, objective
+    return [xs.get(j, 0) for j in range(nv)], xden * lp.den
+
+
+def _solve(lp: IntegerLP) -> tuple[list[int], int]:
+    """An optimal vertex of lp in its scaled variables: X[j] = nums[j] / den.
+
+    HiGHS solves the LP in floats; its primal and dual are made exact on
+    their patterns and kept when they prove each other optimal. When HiGHS
+    fails, the check rejects its answer or the LP has no rows, the exact
+    simplex solves the integer form. That form is the LP with each column
+    scaled by a positive factor and the costs and the right-hand sides each
+    by one positive factor, under which Bland's rule picks the same pivots,
+    so it finds the vertex it would find on the LP itself. Raises ValueError
+    if the LP is unbounded.
+    """
+    if lp.rows:
+        floats = linprog(lp)
+        if floats is not None:
+            exact = _exact_from_float(lp, *floats)
+            if exact is not None:
+                return exact
+    # in rows.X' <= rhs the simplex's point is X' = den * X
+    status, x, _, _ = exact_simplex(lp.cost, list(zip(lp.rows, lp.rhs)))
+    if status == "unbounded":
+        raise ValueError("LP is unbounded")
+    den = math.lcm(*(v.denominator for v in x))
+    return [v.numerator * (den // v.denominator) for v in x], den * lp.den
+
+
+def _exact_answer(lp: IntegerLP, nums: list[int], den: int) -> tuple[list[Fraction], Fraction]:
+    """The LP's own x and objective from the scaled point nums / den."""
+    x = [Fraction(n * v, den * u) for n, (u, v) in zip(nums, lp.units)]
+    return x, Fraction(sum(c * n for c, n in zip(lp.cost, nums)), lp.cost_den * den)
 
 
 # ---------------------------------------------------------------------------
@@ -304,22 +427,16 @@ class LinearProgram:
 def solve_lp(lp: LinearProgram) -> tuple[list[Fraction], Fraction]:
     """Optimal vertex and objective, exact. Raises ValueError if unbounded.
 
-    HiGHS solves the LP in floats; its primal and dual are made exact on
-    their patterns and kept when they prove each other optimal. When HiGHS
-    fails, the check rejects its answer or the LP has no rows, the exact
-    simplex solves the whole LP.
+    The LP is put into its integer form and solved there (see `_solve`).
     """
-    obj, rows = lp.objective, lp.rows
-    if rows:
-        floats = linprog(obj, rows)
-        if floats is not None:
-            exact = _exact_from_float(obj, rows, *floats)
-            if exact is not None:
-                return exact
-    status, x, objective, _ = exact_simplex(obj, rows)
-    if status == "unbounded":
-        raise ValueError("LP is unbounded")
-    return x, objective
+    den = math.lcm(*(rhs.denominator for _, rhs in lp.rows))
+    ilp = IntegerLP.from_rationals(
+        lp.objective,
+        [coeffs for coeffs, _ in lp.rows],
+        [rhs.numerator * (den // rhs.denominator) for _, rhs in lp.rows],
+        den,
+    )
+    return _exact_answer(ilp, *_solve(ilp))
 
 
 # ---------------------------------------------------------------------------
@@ -339,18 +456,27 @@ def minimize_totals_exact(
     ub sum falls short of p gives None.
     """
     keys = list(keys)
-    idx = {k: i for i, k in enumerate(keys)}
     if not constraint_sets:
         return {k: Fraction(0) for k in keys}
-    rows: list[Row] = []
+    idx = {k: i for i, k in enumerate(keys)}
+    # every bound on one denominator: ub[k] = caps[i] / den, p = pn / den
+    den = math.lcm(p.denominator, *(ub[k].denominator for k in keys))
+    caps = [ub[k].numerator * (den // ub[k].denominator) for k in keys]
+    pn = p.numerator * (den // p.denominator)
+    rows: list[dict[int, int]] = []
+    rhs: list[int] = []
     for s in constraint_sets:
-        cap = sum((ub[k] for k in s), Fraction(0)) - p
+        cap = sum(caps[idx[k]] for k in s) - pn
         if cap < 0:
             return None
-        rows.append(({idx[k]: Fraction(1) for k in s}, cap))
-    rows += [({i: Fraction(1)}, ub[k]) for i, k in enumerate(keys)]
-    z, _ = solve_lp(LinearProgram([Fraction(1)] * len(keys), rows))
-    return {k: ub[k] - z[idx[k]] for k in keys}
+        rows.append({idx[k]: 1 for k in s})
+        rhs.append(cap)
+    nv = len(keys)
+    rows += [{i: 1} for i in range(nv)]
+    rhs += caps
+    z, zden = _solve(IntegerLP(rows, rhs, den, [1] * nv, 1, [(1, 1)] * nv))
+    scale = zden // den
+    return {k: Fraction(caps[i] * scale - z[i], zden) for i, k in enumerate(keys)}
 
 
 # ---------------------------------------------------------------------------
@@ -396,16 +522,19 @@ def combine(components: Sequence[CertComponent], sm: ScoreMatrix) -> CombinedCer
 
     pairs = sorted({q for comp in comps for q in comp.loads})
     pair_row = {q: i for i, q in enumerate(pairs)}
-    rows: list[Row] = [({}, abs(sm.score(*q))) for q in pairs]
+    S = sm.S
+    rows: list[dict[int, Fraction]] = [{} for _ in pairs]
     for jc, comp in enumerate(comps):
         for q, load in comp.loads.items():
-            base = sm.score(*q)
-            if load * base < 0:
+            if load.numerator * S[q[0]][q[1]] < 0:
                 raise ValueError(f"component {jc} load on {q} contradicts the score sign")
-            rows[pair_row[q]][0][jc] = abs(load)
-    lp = LinearProgram([comp.penalty for comp in comps], rows)
+            rows[pair_row[q]][jc] = abs(load)
+    lp = IntegerLP.from_rationals(
+        [comp.penalty for comp in comps], rows, [abs(S[a][b]) for a, b in pairs], sm.den
+    )
+    del rows  # one Fraction per load; on a large pool, most of the solve's memory peak
     try:
-        lambdas, total = solve_lp(lp)
+        lambdas, total = _exact_answer(lp, *_solve(lp))
     except ValueError:
         raise ValueError("combination LP unbounded; some component has empty loads") from None
     return CombinedCertificate(

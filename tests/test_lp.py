@@ -1,3 +1,6 @@
+import functools
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,8 +13,10 @@ from modcert.brute import brute_force_max
 from modcert.chains import DEFAULT_PATH_BUDGET, chain_component, find_penalized_chains, greedy_certify
 from modcert.datasets import load_network
 from modcert.graph import build_network
+from modcert import lp
 from modcert.lp import (
     CertComponent,
+    IntegerLP,
     LinearProgram,
     combine,
     exact_simplex,
@@ -20,7 +25,9 @@ from modcert.lp import (
     solve_lp,
     solve_sparse_system,
 )
+from modcert.pipeline import certify
 from modcert.scores import chain_loads, score_matrix, trivial_upper_bound
+from modcert.subnets import enumerate_subnetworks, partial_brute_force, reduce_weights
 
 F = Fraction
 
@@ -274,12 +281,12 @@ def test_karate_greedy_pool_fallback(monkeypatch):
 
 
 def _recorded_lps(monkeypatch, solve):
-    """Every (obj, rows) that solve() hands the float solver."""
+    """Every integer form that solve() hands the float solver."""
     lps = []
 
-    def recording(obj, rows):
-        lps.append((obj, rows))
-        return linprog(obj, rows)
+    def recording(form):
+        lps.append(form)
+        return linprog(form)
 
     with monkeypatch.context() as m:
         m.setattr("modcert.lp.linprog", recording)
@@ -302,14 +309,83 @@ def _reduction_cases(count):
     return cases
 
 
+def reduction_lp(keys, ub, sets, p):
+    """The Fraction LP minimize_totals_exact solves: its complement, max sum(z)."""
+    idx = {k: i for i, k in enumerate(keys)}
+    rows = [({idx[k]: F(1) for k in s}, sum((ub[k] for k in s), F(0)) - p) for s in sets]
+    rows += [({i: F(1)}, ub[k]) for i, k in enumerate(keys)]
+    return [F(1)] * len(keys), rows
+
+
+def combine_lp(comps, sm):
+    """The Fraction LP combine solves: one column per component, one capacity row per pair."""
+    pairs = sorted({q for comp in comps for q in comp.loads})
+    pair_row = {q: i for i, q in enumerate(pairs)}
+    rows = [({}, abs(sm.score(*q))) for q in pairs]
+    for jc, comp in enumerate(comps):
+        for q, load in comp.loads.items():
+            rows[pair_row[q]][0][jc] = abs(load)
+    return [comp.penalty for comp in comps], rows
+
+
+def fraction_lp(form):
+    """The rational LP an integer form stands for, rows in the form's own order."""
+    units = form.units
+    obj = [F(c * u, form.cost_den * v) for c, (u, v) in zip(form.cost, units)]
+    rows = [({j: F(a * units[j][0], units[j][1]) for j, a in coeffs.items()}, F(b, form.den))
+            for coeffs, b in zip(form.rows, form.rhs)]
+    return obj, rows
+
+
+def _same_lp(a, b):
+    """Equal LPs, every row's coefficients in the same order."""
+    return a[0] == b[0] and [(list(c.items()), r) for c, r in a[1]] == [(list(c.items()), r) for c, r in b[1]]
+
+
+@functools.cache
+def _mixed_pools():
+    """Seeded random combine pools: chain columns mixed with reduced subnetworks of several denominators."""
+    pools = []
+    for seed in range(12):
+        sm = score_matrix(random_network(seed, n=8))
+        chains, _ = find_penalized_chains(sm, 3, DEFAULT_PATH_BUDGET)
+        comps = [chain_component(sm, nodes) for nodes in chains]
+        for sub in itertools.islice(enumerate_subnetworks(sm, 4), 30):
+            rs = partial_brute_force(sub)
+            if rs.penalty > 0:
+                comps.append(CertComponent(sub.nodes, reduce_weights(rs).loads(), rs.penalty))
+        rng = random.Random(seed)
+        if len(comps) > 2:
+            pools.append((sm, rng.sample(comps, rng.randint(2, min(len(comps), 40)))))
+    return pools
+
+
+def test_combine_integer_columns(monkeypatch):
+    """combine's integer form is its Fraction LP, each column divided by the gcd of its entries."""
+    sm, (greedy_pool, _, _) = _karate_chain_pools()
+    dens = set()
+    for sm, comps in [(sm, greedy_pool)] + _mixed_pools():
+        (form,) = _recorded_lps(monkeypatch, lambda: combine(comps, sm))
+        assert _same_lp(fraction_lp(form), combine_lp(comps, sm))
+        for jc, comp in enumerate(comps):
+            column = [coeffs[jc] for coeffs in form.rows if jc in coeffs]
+            assert math.gcd(*column) == 1 and min(column) > 0
+            if len(set(map(abs, comp.loads.values()))) == 1:
+                assert set(column) == {1}  # a chain column becomes 0/1
+            dens |= {v.denominator for v in comp.loads.values()}
+    assert len(dens) > 5
+
+
 def test_linprog_matches_scipy_linprog(monkeypatch):
     """The HiGHS binding gives scipy's linprog answer bit for bit, so certificates keep their bytes."""
     sm, (greedy_pool, _, _) = _karate_chain_pools()
     cases = _reduction_cases(200)
     lps = _recorded_lps(monkeypatch, lambda: [minimize_totals_exact(*case) for case in cases])
     lps += _recorded_lps(monkeypatch, lambda: combine(greedy_pool, sm))
-    assert len(lps) == 201 and len(lps[-1][0]) == 168
-    for obj, rows in lps:
+    assert len(lps) == 201 and len(lps[-1].cost) == 168
+    fraction_lps = [reduction_lp(*case) for case in cases] + [combine_lp(greedy_pool, sm)]
+    for form, (obj, rows) in zip(lps, fraction_lps):
+        assert _same_lp(fraction_lp(form), (obj, rows))
         a_ub = np.zeros((len(rows), len(obj)))
         for i, (coeffs, _) in enumerate(rows):
             for j, v in coeffs.items():
@@ -319,10 +395,25 @@ def test_linprog_matches_scipy_linprog(monkeypatch):
             bounds=(0, None), method="highs",
         )
         assert res.success
-        x, y, reduced = linprog(obj, rows)
+        x, y, reduced = linprog(form)
         assert np.array_equal(res.x, x)
         assert np.array_equal(-res.ineqlin.marginals, y)
         assert np.array_equal(res.lower.marginals, reduced)
+
+
+def test_integer_form_floats_are_correctly_rounded():
+    """HiGHS's input is float(Fraction) even where numerator and denominator exceed 2**53."""
+    big = F(2**60 + 19, 3**40)
+    assert float(big.numerator) / float(big.denominator) != float(big)  # the naive division drifts
+    rhs = F(2**61 + 1, 3**41)
+    obj = [big, F(1)]
+    rows = [({0: big, 1: F(7, 3)}, rhs), ({0: 3 * big, 1: F(5, 2)}, F(2))]
+    form = IntegerLP.from_rationals(obj, [coeffs for coeffs, _ in rows], [int(rhs * 3**42), 2 * 3**42], 3**42)
+    assert _same_lp(fraction_lp(form), (obj, rows))
+    assert form.units == [(2**60 + 19, 3**40), (1, 6)]
+    float_cost, float_rows, float_rhs = form.floats()
+    assert float_cost == [float(big), 1.0] and float_rhs == [float(rhs), 2.0]
+    assert list(float_rows) == [{0: float(big), 1: float(F(7, 3))}, {0: float(3 * big), 1: 2.5}]
 
 
 # max 3x0 + 5x1 s.t. x0 <= 4, 2x1 <= 12, 3x0 + 2x1 <= 18: optimum (2, 6), 36,
@@ -333,11 +424,12 @@ SMALL_ROWS = [({0: F(1)}, F(4)), ({1: F(2)}, F(12)), ({0: F(3), 1: F(2)}, F(18))
 
 def _fake_highs(x, y):
     """A linprog stand-in returning the point x with row duals y, as HiGHS reports them."""
-    def fake(obj, rows):
-        reduced = [-float(c) for c in obj]
-        for (coeffs, _), yi in zip(rows, y):
+    def fake(form):
+        cost, rows, _ = form.floats()
+        reduced = [-c for c in cost]
+        for coeffs, yi in zip(rows, y):
             for j, v in coeffs.items():
-                reduced[j] += float(v) * yi
+                reduced[j] += v * yi
         return [float(v) for v in x], [float(v) for v in y], reduced
     return fake
 
@@ -361,6 +453,39 @@ def test_strong_duality_check_rejects_wrong_float_answer(monkeypatch, x, y, reje
     values, obj = solve_lp(LinearProgram(objective=SMALL_OBJ, rows=SMALL_ROWS))
     assert values == [F(2), F(6)] and obj == 36
     assert bool(calls) == rejected
+
+
+DELTA = F(1, 10**11)
+
+
+@pytest.mark.parametrize("obj,rows,x,y", [
+    # the exact point (1/2, 3/2) of the two nearly parallel rows the float
+    # point (1, 1) binds breaks x1 <= 6/5, which the float point keeps
+    ([F(1), F(1)],
+     [({0: F(1), 1: F(1)}, F(2)), ({0: F(1), 1: 1 + DELTA}, 2 + 3 * DELTA / 2), ({1: F(1)}, F(6, 5))],
+     [1, 1], [1, 0, 0]),
+    # there the exact point is (-98, 100), below x0 >= 0
+    ([F(1), F(1)],
+     [({0: F(1), 1: F(1)}, F(2)), ({0: F(1), 1: 1 + DELTA}, 2 + 100 * DELTA)],
+     [1, 1], [1, 0]),
+    # c.x == b.y == 2, but the duals leave x2's profit at 1
+    ([F(1), F(1), F(1)], [({0: F(1)}, F(1)), ({1: F(1)}, F(1)), ({2: F(1)}, F(1))],
+     [1, 1, 0], [1, 1, 0]),
+])
+def test_exact_checks_reject_wrong_float_answer(monkeypatch, obj, rows, x, y):
+    """Feasibility, x >= 0 and priced-out columns are each checked, not implied by c.x == b.y."""
+    calls = []
+
+    def counting_simplex(*args):
+        calls.append(1)
+        return exact_simplex(*args)
+
+    monkeypatch.setattr("modcert.lp.linprog", _fake_highs(x, y))
+    monkeypatch.setattr("modcert.lp.exact_simplex", counting_simplex)
+    values, objective = solve_lp(LinearProgram(objective=obj, rows=rows))
+    assert calls == [1]
+    _, expect_x, expect_obj, _ = exact_simplex(obj, rows)
+    assert (values, objective) == (expect_x, expect_obj)
 
 
 def dense_solve(rows, rhs, ncols):
@@ -397,6 +522,26 @@ def random_sparse_system(rng, n):
     return rows, rhs
 
 
+def integer_system(rows, rhs):
+    """The same system with every equation scaled to integers."""
+    out_rows, out_rhs = [], []
+    for r, b in zip(rows, rhs):
+        d = math.lcm(b.denominator, *(v.denominator for v in r.values()))
+        out_rows.append({j: int(v * d) for j, v in r.items()})
+        out_rhs.append(int(b * d))
+    return out_rows, out_rhs
+
+
+def solve_exact(rows, rhs, ncols):
+    """solve_sparse_system on the integer form of a Fraction system, answered in Fractions."""
+    sol = solve_sparse_system(*integer_system(rows, rhs), ncols)
+    if sol is None:
+        return None
+    nums, den = sol
+    assert den > 0
+    return [F(v, den) for v in nums]
+
+
 def test_solve_sparse_system_matches_dense_gauss():
     rng = random.Random(0)
     unique = 0
@@ -404,15 +549,15 @@ def test_solve_sparse_system_matches_dense_gauss():
         n = rng.randint(1, 9)
         rows, rhs = random_sparse_system(rng, n)
         expect = dense_solve(rows, rhs, n)
-        assert solve_sparse_system(rows, rhs, n) == expect
+        assert solve_exact(rows, rhs, n) == expect
         unique += expect is not None
     assert unique >= 150
 
 
 def test_solve_sparse_system_overdetermined_consistent():
     # x = 1, y = 2, x + y = 3, 2x - y = 0
-    rows = [{0: F(1)}, {1: F(1)}, {0: F(1), 1: F(1)}, {0: F(2), 1: F(-1)}]
-    assert solve_sparse_system(rows, [F(1), F(2), F(3), F(0)], 2) == [F(1), F(2)]
+    rows = [{0: 1}, {1: 1}, {0: 1, 1: 1}, {0: 2, 1: -1}]
+    assert solve_sparse_system(rows, [1, 2, 3, 0], 2) == ([1, 2], 1)
     rng = random.Random(1)
     for _ in range(50):
         n = rng.randint(2, 7)
@@ -424,17 +569,184 @@ def test_solve_sparse_system_overdetermined_consistent():
         a, b = rng.sample(range(n), 2)
         extra = {j: rows[a].get(j, F(0)) + 2 * rows[b].get(j, F(0)) for j in set(rows[a]) | set(rows[b])}
         extra = {j: v for j, v in extra.items() if v != 0}
-        assert solve_sparse_system(rows + [extra], rhs + [rhs[a] + 2 * rhs[b]], n) == x
+        assert solve_exact(rows + [extra], rhs + [rhs[a] + 2 * rhs[b]], n) == x
 
 
 def test_solve_sparse_system_inconsistent_or_underdetermined():
     # x = 1, y = 2, x + y = 4 has no solution
-    rows = [{0: F(1)}, {1: F(1)}, {0: F(1), 1: F(1)}]
-    assert solve_sparse_system(rows, [F(1), F(2), F(4)], 2) is None
+    rows = [{0: 1}, {1: 1}, {0: 1, 1: 1}]
+    assert solve_sparse_system(rows, [1, 2, 4], 2) is None
     # x + y = 3 alone leaves a free variable
-    assert solve_sparse_system([{0: F(1), 1: F(1)}], [F(3)], 2) is None
+    assert solve_sparse_system([{0: 1, 1: 1}], [3], 2) is None
     # x = 1, y = 2, with a third column no row touches
-    assert solve_sparse_system([{0: F(1)}, {1: F(1)}], [F(1), F(2)], 3) is None
+    assert solve_sparse_system([{0: 1}, {1: 1}], [1, 2], 3) is None
     # two copies of one row: consistent but rank-deficient
-    rows = [{0: F(1), 1: F(2)}, {0: F(2), 1: F(4)}]
-    assert solve_sparse_system(rows, [F(1), F(2)], 2) is None
+    rows = [{0: 1, 1: 2}, {0: 2, 1: 4}]
+    assert solve_sparse_system(rows, [1, 2], 2) is None
+
+
+def test_solve_sparse_system_forty_digit_coefficients():
+    rng = random.Random(2)
+    for n in (1, 3, 6, 10):
+        rows = [{j: rng.randint(-10**40, 10**40) for j in range(n) if rng.random() < 0.7} for _ in range(n + 2)]
+        x = [F(rng.randint(-10**40, 10**40), rng.randint(1, 10**40)) for _ in range(n)]
+        # the last two rows repeat sums of the others, so the system is consistent
+        rows[-2] = {j: rows[0].get(j, 0) + rows[1 % n].get(j, 0) for j in range(n)}
+        rows[-1] = {j: 3 * v for j, v in rows[-2].items()}
+        rows = [{j: F(v) for j, v in r.items() if v} for r in rows]
+        rhs = [sum(v * x[j] for j, v in r.items()) for r in rows]
+        expect = dense_solve(rows, rhs, n)
+        assert solve_exact(rows, rhs, n) == expect
+        if expect is not None:
+            assert expect == x
+    assert solve_exact([{0: F(10**40 + 1), 1: F(10**39)}], [F(1)], 2) is None
+
+
+# The exact recovery as it was done in Fractions before the integer form, kept
+# as the oracle the integer recovery must agree with.
+
+def fraction_solve_sparse_system(rows, rhs, ncols):
+    """Sparse Gaussian elimination in Fractions; None unless the solution is unique."""
+    rows = [dict(r) for r in rows]
+    rhs = list(rhs)
+    m = len(rows)
+    col_rows = {}
+    for i, r in enumerate(rows):
+        for j in r:
+            col_rows.setdefault(j, set()).add(i)
+    assign_order = []
+    for _ in range(min(m, ncols)):
+        best = min(((len(touch), j) for j, touch in col_rows.items() if touch), default=None)
+        if best is None:
+            break
+        pcol = best[1]
+        prow = min(col_rows[pcol], key=lambda i: (len(rows[i]), i))
+        inv = 1 / rows[prow][pcol]
+        rows[prow] = {j: v * inv for j, v in rows[prow].items()}
+        rhs[prow] *= inv
+        for j in rows[prow]:
+            col_rows[j].discard(prow)
+        for i in list(col_rows[pcol]):
+            f = rows[i].get(pcol)
+            if not f:
+                continue
+            ri = rows[i]
+            for j, v in rows[prow].items():
+                nv = ri.get(j, F(0)) - f * v
+                if nv == 0:
+                    ri.pop(j, None)
+                    col_rows.get(j, set()).discard(i)
+                else:
+                    ri[j] = nv
+                    col_rows.setdefault(j, set()).add(i)
+            rhs[i] -= f * rhs[prow]
+        assign_order.append((prow, pcol))
+    eliminated_rows = {r for r, _ in assign_order}
+    if any(i not in eliminated_rows and (rows[i] or rhs[i] != 0) for i in range(m)):
+        return None
+    if len({c for _, c in assign_order}) < ncols:
+        return None
+    x = [F(0)] * ncols
+    for prow, pcol in reversed(assign_order):
+        acc = rhs[prow]
+        for j, v in rows[prow].items():
+            if j != pcol:
+                acc -= v * x[j]
+        x[pcol] = acc
+    return x
+
+
+def fraction_solve_on_pattern(eqs, unknowns):
+    pos = {u: k for k, u in enumerate(unknowns)}
+    sol = fraction_solve_sparse_system(
+        [{pos[j]: v for j, v in coeffs.items() if j in pos} for coeffs, _ in eqs],
+        [rhs for _, rhs in eqs],
+        len(unknowns),
+    )
+    if sol is None or any(v < 0 for v in sol):
+        return None
+    return dict(zip(unknowns, sol))
+
+
+def fraction_exact_from_float(obj, rows, xf, yf, df):
+    """(x, objective) in Fractions from HiGHS's primal and dual; None unless provably optimal."""
+    nv = len(obj)
+    b = [float(rhs) for _, rhs in rows]
+    tol = 1e-8 * max(1.0, max(b))
+    support = [j for j in range(nv) if xf[j] > tol]
+    binding = [
+        i for i, (coeffs, _) in enumerate(rows)
+        if b[i] - sum(float(v) * xf[j] for j, v in coeffs.items()) < tol
+    ]
+    xs = fraction_solve_on_pattern([rows[i] for i in binding], support)
+    if xs is None:
+        return None
+    x = [xs.get(j, F(0)) for j in range(nv)]
+    for coeffs, rhs in rows:
+        if sum((v * xs[j] for j, v in coeffs.items() if j in xs), F(0)) > rhs:
+            return None
+    dtol = 1e-8 * max(1.0, max((abs(float(v)) for v in obj), default=1.0))
+    cols = [{} for _ in range(nv)]
+    for i, (coeffs, _) in enumerate(rows):
+        for j, v in coeffs.items():
+            cols[j][i] = v
+    y = fraction_solve_on_pattern(
+        [(cols[j], F(obj[j])) for j in range(nv) if abs(df[j]) < dtol],
+        [i for i in range(len(rows)) if yf[i] > dtol],
+    )
+    if y is None:
+        return None
+    profit = [F(v) for v in obj]
+    for i, yv in y.items():
+        for j, v in rows[i][0].items():
+            profit[j] -= yv * v
+    if any(g > 0 for g in profit):
+        return None
+    objective = sum((F(obj[j]) * v for j, v in xs.items()), F(0))
+    if objective != sum((rows[i][1] * v for i, v in y.items()), F(0)):
+        return None
+    return x, objective
+
+
+def _assert_recovery_matches_oracle(monkeypatch, form):
+    """The integer recovery keeps what the Fraction oracle keeps, and solve_lp agrees."""
+    obj, rows = fraction_lp(form)
+    floats = linprog(form)
+    assert floats is not None
+    expect = fraction_exact_from_float(obj, rows, *floats)
+    got = lp._exact_from_float(form, *floats)
+    assert (got is None) == (expect is None)
+    if got is not None:
+        assert lp._exact_answer(form, *got) == expect
+    fallbacks = []
+
+    def counting_simplex(c, rows):
+        fallbacks.append(len(c))
+        return exact_simplex(c, rows)
+
+    with monkeypatch.context() as m:
+        m.setattr("modcert.lp.exact_simplex", counting_simplex)
+        answer = solve_lp(LinearProgram(obj, rows))
+    if expect is None:
+        status, x, objective, _ = exact_simplex(obj, rows)
+        assert fallbacks == [len(obj)] and answer == (x, objective)
+    else:
+        assert fallbacks == [] and answer == expect
+    return expect is None
+
+
+def test_integer_recovery_matches_fraction_oracle(monkeypatch):
+    sm, (greedy_pool, _, _) = _karate_chain_pools()
+    karate = load_network("karate")
+    # the first ~370 subnetworks are triangles, reduced in closed form; 450
+    # reaches 142 weight-reduction LPs and the final combine
+    lps = _recorded_lps(monkeypatch, lambda: certify(karate, method="subnets", max_subnet_size=4,
+                                                     subnet_budget=450))
+    assert len(lps) == 143
+    cases = _reduction_cases(200)
+    lps += _recorded_lps(monkeypatch, lambda: [minimize_totals_exact(*case) for case in cases])
+    lps += _recorded_lps(monkeypatch, lambda: combine(greedy_pool, sm))
+    pools = _mixed_pools()
+    lps += _recorded_lps(monkeypatch, lambda: [combine(comps, sm) for sm, comps in pools])
+    fell_back = [_assert_recovery_matches_oracle(monkeypatch, form) for form in lps]
+    assert fell_back.count(False) > 0.9 * len(lps)
