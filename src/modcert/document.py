@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,17 +26,17 @@ def frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")  # what frac_str writes; int() alone takes " 1", "+3", "1_0"
+
+
 def parse_frac(s: str) -> Fraction:
-    """Parse "num/den" or "num"; ValueError on anything else, a zero denominator included."""
-    if not isinstance(s, str):
-        raise ValueError(f"rational must be a string, got {s!r}")
-    num, slash, den = s.partition("/")
-    if slash and not den:
-        raise ValueError(f"empty denominator in {s!r}")
-    d = int(den) if slash else 1
-    if d == 0:
+    """Parse "num/den" or "num" in ASCII digits; ValueError on anything else, a zero denominator included."""
+    if not isinstance(s, str) or not _RATIONAL.fullmatch(s):
+        raise ValueError(f"rational must be a string num/den, got {s!r}")
+    num, _, den = s.partition("/")
+    if den and not int(den):
         raise ValueError(f"zero denominator in {s!r}")
-    return Fraction(int(num), d)
+    return Fraction(int(num), int(den or 1))
 
 
 def _json_list(value, what: str, length: int | None = None) -> list:
@@ -153,12 +154,17 @@ def deserialize_component(entry: dict, label_to_id: dict) -> tuple[CertComponent
     lam = parse_frac(entry["lambda"])
     penalty = parse_frac(entry["penalty"])
     if entry["kind"] == "chain":
+        if len(nodes) < 3:  # chain_loads would overwrite the one pair of a 2-node chain
+            raise ValueError(f"chain component lists {len(nodes)} node(s), fewer than 3")
         loads = chain_loads(nodes, penalty)
     elif entry["kind"] == "subnetwork":
         loads = {}
         for score in _json_list(entry["scores"], "subnetwork scores"):
             la, lb, val = _json_list(score, "subnetwork score entry", 3)
-            key = pair_key(_node_id(la, label_to_id), _node_id(lb, label_to_id))
+            a, b = _node_id(la, label_to_id), _node_id(lb, label_to_id)
+            if a == b:
+                raise ValueError(f"subnetwork component pairs node {la!r} with itself")
+            key = pair_key(a, b)
             if key in loads:
                 raise ValueError(f"subnetwork component lists pair ({la}, {lb}) twice")
             loads[key] = parse_frac(val)

@@ -262,23 +262,18 @@ _HIGHS_OPTIONS = {
 def linprog(lp: IntegerLP):
     """HiGHS's answer to lp in floats; None if it has no optimum.
 
-    The float rows go to one fresh HiGHS solver as a column-wise matrix,
-    with the options linprog sets for method="highs", so the answer is
-    linprog's bit for bit. Returns the point x, the row duals y >= 0 and the
-    reduced costs, which are zero on the columns where the dual constraint
-    is tight.
+    The float rows go to one fresh HiGHS solver as they are, a row-wise
+    matrix that HiGHS turns into columns itself, with the options linprog
+    sets for method="highs", so the answer is linprog's bit for bit. Returns
+    the point x, the row duals y >= 0 and the reduced costs, which are zero
+    on the columns where the dual constraint is tight.
     """
     nv, m = len(lp.cost), len(lp.rows)
     cost, rows, rhs = lp.floats()
-    cols: list[list[tuple[int, float]]] = [[] for _ in range(nv)]
-    for i, coeffs in enumerate(rows):
-        for j, v in coeffs.items():
-            cols[j].append((i, v))
     start, index, value = [0], [], []
-    for col in cols:
-        for i, v in col:
-            index.append(i)
-            value.append(v)
+    for coeffs in rows:
+        index += coeffs.keys()
+        value += coeffs.values()
         start.append(len(index))
     model = highspy.HighsLp()
     model.num_col_, model.num_row_ = nv, m
@@ -288,7 +283,7 @@ def linprog(lp: IntegerLP):
     model.row_lower_ = [-highspy.kHighsInf] * m
     model.row_upper_ = rhs
     matrix = model.a_matrix_
-    matrix.format_ = highspy.MatrixFormat.kColwise
+    matrix.format_ = highspy.MatrixFormat.kRowwise
     matrix.num_col_, matrix.num_row_ = nv, m
     matrix.start_, matrix.index_, matrix.value_ = start, index, value
 
@@ -440,43 +435,36 @@ def solve_lp(lp: LinearProgram) -> tuple[list[Fraction], Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# reduce-weights helper: min sum(x) s.t. 0 <= x <= ub, sum over sets >= p
+# reduce-weights helper: min sum(x) s.t. 0 <= x <= caps, sum over sets >= p
 
 def minimize_totals_exact(
-    keys: Sequence[Pair],
-    ub: dict[Pair, Fraction],
-    constraint_sets: Sequence[frozenset],
-    p: Fraction,
-) -> dict[Pair, Fraction] | None:
-    """Exact minimizer of the covering LP used for weight reduction.
+    caps: list[int],
+    constraint_sets: Sequence[Sequence[int]],
+    p: int,
+    den: int,
+) -> tuple[list[int], int] | None:
+    """Exact minimizer of the covering LP used for weight reduction, as (nums, xden).
 
-    It is solved as its complement z = ub - x: max sum(z) subject to sum over
-    each set of z <= (sum over the set of ub) - p, and z <= ub. That has this
-    module's LP form exactly when the covering LP is feasible, so a set whose
-    ub sum falls short of p gives None.
+    min sum(x) s.t. 0 <= x <= caps/den and, over each set of indices,
+    sum(x) >= p/den. It is solved as its complement z = caps/den - x: max
+    sum(z) s.t. den * sum(z) <= sum(caps) - p over each set, and z <= caps/den.
+    That has this module's LP form exactly when the covering LP is feasible,
+    so a set whose caps fall short of p gives None.
     """
-    keys = list(keys)
-    if not constraint_sets:
-        return {k: Fraction(0) for k in keys}
-    idx = {k: i for i, k in enumerate(keys)}
-    # every bound on one denominator: ub[k] = caps[i] / den, p = pn / den
-    den = math.lcm(p.denominator, *(ub[k].denominator for k in keys))
-    caps = [ub[k].numerator * (den // ub[k].denominator) for k in keys]
-    pn = p.numerator * (den // p.denominator)
     rows: list[dict[int, int]] = []
     rhs: list[int] = []
     for s in constraint_sets:
-        cap = sum(caps[idx[k]] for k in s) - pn
+        cap = sum(caps[i] for i in s) - p
         if cap < 0:
             return None
-        rows.append({idx[k]: 1 for k in s})
+        rows.append(dict.fromkeys(s, 1))
         rhs.append(cap)
-    nv = len(keys)
+    nv = len(caps)
     rows += [{i: 1} for i in range(nv)]
     rhs += caps
     z, zden = _solve(IntegerLP(rows, rhs, den, [1] * nv, 1, [(1, 1)] * nv))
     scale = zden // den
-    return {k: Fraction(caps[i] * scale - z[i], zden) for i, k in enumerate(keys)}
+    return [c * scale - v for c, v in zip(caps, z)], zden
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ subnetworks can be combined.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -182,42 +181,45 @@ def _minimal_constraint_sets(rs: ResolvedSubnetwork) -> list[frozenset[Pair]]:
     return minimal
 
 
-def _minimum_weights(rs: ResolvedSubnetwork) -> dict[Pair, Fraction] | None:
-    """The reduction LP's exact minimizer on position pairs, None if it has none.
+def _minimum_weights(rs: ResolvedSubnetwork, pairs: list[Pair]) -> tuple[list[int], int] | None:
+    """The reduction LP's exact minimizer on the pairs, None if it has none.
 
     Minimizes total absolute score subject to: every evaluated partition still
     pays at least the penalty, and (added lazily as cutting planes) every
-    (m+1)-subset of positive pairs sums to at least the penalty.
+    (m+1)-subset of positive pairs sums to at least the penalty. The LP runs
+    on indices into pairs, with the lattice's integers as its bounds; the
+    answer is x[i] = nums[i] / xden.
     """
-    p = rs.penalty
     lattice = rs.sub.lattice
-    all_pairs = _nonzero_pairs(lattice)
-    ub = {q: abs(lattice.score(*q)) for q in all_pairs}
-    constraint_sets = _minimal_constraint_sets(rs)
-    positives = [q for q in all_pairs if lattice.S[q[0]][q[1]] > 0]
+    S, den = lattice.S, lattice.den
+    p = rs.penalty.numerator * (den // rs.penalty.denominator)
+    caps = [abs(S[a][b]) for a, b in pairs]
+    index = {q: i for i, q in enumerate(pairs)}
+    constraint_sets = [sorted(index[q] for q in s) for s in _minimal_constraint_sets(rs)]
+    positives = [i for i, (a, b) in enumerate(pairs) if S[a][b] > 0]
     m_plus_1 = rs.final_m + 1
 
     while True:
-        x = lp.minimize_totals_exact(all_pairs, ub, constraint_sets, p)
+        x = lp.minimize_totals_exact(caps, constraint_sets, p, den)
         if x is None or m_plus_1 > len(positives):
             return x
-        ranked = sorted(positives, key=lambda q: (x[q], q))
-        cheapest = ranked[:m_plus_1]
-        if sum(x[q] for q in cheapest) >= p:
+        nums, xden = x
+        ranked = sorted(positives, key=lambda i: (nums[i], i))
+        cheapest = sorted(ranked[:m_plus_1])
+        if sum(nums[i] for i in cheapest) * den >= p * xden:
             return x
-        cut = frozenset(cheapest)
-        if cut in constraint_sets:
+        if cheapest in constraint_sets:
             return None  # cannot happen with a sound solver; stay safe
-        constraint_sets.append(cut)
+        constraint_sets.append(cheapest)
 
 
 def reduce_weights(rs: ResolvedSubnetwork) -> Subnetwork:
     """Shrink a resolved subnetwork's scores while provably keeping its penalty.
 
-    The scores become the reduction LP's minimizer (see _minimum_weights) on
-    one denominator, the lcm of the minimizer's; a triangle gets it in closed
-    form. The result is re-verified by a fresh resolution run; on any failure
-    the original subnetwork is returned unchanged.
+    The scores become the reduction LP's minimizer (see _minimum_weights),
+    written as its numerators over its own denominator; a triangle gets it
+    in closed form. The result is re-verified by a fresh resolution run; on
+    any failure the original subnetwork is returned unchanged.
     """
     p = rs.penalty
     if p <= 0:
@@ -229,16 +231,15 @@ def reduce_weights(rs: ResolvedSubnetwork) -> Subnetwork:
         # a penalized triangle is a positive path closed by a negative pair,
         # and p = min(u1, u2, |n|); each of its partitions pays exactly one
         # pair, so +-p on every pair is the LP's unique minimum
-        x = dict.fromkeys(pairs, p)
+        x = [p.numerator] * 3, p.denominator
     else:
-        x = _minimum_weights(rs)
+        x = _minimum_weights(rs, pairs)
         if x is None:
             return rs.sub
 
-    den = math.lcm(*(v.denominator for v in x.values()))
+    nums, den = x
     reduced_S = [[0] * k for _ in range(k)]
-    for (a, b), v in x.items():
-        r = v.numerator * (den // v.denominator)
+    for (a, b), r in zip(pairs, nums):
         reduced_S[a][b] = reduced_S[b][a] = r if S[a][b] > 0 else -r
     reduced = Subnetwork(sub.nodes, ScoreMatrix(n=k, den=den, S=reduced_S, diag=(0,) * k))
     if partial_brute_force(reduced).penalty < p:

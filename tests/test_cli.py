@@ -139,7 +139,16 @@ def test_verify_truncated_exits_2(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("field,value", [("bound", "1/0"), ("lambda", 1), ("gap", "0/")])
+@pytest.mark.parametrize("field,value", [
+    ("bound", "1/0"), ("lambda", 1), ("gap", "0/"),
+    # int() takes each of these; the documented form does not
+    pytest.param("lambda", " 1", id="lambda-space"),
+    pytest.param("lambda", "1_0", id="lambda-underscore"),
+    pytest.param("lambda", "+3", id="lambda-plus"),
+    pytest.param("lambda", "1/-2", id="lambda-negative-denominator"),
+    pytest.param("lambda", "1/ 2", id="lambda-space-in-denominator"),
+    pytest.param("lambda", "\u0661", id="lambda-arabic-indic-digit"),
+])
 def test_verify_malformed_rational_exits_2(tmp_path, capsys, field, value):
     path = write_path_network(tmp_path)
     cert = str(tmp_path / "cert.json")
@@ -160,7 +169,10 @@ def test_verify_malformed_rational_exits_2(tmp_path, capsys, field, value):
     (lambda comp: comp.pop("nodes"), "missing field 'nodes'"),
     (lambda comp: comp["nodes"].append("zz"), "unknown node label 'zz'"),
     (lambda comp: comp["nodes"].clear(), "component lists no nodes"),
-], ids=["no-penalty", "no-nodes", "unknown-label", "empty-nodes"])
+    (lambda comp: comp["nodes"].pop(), "chain component lists 2 node(s), fewer than 3"),
+    (lambda comp: comp.update(kind="subnetwork", scores=[[comp["nodes"][0], comp["nodes"][0], "1/2"]]),
+     "subnetwork component pairs node 'a' with itself"),
+], ids=["no-penalty", "no-nodes", "unknown-label", "empty-nodes", "short-chain", "self-pair"])
 def test_verify_malformed_component_exits_2(tmp_path, capsys, mutate, message):
     path = write_path_network(tmp_path)
     cert = str(tmp_path / "cert.json")

@@ -90,19 +90,28 @@ def test_exact_simplex_unbounded():
     assert x is None and obj is None and duals is None
 
 
+CASE_DEN = 120  # the lcm of the denominators 4, 5, 6, 8 the random reduction cases draw
+
+
+def rationals(answer):
+    """minimize_totals_exact's (nums, den) as Fractions."""
+    nums, den = answer
+    return [F(v, den) for v in nums]
+
+
 def test_minimize_totals_exact_triangle():
-    keys = [(0, 1), (0, 2), (1, 2)]
-    ub = {(0, 1): F(1, 5), (0, 2): F(3, 10), (1, 2): F(1, 10)}
-    sets = [frozenset({(1, 2)}), frozenset({(0, 1)}), frozenset({(0, 2)})]
-    x = minimize_totals_exact(keys, ub, sets, F(1, 10))
-    assert x == {(0, 1): F(1, 10), (0, 2): F(1, 10), (1, 2): F(1, 10)}
+    # caps 1/5, 3/10, 1/10 and p = 1/10, over 10
+    x = minimize_totals_exact([2, 3, 1], [[2], [0], [1]], 1, 10)
+    assert rationals(x) == [F(1, 10)] * 3
 
 
 def test_minimize_totals_exact_infeasible_set():
-    keys = [(0, 1), (0, 2)]
-    ub = {(0, 1): F(1, 10), (0, 2): F(1, 5)}
-    sets = [frozenset({(0, 2)}), frozenset({(0, 1)})]  # ub of (0, 1) is below p
-    assert minimize_totals_exact(keys, ub, sets, F(3, 20)) is None
+    # caps 1/10, 1/5 and p = 3/20, over 20: the cap of variable 0 is below p
+    assert minimize_totals_exact([2, 4], [[1], [0]], 3, 20) is None
+
+
+def test_minimize_totals_exact_no_sets():
+    assert rationals(minimize_totals_exact([2, 4], [], 3, 20)) == [0, 0]
 
 
 def _no_float_solver(*args, **kwargs):
@@ -110,33 +119,32 @@ def _no_float_solver(*args, **kwargs):
 
 
 def test_minimize_totals_exact_fallback_triangle(monkeypatch):
-    keys = [(0, 1), (0, 2), (1, 2)]
-    ub = {(0, 1): F(1, 5), (0, 2): F(3, 10), (1, 2): F(1, 10)}
-    sets = [frozenset({(1, 2)}), frozenset({(0, 1)}), frozenset({(0, 2)})]
-    float_x = minimize_totals_exact(keys, ub, sets, F(1, 10))
+    case = ([2, 3, 1], [[2], [0], [1]], 1, 10)
+    float_x = rationals(minimize_totals_exact(*case))
     monkeypatch.setattr("modcert.lp.linprog", _no_float_solver)
-    assert minimize_totals_exact(keys, ub, sets, F(1, 10)) == float_x
+    assert rationals(minimize_totals_exact(*case)) == float_x
 
 
 def test_minimize_totals_exact_fallback_random(monkeypatch):
     cases = []
     for seed in range(20):
         rng = random.Random(seed)
-        keys = [(a, b) for a in range(5) for b in range(a + 1, 5)]
-        ub = {k: F(rng.randint(1, 12), rng.choice([4, 5, 6, 8])) for k in keys}
-        p = F(rng.randint(1, 6), 4)
+        nk = 10  # the pairs of 5 nodes
+        caps = [rng.randint(1, 12) * (CASE_DEN // rng.choice([4, 5, 6, 8])) for _ in range(nk)]
+        p = rng.randint(1, 6) * (CASE_DEN // 4)
         sets = []
         for _ in range(rng.randint(1, 6)):
-            s = frozenset(rng.sample(keys, rng.randint(1, 4)))
-            if sum(ub[k] for k in s) >= p:
+            s = rng.sample(range(nk), rng.randint(1, 4))
+            if sum(caps[i] for i in s) >= p:
                 sets.append(s)
-        cases.append((keys, ub, sets, p, minimize_totals_exact(keys, ub, sets, p)))
+        case = (caps, sets, p, CASE_DEN)
+        cases.append((case, minimize_totals_exact(*case)))
     monkeypatch.setattr("modcert.lp.linprog", _no_float_solver)
-    for keys, ub, sets, p, float_x in cases:
-        x = minimize_totals_exact(keys, ub, sets, p)
-        assert all(0 <= x[k] <= ub[k] for k in keys)
-        assert all(sum(x[k] for k in s) >= p for s in sets)
-        assert sum(x.values()) == sum(float_x.values())
+    for (caps, sets, p, den), float_x in cases:
+        nums, xden = minimize_totals_exact(caps, sets, p, den)
+        assert all(0 <= v * den <= c * xden for v, c in zip(nums, caps))
+        assert all(sum(nums[i] for i in s) * den >= p * xden for s in sets)
+        assert sum(rationals((nums, xden))) == sum(rationals(float_x))
 
 
 def test_combine_shared_pair_capacity():
@@ -295,26 +303,29 @@ def _recorded_lps(monkeypatch, solve):
 
 
 def _reduction_cases(count):
-    """Random weight-reduction LPs (keys, ub, sets, p) on up to 6 pairs, every set coverable."""
+    """Random weight-reduction LPs (caps, sets, p, den) on up to 6 pairs, every set coverable.
+
+    Each set lists its variables in the order they were drawn, so most rows'
+    column indices do not ascend.
+    """
     rng = random.Random(0)
     cases = []
     while len(cases) < count:
-        keys = [(a, b) for a in range(4) for b in range(a + 1, 4)][:rng.randint(2, 6)]
-        ub = {k: F(rng.randint(1, 12), rng.choice([4, 5, 6, 8])) for k in keys}
-        p = F(rng.randint(1, 6), 4)
-        sets = [frozenset(rng.sample(keys, rng.randint(1, len(keys)))) for _ in range(rng.randint(1, 5))]
-        sets = [s for s in sets if sum(ub[k] for k in s) >= p]
+        nk = rng.randint(2, 6)
+        caps = [rng.randint(1, 12) * (CASE_DEN // rng.choice([4, 5, 6, 8])) for _ in range(nk)]
+        p = rng.randint(1, 6) * (CASE_DEN // 4)
+        sets = [rng.sample(range(nk), rng.randint(1, nk)) for _ in range(rng.randint(1, 5))]
+        sets = [s for s in sets if sum(caps[i] for i in s) >= p]
         if sets:
-            cases.append((keys, ub, sets, p))
+            cases.append((caps, sets, p, CASE_DEN))
     return cases
 
 
-def reduction_lp(keys, ub, sets, p):
+def reduction_lp(caps, sets, p, den):
     """The Fraction LP minimize_totals_exact solves: its complement, max sum(z)."""
-    idx = {k: i for i, k in enumerate(keys)}
-    rows = [({idx[k]: F(1) for k in s}, sum((ub[k] for k in s), F(0)) - p) for s in sets]
-    rows += [({i: F(1)}, ub[k]) for i, k in enumerate(keys)]
-    return [F(1)] * len(keys), rows
+    rows = [(dict.fromkeys(s, F(1)), F(sum(caps[i] for i in s) - p, den)) for s in sets]
+    rows += [({i: F(1)}, F(c, den)) for i, c in enumerate(caps)]
+    return [F(1)] * len(caps), rows
 
 
 def combine_lp(comps, sm):
@@ -379,10 +390,13 @@ def test_combine_integer_columns(monkeypatch):
 def test_linprog_matches_scipy_linprog(monkeypatch):
     """The HiGHS binding gives scipy's linprog answer bit for bit, so certificates keep their bytes."""
     sm, (greedy_pool, _, _) = _karate_chain_pools()
-    cases = _reduction_cases(200)
+    # HiGHS gets each row's columns in the row's own order; the last case's
+    # rows run 3, 0, 2 and 2, 1
+    cases = _reduction_cases(200) + [([2, 3, 1, 4], [[3, 0, 2], [2, 1]], 3, 10)]
     lps = _recorded_lps(monkeypatch, lambda: [minimize_totals_exact(*case) for case in cases])
+    assert [list(coeffs) for coeffs in lps[-1].rows[:2]] == [[3, 0, 2], [2, 1]]
     lps += _recorded_lps(monkeypatch, lambda: combine(greedy_pool, sm))
-    assert len(lps) == 201 and len(lps[-1].cost) == 168
+    assert len(lps) == 202 and len(lps[-1].cost) == 168
     fraction_lps = [reduction_lp(*case) for case in cases] + [combine_lp(greedy_pool, sm)]
     for form, (obj, rows) in zip(lps, fraction_lps):
         assert _same_lp(fraction_lp(form), (obj, rows))
@@ -399,6 +413,28 @@ def test_linprog_matches_scipy_linprog(monkeypatch):
         assert np.array_equal(res.x, x)
         assert np.array_equal(-res.ineqlin.marginals, y)
         assert np.array_equal(res.lower.marginals, reduced)
+
+
+def _floats(form):
+    cost, rows, rhs = form.floats()
+    return cost, list(rows), rhs
+
+
+@pytest.mark.parametrize("factor", [7, 3**40])
+def test_minimize_totals_exact_is_scale_free(monkeypatch, factor):
+    """caps, p and den multiplied by one factor give the same answer from the
+    same HiGHS input, so a reduction on any denominator keeps its bytes."""
+    cases = _reduction_cases(50)
+    scaled = [([c * factor for c in caps], sets, p * factor, den * factor) for caps, sets, p, den in cases]
+    answers, lps = [], []
+    for batch in (cases, scaled):
+        lps.append(_recorded_lps(monkeypatch, lambda: answers.append(
+            [rationals(minimize_totals_exact(*case)) for case in batch])))
+    assert answers[0] == answers[1]
+    assert len(lps[0]) == len(lps[1]) == 50
+    for form, form_scaled in zip(*lps):
+        assert form_scaled.den == form.den * factor
+        assert _floats(form_scaled) == _floats(form)
 
 
 def test_integer_form_floats_are_correctly_rounded():

@@ -190,9 +190,10 @@ def test_reduce_triangle_closed_form_is_lp_optimum():
         assert rs.penalty == p
         red = reduce_weights(rs)
         assert red.loads() == {q: p if v > 0 else -p for q, v in scores.items()}
-        ub = {q: abs(v) for q, v in scores.items()}
-        singletons = [frozenset([q]) for q in pairs]
-        assert lp.minimize_totals_exact(pairs, ub, singletons, p) == dict.fromkeys(pairs, p)
+        lat = rs.sub.lattice
+        caps = [abs(lat.S[a][b]) for a, b in pairs]
+        nums, xden = lp.minimize_totals_exact(caps, [[0], [1], [2]], int(p * lat.den), lat.den)
+        assert [F(v, xden) for v in nums] == [p] * 3
         assert partial_brute_force(red).penalty == p
 
 
