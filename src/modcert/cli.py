@@ -289,7 +289,7 @@ def main(argv=None) -> int:
     except GraphError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, ValueError) as exc:  # ValueError: an invalid argument value
+    except (OSError, ValueError) as exc:  # a path it cannot read or write; an invalid argument value
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

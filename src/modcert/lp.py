@@ -8,14 +8,14 @@ an integer form (`IntegerLP`): integer rows and right-hand sides over one
 row denominator, integer costs over one cost denominator, and a positive
 unit per column, the gcd of its entries, so that a chain column of the
 combination LP becomes 0/1. HiGHS solves it in floating point, fed the float
-of each of the LP's own rationals. Its primal and its dual are each solved
-again exactly on their patterns, in integers by fraction-free elimination,
-and the answer is kept only if strong duality holds exactly (Applegate,
-Cook, Dash & Espinoza, Exact solutions to linear programming problems,
-2007). If HiGHS fails or the check rejects its answer, a single-phase exact
-simplex over Fractions with Bland's rule solves the whole LP. A Fraction is
-built only for the answer, and every number that leaves this module is
-exact.
+of each of the LP's own rationals, and hands back only its optimal basis:
+the basic columns and the rows whose slacks are nonbasic. The primal and the
+dual of that basis are solved exactly, in integers by fraction-free
+elimination, and kept only if strong duality holds exactly (Applegate, Cook,
+Dash & Espinoza, Exact solutions to linear programming problems, 2007). If
+HiGHS fails or the check rejects its basis, a single-phase exact simplex
+over Fractions with Bland's rule solves the whole LP. A Fraction is built
+only for the answer, and every number that leaves this module is exact.
 
 HiGHS (Huangfu & Hall, Parallelizing the dual revised simplex method, 2018)
 is called through the binding bundled with scipy, `scipy.optimize._highspy`:
@@ -26,6 +26,7 @@ linprog's own input checks and result objects cost several times the solve.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -122,16 +123,21 @@ def solve_sparse_system(rows: list[dict[int, int]], rhs: list[int], ncols: int) 
     for i, r in enumerate(rows):
         for j in r:
             col_rows.setdefault(j, set()).add(i)
+    # Markowitz-style: pick the column with fewest live rows, then the
+    # sparsest row within it. The heap holds (live rows, column); a step
+    # changes only the pivot row's columns, which it pushes again, so an
+    # entry whose count is out of date is skipped.
+    heap = [(len(touch), j) for j, touch in col_rows.items()]
+    heapq.heapify(heap)
     assign_order: list[tuple[int, int]] = []  # (pivot row, pivot col)
     last = 1  # the latest pivot: the determinant of the rows and columns eliminated so far
 
     for _ in range(min(m, ncols)):
-        # Markowitz-style: pick the column with fewest live rows, then the
-        # sparsest row within it
-        best = min(((len(touch), j) for j, touch in col_rows.items() if touch), default=None)
-        if best is None:
+        while heap and heap[0][0] != len(col_rows[heap[0][1]]):
+            heapq.heappop(heap)
+        if not heap:
             break
-        pcol = best[1]
+        pcol = heapq.heappop(heap)[1]
         prow = min(col_rows[pcol], key=lambda i: (len(rows[i]), i))
         if level[prow] != last:
             d = level[prow]
@@ -162,6 +168,9 @@ def solve_sparse_system(rows: list[dict[int, int]], rhs: list[int], ncols: int) 
             rhs[i] = (rhs[i] * piv - f * pb) // d
             level[i] = piv
         col_rows[pcol].clear()
+        for j in pr:
+            if col_rows[j]:
+                heapq.heappush(heap, (len(col_rows[j]), j))
         assign_order.append((prow, pcol))
         last = piv
 
@@ -259,14 +268,14 @@ _HIGHS_OPTIONS = {
 }
 
 
-def linprog(lp: IntegerLP):
-    """HiGHS's answer to lp in floats; None if it has no optimum.
+def linprog(lp: IntegerLP) -> tuple[list[int], list[int]] | None:
+    """HiGHS's optimal basis of lp as (basic columns, binding rows); None if it has none.
 
     The float rows go to one fresh HiGHS solver as they are, a row-wise
     matrix that HiGHS turns into columns itself, with the options linprog
-    sets for method="highs", so the answer is linprog's bit for bit. Returns
-    the point x, the row duals y >= 0 and the reduced costs, which are zero
-    on the columns where the dual constraint is tight.
+    sets for method="highs", so the basis is linprog's. A row binds when its
+    slack is nonbasic. No float of the answer is read: the basis states the
+    vertex exactly, and None when HiGHS finds no optimum or no valid basis.
     """
     nv, m = len(lp.cost), len(lp.rows)
     cost, rows, rhs = lp.floats()
@@ -293,20 +302,20 @@ def linprog(lp: IntegerLP):
     error = highspy.HighsStatus.kError
     if highs.passModel(model) == error or highs.run() == error:
         return None
-    if highs.getModelStatus() != highspy.HighsModelStatus.kOptimal:
+    basis = highs.getBasis()
+    if highs.getModelStatus() != highspy.HighsModelStatus.kOptimal or not basis.valid:
         return None
-    sol = highs.getSolution()
-    lower = highspy.HighsBasisStatus.kLower
-    reduced = [d if s == lower else 0.0 for d, s in zip(sol.col_dual, highs.getBasis().col_status)]
-    return sol.col_value, [-d for d in sol.row_dual], reduced
+    basic = highspy.HighsBasisStatus.kBasic
+    return ([j for j, s in enumerate(basis.col_status) if s == basic],
+            [i for i, s in enumerate(basis.row_status) if s != basic])
 
 
 def _solve_on_pattern(eqs: list[dict[int, int]], rhs: list[int], unknowns: list[int]) -> tuple[dict[int, int], int] | None:
     """The unknowns solving the integer equations eqs.x == rhs, every other index at 0.
 
-    Returns their numerators over one positive denominator. The equations may
-    outnumber the unknowns, as long as they are consistent and determine
-    every one of them. None unless the solution is unique and nonnegative.
+    Returns their numerators over one positive denominator. A valid basis
+    gives as many equations as unknowns, and a nonsingular basis one
+    solution; None unless the solution exists, is unique and is nonnegative.
     """
     pos = {u: k for k, u in enumerate(unknowns)}
     sol = solve_sparse_system(
@@ -317,28 +326,21 @@ def _solve_on_pattern(eqs: list[dict[int, int]], rhs: list[int], unknowns: list[
     return dict(zip(unknowns, sol[0])), sol[1]
 
 
-def _exact_from_float(lp: IntegerLP, xf, yf, df) -> tuple[list[int], int] | None:
-    """An exact optimum from HiGHS's primal and dual; None unless provably optimal.
+def _exact_from_basis(lp: IntegerLP, basic: list[int], binding: list[int]) -> tuple[list[int], int] | None:
+    """An exact optimum from HiGHS's optimal basis; None unless provably optimal.
 
-    X (the scaled point) solves the rows the float point binds, in its
-    support variables; the duals solve the columns with zero reduced cost,
-    in the rows with a positive float dual. Both patterns are read from the
-    floats to a scaled tolerance, and both systems are solved in integers.
-    The pair is kept only if X is feasible, the duals are >= 0 and price
-    every column out and c.x == b.y, which by strong duality makes the point
-    optimal. Returns X's numerators over one positive denominator.
+    X (the scaled point) solves the binding rows in the basic columns, every
+    other column at 0; the duals solve the basic columns in the binding rows,
+    every other row's dual at 0. Both systems are square on a valid basis and
+    are solved in integers. The pair is kept only if X is feasible and >= 0,
+    the duals are >= 0 and price every column out and c.x == b.y, which by
+    strong duality makes the point optimal. Returns X's numerators over one
+    positive denominator.
     """
     rows, rhs, cost = lp.rows, lp.rhs, lp.cost
     nv = len(cost)
-    float_cost, float_rows, b = lp.floats()
-    tol = 1e-8 * max(1.0, max(b))
-    support = [j for j in range(nv) if xf[j] > tol]
-    binding = [
-        i for i, coeffs in enumerate(float_rows)
-        if b[i] - sum(v * xf[j] for j, v in coeffs.items()) < tol
-    ]
-    # rows.X' == rhs on the pattern, X' = den * X = xs / xden
-    primal = _solve_on_pattern([rows[i] for i in binding], [rhs[i] for i in binding], support)
+    # rows.X' == rhs on the basis, X' = den * X = xs / xden
+    primal = _solve_on_pattern([rows[i] for i in binding], [rhs[i] for i in binding], basic)
     if primal is None:
         return None
     xs, xden = primal
@@ -347,15 +349,12 @@ def _exact_from_float(lp: IntegerLP, xf, yf, df) -> tuple[list[int], int] | None
         if i not in bound and sum(v * xs[j] for j, v in coeffs.items() if j in xs) > rhs[i] * xden:
             return None
 
-    dtol = 1e-8 * max(1.0, max((abs(v) for v in float_cost), default=1.0))
     cols: list[dict[int, int]] = [{} for _ in range(nv)]
     for i, coeffs in enumerate(rows):
         for j, v in coeffs.items():
             cols[j][i] = v
-    tight = [j for j in range(nv) if abs(df[j]) < dtol]
-    # cols.Y == cost on the pattern, Y = cost_den * y = ys / yden
-    dual = _solve_on_pattern([cols[j] for j in tight], [cost[j] for j in tight],
-                             [i for i in range(len(rows)) if yf[i] > dtol])
+    # cols.Y == cost on the basis, Y = cost_den * y = ys / yden
+    dual = _solve_on_pattern([cols[j] for j in basic], [cost[j] for j in basic], binding)
     if dual is None:
         return None
     ys, yden = dual
@@ -371,9 +370,9 @@ def _exact_from_float(lp: IntegerLP, xf, yf, df) -> tuple[list[int], int] | None
 def _solve(lp: IntegerLP) -> tuple[list[int], int]:
     """An optimal vertex of lp in its scaled variables: X[j] = nums[j] / den.
 
-    HiGHS solves the LP in floats; its primal and dual are made exact on
-    their patterns and kept when they prove each other optimal. When HiGHS
-    fails, the check rejects its answer or the LP has no rows, the exact
+    HiGHS solves the LP in floats; its optimal basis is solved exactly and
+    kept when its primal and dual prove each other optimal. When HiGHS
+    fails, the check rejects its basis or the LP has no rows, the exact
     simplex solves the integer form. That form is the LP with each column
     scaled by a positive factor and the costs and the right-hand sides each
     by one positive factor, under which Bland's rule picks the same pivots,
@@ -381,9 +380,9 @@ def _solve(lp: IntegerLP) -> tuple[list[int], int]:
     if the LP is unbounded.
     """
     if lp.rows:
-        floats = linprog(lp)
-        if floats is not None:
-            exact = _exact_from_float(lp, *floats)
+        basis = linprog(lp)
+        if basis is not None:
+            exact = _exact_from_basis(lp, *basis)
             if exact is not None:
                 return exact
     # in rows.X' <= rhs the simplex's point is X' = den * X

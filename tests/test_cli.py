@@ -371,6 +371,18 @@ def test_invalid_argument_value_exits_2(tmp_path, capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["score", "DIR"],
+    ["certify", "PATH", "--method", "chains", "-o", "DIR"],
+], ids=["network-is-directory", "output-is-directory"])
+def test_unusable_path_exits_2(tmp_path, capsys, argv):
+    files = {"PATH": write_path_network(tmp_path), "DIR": str(tmp_path)}
+    code, out, err = run(capsys, *[files.get(a, a) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
 def test_verify_wrong_network_fingerprint(tmp_path, capsys):
     path = write_path_network(tmp_path)
     other = tmp_path / "other.edges"

@@ -247,6 +247,14 @@ def test_degenerate_vertex_solved_without_exact_simplex(monkeypatch):
     assert values == [F(3, 5), F(1, 2)] and obj == F(1, 15) + F(1, 8)
 
 
+def test_near_binding_row_solved_without_exact_simplex(monkeypatch):
+    # at x0 = 1 the second row's slack is 10**-11, below any float tolerance,
+    # yet only the first row binds: the basis says which
+    monkeypatch.setattr("modcert.lp.exact_simplex", _forbidden)
+    rows = [({0: F(1)}, F(1)), ({0: F(1)}, 1 + F(1, 10**11))]
+    assert solve_lp(LinearProgram(objective=[F(1)], rows=rows)) == ([F(1)], F(1))
+
+
 def _karate_chain_pools():
     """Karate's greedy chain pool, then the pool after each chain length 3 and 4."""
     sm = score_matrix(load_network("karate"))
@@ -388,7 +396,7 @@ def test_combine_integer_columns(monkeypatch):
 
 
 def test_linprog_matches_scipy_linprog(monkeypatch):
-    """The HiGHS binding gives scipy's linprog answer bit for bit, so certificates keep their bytes."""
+    """HiGHS's basis, solved exactly with no fallback, is scipy linprog's point to 1e-9."""
     sm, (greedy_pool, _, _) = _karate_chain_pools()
     # HiGHS gets each row's columns in the row's own order; the last case's
     # rows run 3, 0, 2 and 2, 1
@@ -409,10 +417,10 @@ def test_linprog_matches_scipy_linprog(monkeypatch):
             bounds=(0, None), method="highs",
         )
         assert res.success
-        x, y, reduced = linprog(form)
-        assert np.array_equal(res.x, x)
-        assert np.array_equal(-res.ineqlin.marginals, y)
-        assert np.array_equal(res.lower.marginals, reduced)
+        exact = lp._exact_from_basis(form, *linprog(form))
+        assert exact is not None
+        x, _ = lp._exact_answer(form, *exact)
+        assert np.allclose([float(v) for v in x], res.x, rtol=0, atol=1e-9)
 
 
 def _floats(form):
@@ -458,70 +466,62 @@ SMALL_OBJ = [F(3), F(5)]
 SMALL_ROWS = [({0: F(1)}, F(4)), ({1: F(2)}, F(12)), ({0: F(3), 1: F(2)}, F(18))]
 
 
-def _fake_highs(x, y):
-    """A linprog stand-in returning the point x with row duals y, as HiGHS reports them."""
-    def fake(form):
-        cost, rows, _ = form.floats()
-        reduced = [-c for c in cost]
-        for coeffs, yi in zip(rows, y):
-            for j, v in coeffs.items():
-                reduced[j] += v * yi
-        return [float(v) for v in x], [float(v) for v in y], reduced
-    return fake
+def _fake_basis(basic, binding):
+    """A linprog stand-in reporting these basic columns and binding rows as HiGHS's basis."""
+    return lambda form: (basic, binding)
 
 
-@pytest.mark.parametrize("x,y,rejected", [
-    ([2, 6], [0, 1.5, 1], False),   # the true optimum and its duals
-    ([4, 3], [0, 1.5, 1], True),    # suboptimal vertex: c.x = 27 < b.y = 36
-    ([4, 3], [-4.5, 0, 2.5], True),  # that vertex's own basic duals, one negative
-    ([2, 6], [3, 0, 0], True),      # wrong duals: x1 is not priced out
-    ([2, 6], [0, 2.5, 0], True),    # wrong duals: inconsistent on x0's column
-])
-def test_strong_duality_check_rejects_wrong_float_answer(monkeypatch, x, y, rejected):
+def _counted_solve(monkeypatch, basic, binding, obj, rows):
+    """solve_lp on the fake basis, and how often the exact simplex ran."""
     calls = []
 
     def counting_simplex(*args):
         calls.append(1)
         return exact_simplex(*args)
 
-    monkeypatch.setattr("modcert.lp.linprog", _fake_highs(x, y))
+    monkeypatch.setattr("modcert.lp.linprog", _fake_basis(basic, binding))
     monkeypatch.setattr("modcert.lp.exact_simplex", counting_simplex)
-    values, obj = solve_lp(LinearProgram(objective=SMALL_OBJ, rows=SMALL_ROWS))
+    return solve_lp(LinearProgram(objective=obj, rows=rows)), len(calls)
+
+
+# x names the basic columns, where the point may be nonzero, and y the
+# binding rows, where the duals may be
+@pytest.mark.parametrize("x,y,rejected", [
+    ([0, 1], [1, 2], False),  # the optimal basis: (2, 6), duals (0, 3/2, 1)
+    ([0, 1], [0, 2], True),   # the vertex (4, 3), whose duals (-9/2, 0, 5/2) have one negative
+    ([0, 1], [0, 1], True),   # (4, 6) breaks 3x0 + 2x1 <= 18
+    ([0], [0], True),         # (4, 0) with duals (3, 0, 0) leaves x1's profit at 5
+    ([0, 1], [1], True),      # unequal sizes: one row cannot fix two columns
+])
+def test_strong_duality_check_rejects_wrong_float_answer(monkeypatch, x, y, rejected):
+    (values, obj), calls = _counted_solve(monkeypatch, x, y, SMALL_OBJ, SMALL_ROWS)
     assert values == [F(2), F(6)] and obj == 36
-    assert bool(calls) == rejected
+    assert calls == rejected
 
 
 DELTA = F(1, 10**11)
 
 
 @pytest.mark.parametrize("obj,rows,x,y", [
-    # the exact point (1/2, 3/2) of the two nearly parallel rows the float
-    # point (1, 1) binds breaks x1 <= 6/5, which the float point keeps
+    # the exact point (1/2, 3/2) of the two nearly parallel rows breaks
+    # x1 <= 6/5, which the float point (1, 1) keeps
     ([F(1), F(1)],
      [({0: F(1), 1: F(1)}, F(2)), ({0: F(1), 1: 1 + DELTA}, 2 + 3 * DELTA / 2), ({1: F(1)}, F(6, 5))],
-     [1, 1], [1, 0, 0]),
+     [0, 1], [0, 1]),
     # there the exact point is (-98, 100), below x0 >= 0
     ([F(1), F(1)],
      [({0: F(1), 1: F(1)}, F(2)), ({0: F(1), 1: 1 + DELTA}, 2 + 100 * DELTA)],
-     [1, 1], [1, 0]),
-    # c.x == b.y == 2, but the duals leave x2's profit at 1
-    ([F(1), F(1), F(1)], [({0: F(1)}, F(1)), ({1: F(1)}, F(1)), ({2: F(1)}, F(1))],
-     [1, 1, 0], [1, 1, 0]),
+     [0, 1], [0, 1]),
+    # the two rows are parallel, so the basis is singular
+    ([F(1), F(1)], [({0: F(1), 1: F(1)}, F(2)), ({0: F(2), 1: F(2)}, F(4))],
+     [0, 1], [0, 1]),
 ])
 def test_exact_checks_reject_wrong_float_answer(monkeypatch, obj, rows, x, y):
-    """Feasibility, x >= 0 and priced-out columns are each checked, not implied by c.x == b.y."""
-    calls = []
-
-    def counting_simplex(*args):
-        calls.append(1)
-        return exact_simplex(*args)
-
-    monkeypatch.setattr("modcert.lp.linprog", _fake_highs(x, y))
-    monkeypatch.setattr("modcert.lp.exact_simplex", counting_simplex)
-    values, objective = solve_lp(LinearProgram(objective=obj, rows=rows))
-    assert calls == [1]
+    """Feasibility, x >= 0 and a unique solution are each checked, not implied by the basis."""
+    answer, calls = _counted_solve(monkeypatch, x, y, obj, rows)
+    assert calls == 1
     _, expect_x, expect_obj, _ = exact_simplex(obj, rows)
-    assert (values, objective) == (expect_x, expect_obj)
+    assert answer == (expect_x, expect_obj)
 
 
 def dense_solve(rows, rhs, ncols):
@@ -704,32 +704,21 @@ def fraction_solve_on_pattern(eqs, unknowns):
     return dict(zip(unknowns, sol))
 
 
-def fraction_exact_from_float(obj, rows, xf, yf, df):
-    """(x, objective) in Fractions from HiGHS's primal and dual; None unless provably optimal."""
+def fraction_exact_from_basis(obj, rows, basic, binding):
+    """(x, objective) in Fractions from HiGHS's basis; None unless provably optimal."""
     nv = len(obj)
-    b = [float(rhs) for _, rhs in rows]
-    tol = 1e-8 * max(1.0, max(b))
-    support = [j for j in range(nv) if xf[j] > tol]
-    binding = [
-        i for i, (coeffs, _) in enumerate(rows)
-        if b[i] - sum(float(v) * xf[j] for j, v in coeffs.items()) < tol
-    ]
-    xs = fraction_solve_on_pattern([rows[i] for i in binding], support)
+    xs = fraction_solve_on_pattern([rows[i] for i in binding], basic)
     if xs is None:
         return None
     x = [xs.get(j, F(0)) for j in range(nv)]
     for coeffs, rhs in rows:
         if sum((v * xs[j] for j, v in coeffs.items() if j in xs), F(0)) > rhs:
             return None
-    dtol = 1e-8 * max(1.0, max((abs(float(v)) for v in obj), default=1.0))
     cols = [{} for _ in range(nv)]
     for i, (coeffs, _) in enumerate(rows):
         for j, v in coeffs.items():
             cols[j][i] = v
-    y = fraction_solve_on_pattern(
-        [(cols[j], F(obj[j])) for j in range(nv) if abs(df[j]) < dtol],
-        [i for i in range(len(rows)) if yf[i] > dtol],
-    )
+    y = fraction_solve_on_pattern([(cols[j], F(obj[j])) for j in basic], binding)
     if y is None:
         return None
     profit = [F(v) for v in obj]
@@ -747,10 +736,10 @@ def fraction_exact_from_float(obj, rows, xf, yf, df):
 def _assert_recovery_matches_oracle(monkeypatch, form):
     """The integer recovery keeps what the Fraction oracle keeps, and solve_lp agrees."""
     obj, rows = fraction_lp(form)
-    floats = linprog(form)
-    assert floats is not None
-    expect = fraction_exact_from_float(obj, rows, *floats)
-    got = lp._exact_from_float(form, *floats)
+    basis = linprog(form)
+    assert basis is not None
+    expect = fraction_exact_from_basis(obj, rows, *basis)
+    got = lp._exact_from_basis(form, *basis)
     assert (got is None) == (expect is None)
     if got is not None:
         assert lp._exact_answer(form, *got) == expect
