@@ -9,13 +9,16 @@ row denominator, integer costs over one cost denominator, and a positive
 unit per column, the gcd of its entries, so that a chain column of the
 combination LP becomes 0/1. HiGHS solves it in floating point, fed the float
 of each of the LP's own rationals, and hands back only its optimal basis:
-the basic columns and the rows whose slacks are nonbasic. The primal and the
-dual of that basis are solved exactly, in integers by fraction-free
-elimination, and kept only if strong duality holds exactly (Applegate, Cook,
-Dash & Espinoza, Exact solutions to linear programming problems, 2007). If
-HiGHS fails or the check rejects its basis, a single-phase exact simplex
-over Fractions with Bland's rule solves the whole LP. A Fraction is built
-only for the answer, and every number that leaves this module is exact.
+the basic columns and the rows whose slacks are nonbasic. One basis step
+solves the primal and the dual of a basis exactly, in integers by
+fraction-free elimination, and names the variable Bland's rule enters there.
+HiGHS's basis is kept when the step names none and strong duality holds
+exactly (Applegate, Cook, Dash & Espinoza, Exact solutions to linear
+programming problems, 2007). If HiGHS fails or the step rejects its basis, a
+primal simplex with Bland's rule solves the whole LP from the slack basis,
+each of its bases solved by the same step. That is the one exact engine, in
+Python ints; a Fraction is built only for the answer, and every number that
+leaves this module is exact.
 
 HiGHS (Huangfu & Hall, Parallelizing the dual revised simplex method, 2018)
 is called through the binding bundled with scipy, `scipy.optimize._highspy`:
@@ -38,64 +41,6 @@ from scipy.optimize._highspy import _core as highspy
 from .scores import Pair, Partition, ScoreMatrix, trivial_upper_bound
 
 Row = tuple[dict[int, Fraction], Fraction]  # sparse coeffs, rhs >= 0; relation <=
-
-
-# ---------------------------------------------------------------------------
-# exact single-phase simplex (Bland's rule), dense Fractions
-
-def exact_simplex(c: Sequence[Fraction], rows: Sequence[Row]):
-    """Solve max c.x subject to rows (coeffs, rhs), coeffs.x <= rhs, and x >= 0.
-
-    Every rhs must be >= 0: the simplex starts from the slack basis. Returns
-    (status, x, objective, duals) with status "optimal" or "unbounded";
-    duals[i] is the shadow price of row i.
-    """
-    n = len(c)
-    m = len(rows)
-    ncols = n + m
-    zero = Fraction(0)
-
-    T = [[zero] * (ncols + 1) for _ in range(m)]
-    for i, (coeffs, rhs) in enumerate(rows):
-        if rhs < 0:
-            raise ValueError(f"row {i} has negative rhs {rhs}")
-        for j, v in coeffs.items():
-            T[i][j] = Fraction(v)
-        T[i][n + i] = Fraction(1)
-        T[i][ncols] = Fraction(rhs)
-    basis = list(range(n, ncols))
-    obj = [-Fraction(v) for v in c] + [zero] * (m + 1)
-
-    while True:
-        col = next((j for j in range(ncols) if obj[j] < 0), -1)
-        if col < 0:
-            break
-        row = -1
-        best = None
-        for r in range(m):
-            a = T[r][col]
-            if a > 0:
-                ratio = T[r][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[row]):
-                    best = ratio
-                    row = r
-        if row < 0:
-            return "unbounded", None, None, None
-        piv = T[row][col]
-        T[row] = [v / piv for v in T[row]]
-        prow = T[row]
-        for r in range(m):
-            if r != row and T[r][col] != 0:
-                f = T[r][col]
-                T[r] = [a - f * b for a, b in zip(T[r], prow)]
-        f = obj[col]
-        obj = [a - f * b for a, b in zip(obj, prow)]
-        basis[row] = col
-
-    xfull = [zero] * ncols
-    for r, b in enumerate(basis):
-        xfull[b] = T[r][-1]
-    return "optimal", xfull[:n], obj[-1], obj[n:ncols]
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +140,7 @@ def solve_sparse_system(rows: list[dict[int, int]], rhs: list[int], ncols: int) 
 
 
 # ---------------------------------------------------------------------------
-# the integer form, float solve, exact primal-dual recovery, exact fallback
+# the integer form, float solve, exact basis step, exact simplex
 
 @dataclass
 class IntegerLP:
@@ -310,87 +255,134 @@ def linprog(lp: IntegerLP) -> tuple[list[int], list[int]] | None:
             [i for i, s in enumerate(basis.row_status) if s != basic])
 
 
-def _solve_on_pattern(eqs: list[dict[int, int]], rhs: list[int], unknowns: list[int]) -> tuple[dict[int, int], int] | None:
-    """The unknowns solving the integer equations eqs.x == rhs, every other index at 0.
-
-    Returns their numerators over one positive denominator. A valid basis
-    gives as many equations as unknowns, and a nonsingular basis one
-    solution; None unless the solution exists, is unique and is nonnegative.
-    """
-    pos = {u: k for k, u in enumerate(unknowns)}
-    sol = solve_sparse_system(
-        [{pos[j]: v for j, v in coeffs.items() if j in pos} for coeffs in eqs], rhs, len(unknowns)
-    )
-    if sol is None or any(v < 0 for v in sol[0]):
-        return None
-    return dict(zip(unknowns, sol[0])), sol[1]
+def _basis_rows(lp: IntegerLP, basic: list[int], binding: list[int]) -> list[dict[int, int]]:
+    """The binding rows in the basic columns, the columns renumbered in basic's order."""
+    pos = {j: k for k, j in enumerate(basic)}
+    return [{pos[j]: v for j, v in lp.rows[i].items() if j in pos} for i in binding]
 
 
-def _exact_from_basis(lp: IntegerLP, basic: list[int], binding: list[int]) -> tuple[list[int], int] | None:
-    """An exact optimum from HiGHS's optimal basis; None unless provably optimal.
+def _basis_step(lp: IntegerLP, basic: list[int], binding: list[int]) -> tuple[list[int], int, dict[int, int], int, int] | None:
+    """Solve one basis exactly and name the variable Bland's rule enters there.
 
-    X (the scaled point) solves the binding rows in the basic columns, every
-    other column at 0; the duals solve the basic columns in the binding rows,
-    every other row's dual at 0. Both systems are square on a valid basis and
-    are solved in integers. The pair is kept only if X is feasible and >= 0,
-    the duals are >= 0 and price every column out and c.x == b.y, which by
-    strong duality makes the point optimal. Returns X's numerators over one
-    positive denominator.
+    Variable j < n is column j and variable n + i the slack of row i. A basis
+    is given by its basic columns and its binding rows, the rows whose slacks
+    are nonbasic. X' = den * X solves the binding rows in the basic columns,
+    every other column at 0; the duals Y = cost_den * y solve the basic
+    columns in the binding rows, every other row's dual at 0. Both systems
+    are square on a valid basis and are solved in integers.
+
+    Returns (nums, xden, ys, yden, entering): X' = nums / xden, Y = ys / yden
+    on the binding rows, and entering the smallest variable with a positive
+    reduced profit (a column that its duals underprice, or the slack of a
+    row whose dual is negative), -1 if there is none. None unless both
+    systems have one solution and X' is feasible and >= 0. At entering == -1
+    the duals are feasible too and c.x == b.y is checked, which by strong
+    duality proves the point optimal.
     """
     rows, rhs, cost = lp.rows, lp.rhs, lp.cost
     nv = len(cost)
-    # rows.X' == rhs on the basis, X' = den * X = xs / xden
-    primal = _solve_on_pattern([rows[i] for i in binding], [rhs[i] for i in binding], basic)
-    if primal is None:
+    primal = solve_sparse_system(_basis_rows(lp, basic, binding), [rhs[i] for i in binding], len(basic))
+    if primal is None or any(v < 0 for v in primal[0]):
         return None
-    xs, xden = primal
+    xs, xden = dict(zip(basic, primal[0])), primal[1]
     bound = set(binding)
     for i, coeffs in enumerate(rows):
         if i not in bound and sum(v * xs[j] for j, v in coeffs.items() if j in xs) > rhs[i] * xden:
             return None
 
-    cols: list[dict[int, int]] = [{} for _ in range(nv)]
-    for i, coeffs in enumerate(rows):
-        for j, v in coeffs.items():
-            cols[j][i] = v
-    # cols.Y == cost on the basis, Y = cost_den * y = ys / yden
-    dual = _solve_on_pattern([cols[j] for j in basic], [cost[j] for j in basic], binding)
+    at = {i: k for k, i in enumerate(binding)}
+    cols: dict[int, dict[int, int]] = {j: {} for j in basic}
+    for i in binding:
+        for j, v in rows[i].items():
+            if j in cols:
+                cols[j][at[i]] = v
+    dual = solve_sparse_system([cols[j] for j in basic], [cost[j] for j in basic], len(binding))
     if dual is None:
         return None
-    ys, yden = dual
-    for j in range(nv):
-        if cost[j] * yden > sum(v * ys[i] for i, v in cols[j].items() if i in ys):
-            return None  # a positive reduced profit
+    ys, yden = dict(zip(binding, dual[0])), dual[1]
+    profit = [c * yden for c in cost]
+    for i, y in ys.items():
+        for j, v in rows[i].items():
+            profit[j] -= v * y
+    entering = next((j for j, g in enumerate(profit) if g > 0), -1)
+    if entering < 0:
+        entering = min((nv + i for i, y in ys.items() if y < 0), default=-1)
     # c.x == b.y, both over cost_den * den * xden * yden
-    if yden * sum(cost[j] * v for j, v in xs.items()) != xden * sum(rhs[i] * v for i, v in ys.items()):
+    if entering < 0 and yden * sum(cost[j] * v for j, v in xs.items()) != xden * sum(rhs[i] * v for i, v in ys.items()):
         return None
-    return [xs.get(j, 0) for j in range(nv)], xden * lp.den
+    return [xs.get(j, 0) for j in range(nv)], xden, ys, yden, entering
+
+
+def exact_simplex(lp: IntegerLP) -> tuple[list[int], int]:
+    """An optimal vertex of lp by the primal simplex with Bland's rule, exact.
+
+    Every rhs is >= 0, so the slack basis is a feasible start. Each basis is
+    solved by `_basis_step`, which names the entering variable: the smallest
+    index with a positive reduced profit, the columns before the slacks. The
+    ratio test solves the entering column in the basis, and the basic
+    variable that first falls to 0 leaves, the smallest index among ties, so
+    no basis repeats (Bland, New finite pivoting rules for the simplex
+    method, 1977). Returns X = nums / den as `_solve` does; raises
+    ValueError if the LP is unbounded.
+    """
+    rows, rhs, nv = lp.rows, lp.rhs, len(lp.cost)
+    basic: list[int] = []
+    binding: list[int] = []
+    while True:
+        nums, xden, _, _, entering = _basis_step(lp, basic, binding)
+        if entering < 0:
+            return nums, xden * lp.den
+        # the entering variable's column: its entries, or its slack's 1
+        a = {i: r[entering] for i, r in enumerate(rows) if entering in r} if entering < nv else {entering - nv: 1}
+        # as the entering variable grows by t, basic column j falls by
+        # t * d[j] / dden, and the slack of a row that does not bind by
+        # t * rate / dden; values are over xden
+        dnums, dden = solve_sparse_system(_basis_rows(lp, basic, binding), [a.get(i, 0) for i in binding], len(basic))
+        d = dict(zip(basic, dnums))
+        falls = [(nums[j], d[j], j) for j in basic]
+        bound = set(binding)
+        for i, coeffs in enumerate(rows):
+            if i not in bound:
+                value = rhs[i] * xden - sum(v * nums[j] for j, v in coeffs.items() if j in d)
+                rate = a.get(i, 0) * dden - sum(v * d[j] for j, v in coeffs.items() if j in d)
+                falls.append((value, rate, nv + i))
+        leaving, least = -1, None
+        for value, rate, var in falls:
+            if rate > 0 and (leaving < 0 or value * least[1] < least[0] * rate
+                             or (value * least[1] == least[0] * rate and var < leaving)):
+                leaving, least = var, (value, rate)
+        if leaving < 0:
+            raise ValueError("LP is unbounded")
+        if entering < nv:
+            basic.append(entering)
+        else:
+            binding.remove(entering - nv)
+        if leaving < nv:
+            basic.remove(leaving)
+        else:
+            binding.append(leaving - nv)
 
 
 def _solve(lp: IntegerLP) -> tuple[list[int], int]:
     """An optimal vertex of lp in its scaled variables: X[j] = nums[j] / den.
 
-    HiGHS solves the LP in floats; its optimal basis is solved exactly and
-    kept when its primal and dual prove each other optimal. When HiGHS
-    fails, the check rejects its basis or the LP has no rows, the exact
-    simplex solves the integer form. That form is the LP with each column
-    scaled by a positive factor and the costs and the right-hand sides each
-    by one positive factor, under which Bland's rule picks the same pivots,
-    so it finds the vertex it would find on the LP itself. Raises ValueError
-    if the LP is unbounded.
+    HiGHS solves the LP in floats, and its optimal basis is kept when
+    `_basis_step` proves it optimal: feasible, with no entering variable.
+    When HiGHS fails, the step rejects its basis or the LP has no rows,
+    `exact_simplex` solves the integer form from the slack basis. That form
+    is the LP with each column scaled by a positive factor and the costs and
+    the right-hand sides each by one positive factor, which changes neither
+    the sign of a reduced profit nor the order of the ratios, so Bland's rule
+    picks the same pivots and finds the vertex it would find on the LP
+    itself. Raises ValueError if the LP is unbounded.
     """
     if lp.rows:
         basis = linprog(lp)
         if basis is not None:
-            exact = _exact_from_basis(lp, *basis)
-            if exact is not None:
-                return exact
-    # in rows.X' <= rhs the simplex's point is X' = den * X
-    status, x, _, _ = exact_simplex(lp.cost, list(zip(lp.rows, lp.rhs)))
-    if status == "unbounded":
-        raise ValueError("LP is unbounded")
-    den = math.lcm(*(v.denominator for v in x))
-    return [v.numerator * (den // v.denominator) for v in x], den * lp.den
+            step = _basis_step(lp, *basis)
+            if step is not None and step[4] < 0:
+                return step[0], step[1] * lp.den
+    return exact_simplex(lp)
 
 
 def _exact_answer(lp: IntegerLP, nums: list[int], den: int) -> tuple[list[Fraction], Fraction]:

@@ -73,21 +73,39 @@ def test_solve_lp_rejects_negative_rhs():
         LinearProgram(objective=[F(1)], rows=[({0: F(1)}, F(-1))])
 
 
-def test_exact_simplex_duals():
-    status, x, obj, duals = exact_simplex(
-        [F(3), F(5)],
-        [({0: F(1)}, F(4)), ({1: F(2)}, F(12)), ({0: F(3), 1: F(2)}, F(18))],
-    )
-    assert status == "optimal"
-    assert x == [F(2), F(6)] and obj == 36
-    assert duals == [F(0), F(3, 2), F(1)]
+# max 3x0 + 5x1 s.t. x0 <= 4, 2x1 <= 12, 3x0 + 2x1 <= 18: optimum (2, 6), 36,
+# duals (0, 3/2, 1); (4, 3) is a feasible vertex with objective 27
+SMALL_OBJ = [F(3), F(5)]
+SMALL_ROWS = [({0: F(1)}, F(4)), ({1: F(2)}, F(12)), ({0: F(3), 1: F(2)}, F(18))]
+
+
+def integer_form(obj, rows):
+    """The integer form solve_lp gives a Fraction LP."""
+    den = math.lcm(*(rhs.denominator for _, rhs in rows))
+    return IntegerLP.from_rationals(obj, [coeffs for coeffs, _ in rows],
+                                    [int(rhs * den) for _, rhs in rows], den)
+
+
+def test_exact_simplex_duals(monkeypatch):
+    form = integer_form(SMALL_OBJ, SMALL_ROWS)
+    step, steps = lp._basis_step, []
+
+    def recording(*args):
+        steps.append(step(*args))
+        return steps[-1]
+
+    monkeypatch.setattr("modcert.lp._basis_step", recording)
+    assert lp._exact_answer(form, *exact_simplex(form)) == ([F(2), F(6)], 36)
+    # the final basis's duals, Y = cost_den * y
+    _, _, ys, yden, entering = steps[-1]
+    assert entering == -1 and len(steps) > 1
+    assert [F(ys.get(i, 0), yden * form.cost_den) for i in range(3)] == [F(0), F(3, 2), F(1)]
 
 
 def test_exact_simplex_unbounded():
     # x1 appears in no row with a positive coefficient
-    status, x, obj, duals = exact_simplex([F(1), F(1)], [({0: F(1), 1: F(-1)}, F(2))])
-    assert status == "unbounded"
-    assert x is None and obj is None and duals is None
+    with pytest.raises(ValueError, match="unbounded"):
+        exact_simplex(integer_form([F(1), F(1)], [({0: F(1), 1: F(-1)}, F(2))]))
 
 
 CASE_DEN = 120  # the lcm of the denominators 4, 5, 6, 8 the random reduction cases draw
@@ -279,21 +297,24 @@ def test_karate_chain_pools_without_exact_simplex(monkeypatch):
     assert combine(pool4, sm).bound == F(1277, 3042)
 
 
-def test_karate_greedy_pool_fallback(monkeypatch):
-    sm, (greedy_pool, _, _) = _karate_chain_pools()
-    float_bound = combine(greedy_pool, sm).bound
-    assert float_bound == F(603, 1352)
+@pytest.mark.parametrize("k,bound,width", [
+    (0, F(603, 1352), 168), (1, F(2585, 6084), 436), (2, F(1277, 3042), 1873),
+], ids=["greedy", "3-chains", "4-chains"])
+def test_karate_chain_pool_fallback(monkeypatch, k, bound, width):
+    sm, pools = _karate_chain_pools()
+    pool = pools[k]
+    assert combine(pool, sm).bound == bound
     widths = []
 
-    def counting_simplex(c, rows):
-        widths.append(len(c))
-        return exact_simplex(c, rows)
+    def counting_simplex(form):
+        widths.append(len(form.cost))
+        return exact_simplex(form)
 
     monkeypatch.setattr("modcert.lp.linprog", _no_float_solver)
     monkeypatch.setattr("modcert.lp.exact_simplex", counting_simplex)
-    assert combine(greedy_pool, sm).bound == float_bound
+    assert combine(pool, sm).bound == bound
     # one exact simplex on the whole LP
-    assert widths == [len(greedy_pool)] == [168]
+    assert widths == [len(pool)] == [width]
 
 
 def _recorded_lps(monkeypatch, solve):
@@ -417,9 +438,9 @@ def test_linprog_matches_scipy_linprog(monkeypatch):
             bounds=(0, None), method="highs",
         )
         assert res.success
-        exact = lp._exact_from_basis(form, *linprog(form))
-        assert exact is not None
-        x, _ = lp._exact_answer(form, *exact)
+        answer = _step_answer(form, linprog(form))
+        assert answer is not None
+        x, _ = answer
         assert np.allclose([float(v) for v in x], res.x, rtol=0, atol=1e-9)
 
 
@@ -460,27 +481,27 @@ def test_integer_form_floats_are_correctly_rounded():
     assert list(float_rows) == [{0: float(big), 1: float(F(7, 3))}, {0: float(3 * big), 1: 2.5}]
 
 
-# max 3x0 + 5x1 s.t. x0 <= 4, 2x1 <= 12, 3x0 + 2x1 <= 18: optimum (2, 6), 36,
-# duals (0, 3/2, 1); (4, 3) is a feasible vertex with objective 27
-SMALL_OBJ = [F(3), F(5)]
-SMALL_ROWS = [({0: F(1)}, F(4)), ({1: F(2)}, F(12)), ({0: F(3), 1: F(2)}, F(18))]
-
-
 def _fake_basis(basic, binding):
     """A linprog stand-in reporting these basic columns and binding rows as HiGHS's basis."""
     return lambda form: (basic, binding)
 
 
+def _checked_simplex(widths):
+    """exact_simplex, recording each LP's width and checking its vertex against the tableau's."""
+    def run(form):
+        widths.append(len(form.cost))
+        answer = exact_simplex(form)
+        _, x, objective, _ = tableau_simplex(*fraction_lp(form))
+        assert lp._exact_answer(form, *answer) == (x, objective)
+        return answer
+    return run
+
+
 def _counted_solve(monkeypatch, basic, binding, obj, rows):
     """solve_lp on the fake basis, and how often the exact simplex ran."""
     calls = []
-
-    def counting_simplex(*args):
-        calls.append(1)
-        return exact_simplex(*args)
-
     monkeypatch.setattr("modcert.lp.linprog", _fake_basis(basic, binding))
-    monkeypatch.setattr("modcert.lp.exact_simplex", counting_simplex)
+    monkeypatch.setattr("modcert.lp.exact_simplex", _checked_simplex(calls))
     return solve_lp(LinearProgram(objective=obj, rows=rows)), len(calls)
 
 
@@ -520,7 +541,7 @@ def test_exact_checks_reject_wrong_float_answer(monkeypatch, obj, rows, x, y):
     """Feasibility, x >= 0 and a unique solution are each checked, not implied by the basis."""
     answer, calls = _counted_solve(monkeypatch, x, y, obj, rows)
     assert calls == 1
-    _, expect_x, expect_obj, _ = exact_simplex(obj, rows)
+    _, expect_x, expect_obj, _ = tableau_simplex(obj, rows)
     assert answer == (expect_x, expect_obj)
 
 
@@ -638,6 +659,64 @@ def test_solve_sparse_system_forty_digit_coefficients():
     assert solve_exact([{0: F(10**40 + 1), 1: F(10**39)}], [F(1)], 2) is None
 
 
+# The dense Fraction tableau the exact simplex replaced, kept as the oracle
+# whose vertex the exact simplex must return.
+
+def tableau_simplex(c, rows):
+    """Solve max c.x subject to rows (coeffs, rhs), coeffs.x <= rhs, and x >= 0.
+
+    Every rhs must be >= 0: the simplex starts from the slack basis. Returns
+    (status, x, objective, duals) with status "optimal" or "unbounded";
+    duals[i] is the shadow price of row i.
+    """
+    n = len(c)
+    m = len(rows)
+    ncols = n + m
+    zero = Fraction(0)
+
+    T = [[zero] * (ncols + 1) for _ in range(m)]
+    for i, (coeffs, rhs) in enumerate(rows):
+        if rhs < 0:
+            raise ValueError(f"row {i} has negative rhs {rhs}")
+        for j, v in coeffs.items():
+            T[i][j] = Fraction(v)
+        T[i][n + i] = Fraction(1)
+        T[i][ncols] = Fraction(rhs)
+    basis = list(range(n, ncols))
+    obj = [-Fraction(v) for v in c] + [zero] * (m + 1)
+
+    while True:
+        col = next((j for j in range(ncols) if obj[j] < 0), -1)
+        if col < 0:
+            break
+        row = -1
+        best = None
+        for r in range(m):
+            a = T[r][col]
+            if a > 0:
+                ratio = T[r][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[r] < basis[row]):
+                    best = ratio
+                    row = r
+        if row < 0:
+            return "unbounded", None, None, None
+        piv = T[row][col]
+        T[row] = [v / piv for v in T[row]]
+        prow = T[row]
+        for r in range(m):
+            if r != row and T[r][col] != 0:
+                f = T[r][col]
+                T[r] = [a - f * b for a, b in zip(T[r], prow)]
+        f = obj[col]
+        obj = [a - f * b for a, b in zip(obj, prow)]
+        basis[row] = col
+
+    xfull = [zero] * ncols
+    for r, b in enumerate(basis):
+        xfull[b] = T[r][-1]
+    return "optimal", xfull[:n], obj[-1], obj[n:ncols]
+
+
 # The exact recovery as it was done in Fractions before the integer form, kept
 # as the oracle the integer recovery must agree with.
 
@@ -733,27 +812,27 @@ def fraction_exact_from_basis(obj, rows, basic, binding):
     return x, objective
 
 
+def _step_answer(form, basis):
+    """(x, objective) from the basis step on basis; None unless it proves the basis optimal."""
+    step = lp._basis_step(form, *basis)
+    if step is None or step[4] >= 0:
+        return None
+    return lp._exact_answer(form, step[0], step[1] * form.den)
+
+
 def _assert_recovery_matches_oracle(monkeypatch, form):
-    """The integer recovery keeps what the Fraction oracle keeps, and solve_lp agrees."""
+    """The basis step keeps what the Fraction oracle keeps, and solve_lp agrees."""
     obj, rows = fraction_lp(form)
     basis = linprog(form)
     assert basis is not None
     expect = fraction_exact_from_basis(obj, rows, *basis)
-    got = lp._exact_from_basis(form, *basis)
-    assert (got is None) == (expect is None)
-    if got is not None:
-        assert lp._exact_answer(form, *got) == expect
+    assert _step_answer(form, basis) == expect
     fallbacks = []
-
-    def counting_simplex(c, rows):
-        fallbacks.append(len(c))
-        return exact_simplex(c, rows)
-
     with monkeypatch.context() as m:
-        m.setattr("modcert.lp.exact_simplex", counting_simplex)
+        m.setattr("modcert.lp.exact_simplex", _checked_simplex(fallbacks))
         answer = solve_lp(LinearProgram(obj, rows))
     if expect is None:
-        status, x, objective, _ = exact_simplex(obj, rows)
+        status, x, objective, _ = tableau_simplex(obj, rows)
         assert fallbacks == [len(obj)] and answer == (x, objective)
     else:
         assert fallbacks == [] and answer == expect
@@ -775,3 +854,16 @@ def test_integer_recovery_matches_fraction_oracle(monkeypatch):
     lps += _recorded_lps(monkeypatch, lambda: [combine(comps, sm) for sm, comps in pools])
     fell_back = [_assert_recovery_matches_oracle(monkeypatch, form) for form in lps]
     assert fell_back.count(False) > 0.9 * len(lps)
+    # the exact simplex alone, HiGHS unused, finds the tableau's vertex; past
+    # 200 columns the tableau takes seconds, and the objective is HiGHS's
+    wide = []
+    for form in lps:
+        got = lp._exact_answer(form, *exact_simplex(form))
+        obj, rows = fraction_lp(form)
+        if len(obj) <= 200:
+            _, x, objective, _ = tableau_simplex(obj, rows)
+            assert got == (x, objective)
+        else:
+            wide.append(len(obj))
+            assert got[1] == _step_answer(form, linprog(form))[1]
+    assert len(lps) == 356 and wide == [387, 450]
