@@ -21,16 +21,22 @@ Python ints; a Fraction is built only for the answer, and every number that
 leaves this module is exact.
 
 HiGHS (Huangfu & Hall, Parallelizing the dual revised simplex method, 2018)
-is called through the binding bundled with scipy, `scipy.optimize._highspy`:
-one fresh solver per LP, with the options `scipy.optimize.linprog` sets for
-method="highs". Most LPs here have at most six columns, and on those
-linprog's own input checks and result objects cost several times the solve.
+is called through the binding bundled with scipy, `scipy.optimize._highspy`,
+with the options `scipy.optimize.linprog` sets for method="highs". Each
+thread keeps one solver, its options set once: `passModel` replaces the
+previous model together with its solution and basis, and the model is
+cleared after each call. HiGHS's `run` releases the GIL, so two threads can
+be inside it at once, and a solver shared between them would be unsafe.
+Most LPs here have at most six columns. On those, linprog's own input
+checks and result objects cost several times the solve, and a new solver
+for each LP nearly as much as the rest of the call.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -204,6 +210,9 @@ class IntegerLP:
         return cls(int_rows, rhs, den, [num * (cost_den // d) for num, d in scaled], cost_den, units)
 
 
+# each thread's one HiGHS solver, made on the thread's first LP
+_solvers = threading.local()
+
 # the options scipy.optimize.linprog passes HiGHS for method="highs"
 _HIGHS_OPTIONS = {
     "presolve": "on",
@@ -216,11 +225,15 @@ _HIGHS_OPTIONS = {
 def linprog(lp: IntegerLP) -> tuple[list[int], list[int]] | None:
     """HiGHS's optimal basis of lp as (basic columns, binding rows); None if it has none.
 
-    The float rows go to one fresh HiGHS solver as they are, a row-wise
-    matrix that HiGHS turns into columns itself, with the options linprog
-    sets for method="highs", so the basis is linprog's. A row binds when its
-    slack is nonbasic. No float of the answer is read: the basis states the
-    vertex exactly, and None when HiGHS finds no optimum or no valid basis.
+    The float rows go to HiGHS as they are, a row-wise matrix that HiGHS
+    turns into columns itself, with the options linprog sets for
+    method="highs", so the basis is linprog's. The solver is this thread's
+    one solver, its options set once when the thread first calls here (run
+    releases the GIL, so threads must not share one); `passModel` replaces
+    the previous model and basis, and the model is cleared after each call.
+    A row binds when its slack is nonbasic. No float of the answer is read:
+    the basis states the vertex exactly, and None when HiGHS finds no
+    optimum or no valid basis.
     """
     nv, m = len(lp.cost), len(lp.rows)
     cost, rows, rhs = lp.floats()
@@ -241,18 +254,23 @@ def linprog(lp: IntegerLP) -> tuple[list[int], list[int]] | None:
     matrix.num_col_, matrix.num_row_ = nv, m
     matrix.start_, matrix.index_, matrix.value_ = start, index, value
 
-    highs = highspy._Highs()
-    for key, val in _HIGHS_OPTIONS.items():
-        highs.setOptionValue(key, val)
-    error = highspy.HighsStatus.kError
-    if highs.passModel(model) == error or highs.run() == error:
-        return None
-    basis = highs.getBasis()
-    if highs.getModelStatus() != highspy.HighsModelStatus.kOptimal or not basis.valid:
-        return None
-    basic = highspy.HighsBasisStatus.kBasic
-    return ([j for j, s in enumerate(basis.col_status) if s == basic],
-            [i for i, s in enumerate(basis.row_status) if s != basic])
+    highs = getattr(_solvers, "highs", None)
+    if highs is None:
+        highs = _solvers.highs = highspy._Highs()
+        for key, val in _HIGHS_OPTIONS.items():
+            highs.setOptionValue(key, val)
+    try:
+        error = highspy.HighsStatus.kError
+        if highs.passModel(model) == error or highs.run() == error:
+            return None
+        basis = highs.getBasis()
+        if highs.getModelStatus() != highspy.HighsModelStatus.kOptimal or not basis.valid:
+            return None
+        basic = highspy.HighsBasisStatus.kBasic
+        return ([j for j, s in enumerate(basis.col_status) if s == basic],
+                [i for i, s in enumerate(basis.row_status) if s != basic])
+    finally:
+        highs.clearModel()
 
 
 def _basis_rows(lp: IntegerLP, basic: list[int], binding: list[int]) -> list[dict[int, int]]:

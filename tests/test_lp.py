@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -416,17 +417,22 @@ def test_combine_integer_columns(monkeypatch):
     assert len(dens) > 5
 
 
-def test_linprog_matches_scipy_linprog(monkeypatch):
-    """HiGHS's basis, solved exactly with no fallback, is scipy linprog's point to 1e-9."""
+def _scipy_lps(monkeypatch):
+    """201 weight-reduction LPs, then karate's greedy pool: integer forms and Fraction LPs."""
     sm, (greedy_pool, _, _) = _karate_chain_pools()
     # HiGHS gets each row's columns in the row's own order; the last case's
     # rows run 3, 0, 2 and 2, 1
     cases = _reduction_cases(200) + [([2, 3, 1, 4], [[3, 0, 2], [2, 1]], 3, 10)]
     lps = _recorded_lps(monkeypatch, lambda: [minimize_totals_exact(*case) for case in cases])
-    assert [list(coeffs) for coeffs in lps[-1].rows[:2]] == [[3, 0, 2], [2, 1]]
     lps += _recorded_lps(monkeypatch, lambda: combine(greedy_pool, sm))
+    return lps, [reduction_lp(*case) for case in cases] + [combine_lp(greedy_pool, sm)]
+
+
+def test_linprog_matches_scipy_linprog(monkeypatch):
+    """HiGHS's basis, solved exactly with no fallback, is scipy linprog's point to 1e-9."""
+    lps, fraction_lps = _scipy_lps(monkeypatch)
+    assert [list(coeffs) for coeffs in lps[-2].rows[:2]] == [[3, 0, 2], [2, 1]]
     assert len(lps) == 202 and len(lps[-1].cost) == 168
-    fraction_lps = [reduction_lp(*case) for case in cases] + [combine_lp(greedy_pool, sm)]
     for form, (obj, rows) in zip(lps, fraction_lps):
         assert _same_lp(fraction_lp(form), (obj, rows))
         a_ub = np.zeros((len(rows), len(obj)))
@@ -442,6 +448,71 @@ def test_linprog_matches_scipy_linprog(monkeypatch):
         assert answer is not None
         x, _ = answer
         assert np.allclose([float(v) for v in x], res.x, rtol=0, atol=1e-9)
+
+
+def _fresh_linprog(form):
+    """linprog on a solver made for this one call."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lp, "_solvers", threading.local())
+        return linprog(form)
+
+
+def test_reused_solver_gives_fresh_bases(monkeypatch):
+    """The thread's one solver, reused in either order, gives each LP a new solver's basis."""
+    lps, _ = _scipy_lps(monkeypatch)
+    sm, pools = _karate_chain_pools()
+    lps += [_recorded_lps(monkeypatch, lambda: combine(pool, sm))[0] for pool in pools]
+    fresh = [_fresh_linprog(form) for form in lps]
+    assert None not in fresh
+    linprog(lps[0])
+    solver = lp._solvers.highs
+    for order in (range(len(lps)), reversed(range(len(lps)))):
+        for k in order:
+            assert linprog(lps[k]) == fresh[k]
+            # no LP outlives its call
+            assert lp._solvers.highs is solver and solver.getNumCol() == 0
+
+
+def test_failed_solve_leaves_nothing_behind():
+    unbounded = integer_form([F(1), F(1)], [({0: F(1), 1: F(-1)}, F(2))])
+    assert linprog(unbounded) is None
+    assert lp._solvers.highs.getNumCol() == 0
+    # the next LP has the same two columns, so a left-over basis would fit it
+    form = integer_form(SMALL_OBJ, SMALL_ROWS)
+    assert linprog(form) == _fresh_linprog(form) == ([0, 1], [1, 2])
+
+
+def _dumps(runs):
+    return [certify(load_network(name), **options).dumps() for name, options in runs]
+
+
+def test_reused_solver_certificates_match_fresh(monkeypatch):
+    """Certificates are byte for byte the same whether linprog reuses its solver or not."""
+    # knoki's chains need no LP; karate's run solves 142 weight-reduction LPs and one combine
+    runs = [("knoki", {}), ("karate", dict(method="subnets", max_subnet_size=4, subnet_budget=450))]
+    reused = _dumps(runs)
+    calls = []
+    monkeypatch.setattr("modcert.lp.linprog", lambda form: calls.append(form) or _fresh_linprog(form))
+    assert _dumps(runs) == reused and len(calls) == 143
+
+
+def test_threads_keep_their_own_solvers():
+    """Two threads certifying at once each get a serial run's document, on solvers of their own."""
+    runs = [("karate", dict(method="subnets", max_subnet_size=4, subnet_budget=100))]
+    (serial,) = _dumps(runs)
+    worker = {}
+
+    def work():
+        (worker["doc"],) = _dumps(runs)
+        worker["solver"] = lp._solvers.highs
+
+    thread = threading.Thread(target=work)
+    thread.start()
+    (main,) = _dumps(runs)
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    assert main == worker["doc"] == serial
+    assert worker["solver"] is not lp._solvers.highs
 
 
 def _floats(form):
