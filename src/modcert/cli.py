@@ -9,14 +9,16 @@ flags it reads.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
+import time
 from functools import cache
 
 from . import __version__
-from .bench import format_csv, format_table, run_benchmark
-from .datasets import CORPUS, load_network
+from .chains import DEFAULT_PATH_BUDGET
+from .datasets import CORPUS, DatasetMissing, load_network
 from .document import CertificateDocument, document_to_certificate, frac_str, network_fingerprint
 from .edgelist import parse_edge_list
 from .graph import GraphError
@@ -149,39 +151,38 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    notices: list[str] = []
-    records = run_benchmark(
-        names=args.networks or None,
-        method=args.method,
-        max_subnet_size=args.max_subnet_size,
-        seed=args.seed,
-        data_dir=args.data_dir,
-        subnet_budget=args.budget,
-        notices=notices,
-    )
-    for note in notices:
-        print(f"note: {note}", file=sys.stderr)
-    if args.format == "csv":
-        print(format_csv(records), end="")
-    elif args.format == "json":
-        payload = [
-            {
-                "network": r.name,
-                "size": r.size,
-                "achieved": frac_str(r.achieved),
-                "bound": frac_str(r.bound),
-                "ratio_pct": r.ratio,
-                "status": r.status,
-                "seconds": round(r.seconds, 3),
-            }
-            for r in records
-        ]
-        print(json.dumps(payload, indent=2))
+    rows = []
+    for name in args.networks or list(CORPUS):
+        try:
+            net = load_network(name)
+        except DatasetMissing as exc:
+            print(f"note: skipped {name}: {exc}", file=sys.stderr)
+            continue
+        t0 = time.perf_counter()
+        doc = certify(net, method=args.method, max_subnet_size=args.max_subnet_size,
+                      seed=args.seed, subnet_budget=args.budget)
+        seconds = time.perf_counter() - t0
+        achieved, bound = doc.achieved_modularity, doc.bound
+        # achieved >= 0 (restart 0 is one community) and bound >= achieved,
+        # so a zero bound equals achieved and the division is safe
+        ratio = 100.0 if bound == achieved else round(100.0 * float(achieved) / float(bound), 2)
+        rows.append((name, net.n, achieved, bound, ratio, doc.status, seconds))
+    keys = ["network", "size", "achieved", "bound", "ratio_pct", "status", "seconds"]
+    if args.format == "json":
+        print(json.dumps([dict(zip(keys, (name, n, frac_str(a), frac_str(b), r, st, round(s, 3))))
+                          for name, n, a, b, r, st, s in rows], indent=2))
+    elif args.format == "csv":
+        writer = csv.writer(sys.stdout)
+        writer.writerow(keys)
+        for name, n, a, b, r, st, s in rows:
+            writer.writerow([name, n, frac_str(a), frac_str(b), f"{r:.2f}", st, f"{s:.3f}"])
     else:
-        print(format_table(records))
-    if args.out_csv:
-        with open(args.out_csv, "w") as fh:
-            fh.write(format_csv(records))
+        header = (f"{'Network':<12} {'Size':>5} {'Achieved':>12} {'Bound':>12} {'Ratio, %':>9} "
+                  f"{'Status':<15} {'Time, s':>8}")
+        print(header)
+        print("-" * len(header))
+        for name, n, a, b, r, st, s in rows:
+            print(f"{name:<12} {n:>5} {float(a):>12.6f} {float(b):>12.6f} {r:>9.2f} {st:<15} {s:>8.2f}")
     return 0
 
 
@@ -238,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_network(p)
     p.add_argument("--method", choices=["trivial", "chains"], default="chains")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--path-budget", type=int, default=10_000_000)
+    p.add_argument("--path-budget", type=int, default=DEFAULT_PATH_BUDGET)
     p.set_defaults(func=cmd_bound)
 
     p = subs.add_parser("certify", help="emit a verified optimality certificate")
@@ -248,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--budget", type=int, default=None, help="max subnetworks to resolve")
-    p.add_argument("--path-budget", type=int, default=10_000_000)
+    p.add_argument("--path-budget", type=int, default=DEFAULT_PATH_BUDGET)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_certify)
 
@@ -263,9 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-subnet-size", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=200_000)
-    p.add_argument("--data-dir", default=None)
     p.add_argument("--format", choices=FORMATS, default="table")
-    p.add_argument("--out-csv", default=None)
     p.set_defaults(func=cmd_bench)
 
     p = subs.add_parser("gen", help="generate a planted-partition network")

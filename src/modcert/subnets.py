@@ -101,7 +101,7 @@ def enumerate_subnetworks(sm: ScoreMatrix, size: int) -> Iterator[Subnetwork]:
         yield from extend([v], {v}, ext0, v)
 
 
-def partial_brute_force(sub: Subnetwork, _disable_discard: bool = False) -> ResolvedSubnetwork:
+def partial_brute_force(sub: Subnetwork) -> ResolvedSubnetwork:
     """Resolve a subnetwork by excluding m positive pairs and merging the rest.
 
     For m = 0, 1, ... every m-subset of positive pairs is dropped, the nodes
@@ -142,10 +142,9 @@ def partial_brute_force(sub: Subnetwork, _disable_discard: bool = False) -> Reso
                     parent[rb] = ra
         # discard: an excluded pair that still lands inside one group was
         # already covered with fewer exclusions
-        if not _disable_discard:
-            for a, b in excluded:
-                if find(a) == find(b):
-                    return
+        for a, b in excluded:
+            if find(a) == find(b):
+                return
         value = pos_total - sum(S[a][b] for a, b in excluded)
         contributing = list(excluded)
         for a, b in negatives:

@@ -1,9 +1,10 @@
 import json
 import os
+import re
 
 import pytest
 
-from modcert.cli import build_parser, main
+from modcert.cli import FORMATS, build_parser, main
 
 
 def run(capsys, *argv):
@@ -335,6 +336,8 @@ def test_verify_wrong_top_level_type_exits_2(tmp_path, capsys, field, value):
     ["certify", "karate", "--strategy", "random"],
     ["certify", "karate", "--mixed-prob", "0.5"],
     ["certify", "karate", "--tries-per-k", "2"],
+    ["bench", "knoki", "--out-csv", "x.csv"],
+    ["bench", "knoki", "--data-dir", "d"],
 ])
 def test_removed_flags_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -428,11 +431,61 @@ def test_gen_round_trip(tmp_path, capsys):
     assert doc["status"] in ("optimal-proved", "gap")
 
 
-def test_bench_csv(capsys):
-    code, out, _ = run(capsys, "bench", "knoki", "--method", "chains", "--format", "csv")
-    assert code == 0
-    assert "knoki" in out
-    assert "100.00" in out
+BENCH_KNOKI_KNOKM = {
+    "table": (
+        "Network       Size     Achieved        Bound  Ratio, % Status           Time, s\n"
+        + "-" * 79 + "\n"
+        "knoki           10     0.081633     0.081633    100.00 optimal-proved  SECONDS\n"
+        "knokm           10     0.148760     0.148760    100.00 optimal-proved  SECONDS\n"
+    ),
+    "csv": (
+        "network,size,achieved,bound,ratio_pct,status,seconds\r\n"
+        "knoki,10,4/49,4/49,100.00,optimal-proved,SECONDS\r\n"
+        "knokm,10,18/121,18/121,100.00,optimal-proved,SECONDS\r\n"
+    ),
+    "json": """\
+[
+  {
+    "network": "knoki",
+    "size": 10,
+    "achieved": "4/49",
+    "bound": "4/49",
+    "ratio_pct": 100.0,
+    "status": "optimal-proved",
+    "seconds": SECONDS
+  },
+  {
+    "network": "knokm",
+    "size": 10,
+    "achieved": "18/121",
+    "bound": "18/121",
+    "ratio_pct": 100.0,
+    "status": "optimal-proved",
+    "seconds": SECONDS
+  }
+]
+""",
+}
+
+# the measured seconds: a right-aligned 8-wide column, a CSV field, a JSON number
+SECONDS = {"table": r"[ \d.]{8}$", "csv": r"(?<=,)\d+\.\d{3}(?=\r$)",
+           "json": r"(?<=\"seconds\": )[\d.]+$"}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_bench_output_pinned(capsys, fmt):
+    code, out, err = run(capsys, "bench", "knoki", "knokm", "--method", "chains", "--format", fmt)
+    assert code == 0 and err == ""
+    masked = re.sub(SECONDS[fmt], "SECONDS", out, flags=re.M)
+    assert masked == BENCH_KNOKI_KNOKM[fmt]
+
+
+def test_bench_reads_data_dir_from_environment(tmp_path, capsys, monkeypatch):
+    (tmp_path / "dolphins.edges").write_text("a b\nb c\nc a\nc d\nd e\ne f\nf d\n")
+    monkeypatch.setenv("MODCERT_DATA_DIR", str(tmp_path))
+    code, out, err = run(capsys, "bench", "dolphins", "--method", "chains", "--format", "csv")
+    assert code == 0 and err == ""
+    assert "\r\ndolphins,6,5/14,5/14,100.00,optimal-proved," in out
 
 
 def test_certify_verify_subnetwork_components(tmp_path, capsys):

@@ -152,9 +152,11 @@ def test_discard_rule_never_changes_result():
         if sub is None:
             continue
         rs = partial_brute_force(sub)
-        rs_all = partial_brute_force(sub, _disable_discard=True)
-        assert rs.q_star_best == rs_all.q_star_best
-        assert rs.penalty == rs_all.penalty
+        best = exhaustive_best(sub)
+        pairs = itertools.combinations(range(5), 2)
+        positive_total = sum(max(sub.lattice.score(a, b), 0) for a, b in pairs)
+        assert rs.q_star_best == best, f"seed {seed}"
+        assert rs.penalty == positive_total - best, f"seed {seed}"
 
 
 def test_reduce_triangle_canonical():
