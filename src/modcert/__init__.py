@@ -8,9 +8,9 @@ When bound and achieved value coincide the partition is provably optimal.
 __version__ = "0.1.0"
 
 from .graph import GraphError, Network, build_network
-from .scores import Partition, ScoreMatrix, modularity, score_matrix, trivial_upper_bound
+from .scores import Partition, ScoreMatrix, modularity_of_assignment, score_matrix, trivial_upper_bound
 from .brute import brute_force_max
-from .optimizer import OptimizerConfig, optimize
+from .optimizer import optimize
 from .chains import (
     ChainCertificate,
     chain_component,

@@ -13,7 +13,7 @@ from .scores import Partition, ScoreMatrix
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597]
 
-DEFAULT_LIMIT = 12
+MAX_NODES = 12  # Bell(13) is 27,644,437 partitions
 
 
 def set_partitions(n: int) -> Iterator[tuple[int, ...]]:
@@ -34,15 +34,15 @@ def set_partitions(n: int) -> Iterator[tuple[int, ...]]:
         yield from rec(1, 0)
 
 
-def brute_force_max(sm: ScoreMatrix, limit: int = DEFAULT_LIMIT) -> tuple[Fraction, Partition]:
+def brute_force_max(sm: ScoreMatrix) -> tuple[Fraction, Partition]:
     """Exact maximum modularity over all partitions, with one argmax.
 
-    Refuses n > limit (Bell numbers explode). Ties break to the
+    Refuses n > MAX_NODES (Bell numbers explode). Ties break to the
     lexicographically smallest restricted-growth encoding.
     """
     n = sm.n
-    if n > limit:
-        raise ValueError(f"brute force limited to n <= {limit}, got n = {n}")
+    if n > MAX_NODES:
+        raise ValueError(f"brute force limited to n <= {MAX_NODES}, got n = {n}")
     S = sm.S
 
     best_val = None

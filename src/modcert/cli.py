@@ -22,7 +22,7 @@ from .datasets import CORPUS, DatasetMissing, load_network
 from .document import CertificateDocument, document_to_certificate, frac_str, network_fingerprint
 from .edgelist import parse_edge_list
 from .graph import GraphError
-from .optimizer import OptimizerConfig, optimize
+from .optimizer import optimize
 from .pipeline import certify, chain_bound
 from .scores import score_matrix, trivial_upper_bound
 from .generator import generate_planted
@@ -73,7 +73,7 @@ def cmd_score(args) -> int:
 def cmd_optimize(args) -> int:
     net = _load_input(args.network, args.directed)
     sm = score_matrix(net)
-    part = optimize(sm, OptimizerConfig(seed=args.seed, restarts=args.restarts))
+    part = optimize(sm, seed=args.seed, restarts=args.restarts)
     communities = [[net.node_labels[v] for v in c] for c in part.communities()]
     if args.format == "json":
         print(json.dumps({"modularity": frac_str(part.modularity),
@@ -93,7 +93,7 @@ def cmd_bound(args) -> int:
     if args.method == "trivial":
         print(f"trivial bound: {_exact(trivial)}")
         return 0
-    achieved = optimize(sm, OptimizerConfig(seed=args.seed)).modularity
+    achieved = optimize(sm, seed=args.seed).modularity
     result = chain_bound(sm, achieved=achieved, path_budget=args.path_budget)
     print(f"trivial bound: {_exact(trivial)}")
     print(f"achieved: {_exact(achieved)}")
@@ -192,18 +192,12 @@ def cmd_gen(args) -> int:
         communities=args.communities,
         p_in=args.p_in,
         p_out=args.p_out,
-        weight_scale=args.weight_scale,
         seed=args.seed,
     )
     lines = [f"# planted partition: n={args.n} communities={args.communities} "
              f"p_in={args.p_in} p_out={args.p_out} seed={args.seed}"]
-    seen = set()
-    for (a, b), w in sorted(net.edges.items()):
-        if (b, a) in seen:
-            continue
-        seen.add((a, b))
-        la, lb = net.node_labels[a], net.node_labels[b]
-        lines.append(f"{la} {lb} {w}" if w != 1 else f"{la} {lb}")
+    # the network stores both orientations of each edge; write it once
+    lines += [f"{net.node_labels[a]} {net.node_labels[b]}" for a, b in sorted(net.edges) if a <= b]
     text = "\n".join(lines) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
@@ -272,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--communities", type=int, required=True)
     p.add_argument("--p-in", type=float, required=True)
     p.add_argument("--p-out", type=float, required=True)
-    p.add_argument("--weight-scale", default="1")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_gen)

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
-from .graph import Network, as_fraction, build_network
+from .graph import Network, build_network
 
 
 def generate_planted(
@@ -13,7 +12,6 @@ def generate_planted(
     communities: int,
     p_in: float,
     p_out: float,
-    weight_scale=1,
     seed: int = 0,
 ) -> Network:
     """Random undirected network with planted groups of near-equal size.
@@ -29,35 +27,22 @@ def generate_planted(
         raise ValueError("need at least 2 nodes")
     if not (1 <= communities <= n):
         raise ValueError("communities must be between 1 and n")
-    w = as_fraction(weight_scale)
-    if w <= 0:
-        raise ValueError("weight_scale must be positive")
 
     rng = random.Random(seed)
     group = [i * communities // n for i in range(n)]
     labels = [f"c{group[i]}_n{i}" for i in range(n)]
-    triples = []
+    pairs = []
     for a in range(n):
         for b in range(a + 1, n):
             p = p_in if group[a] == group[b] else p_out
             if rng.random() < p:
-                triples.append((labels[a], labels[b], w))
-    if not triples:
+                pairs.append((labels[a], labels[b]))
+    if not pairs:
         # degenerate draw: wire each group as a path so the network is usable
         for g in range(communities):
             members = [i for i in range(n) if group[i] == g]
             for a, b in zip(members, members[1:]):
-                triples.append((labels[a], labels[b], w))
-        if not triples:
-            triples.append((labels[0], labels[1], w))
-    return build_network(triples, directed=False)
-
-
-def planted_groups(net: Network) -> list[int]:
-    """Recover the planted group of each node from its label."""
-    out = []
-    for lab in net.node_labels:
-        if not lab.startswith("c") or "_n" not in lab:
-            raise ValueError(f"label {lab!r} does not carry a planted group")
-        out.append(int(lab[1:lab.index("_n")]))
-    return out
+                pairs.append((labels[a], labels[b]))
+        if not pairs:
+            pairs.append((labels[0], labels[1]))
+    return build_network(pairs, directed=False)

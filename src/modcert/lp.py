@@ -27,9 +27,11 @@ thread keeps one solver, its options set once: `passModel` replaces the
 previous model together with its solution and basis, and the model is
 cleared after each call. HiGHS's `run` releases the GIL, so two threads can
 be inside it at once, and a solver shared between them would be unsafe.
-Most LPs here have at most six columns. On those, linprog's own input
-checks and result objects cost several times the solve, and a new solver
-for each LP nearly as much as the rest of the call.
+The binding is imported by the first LP solve, not with this module:
+loading `scipy.optimize` takes most of a second, and checking a certificate
+solves no LP. Most LPs here have at most six columns. On those, linprog's
+own input checks and result objects cost several times the solve, and a new
+solver for each LP nearly as much as the rest of the call.
 """
 
 from __future__ import annotations
@@ -41,8 +43,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterator, Sequence
-
-from scipy.optimize._highspy import _core as highspy
 
 from .scores import Pair, Partition, ScoreMatrix, trivial_upper_bound
 
@@ -213,14 +213,6 @@ class IntegerLP:
 # each thread's one HiGHS solver, made on the thread's first LP
 _solvers = threading.local()
 
-# the options scipy.optimize.linprog passes HiGHS for method="highs"
-_HIGHS_OPTIONS = {
-    "presolve": "on",
-    "simplex_strategy": int(highspy.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
-    "output_flag": False,
-    "log_to_console": False,
-}
-
 
 def linprog(lp: IntegerLP) -> tuple[list[int], list[int]] | None:
     """HiGHS's optimal basis of lp as (basic columns, binding rows); None if it has none.
@@ -235,6 +227,8 @@ def linprog(lp: IntegerLP) -> tuple[list[int], list[int]] | None:
     the basis states the vertex exactly, and None when HiGHS finds no
     optimum or no valid basis.
     """
+    from scipy.optimize._highspy import _core as highspy
+
     nv, m = len(lp.cost), len(lp.rows)
     cost, rows, rhs = lp.floats()
     start, index, value = [0], [], []
@@ -257,8 +251,12 @@ def linprog(lp: IntegerLP) -> tuple[list[int], list[int]] | None:
     highs = getattr(_solvers, "highs", None)
     if highs is None:
         highs = _solvers.highs = highspy._Highs()
-        for key, val in _HIGHS_OPTIONS.items():
-            highs.setOptionValue(key, val)
+        # the options scipy.optimize.linprog passes HiGHS for method="highs"
+        highs.setOptionValue("presolve", "on")
+        highs.setOptionValue("simplex_strategy",
+                             int(highspy.simplex_constants.SimplexStrategy.kSimplexStrategyDual))
+        highs.setOptionValue("output_flag", False)
+        highs.setOptionValue("log_to_console", False)
     try:
         error = highspy.HighsStatus.kError
         if highs.passModel(model) == error or highs.run() == error:

@@ -16,23 +16,12 @@ series that touch the two communities the last move changed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .scores import Partition, ScoreMatrix, modularity_of_assignment
 
 MAX_PASSES = 1000  # guard on recombination passes per restart
 NEW_COMMUNITY = frozenset()
-
-
-@dataclass
-class OptimizerConfig:
-    seed: int = 0
-    restarts: int = 8
-
-    def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
 
 
 def _kl_series(S, src, to_src, to_dst):
@@ -152,11 +141,11 @@ def _improve(sm: ScoreMatrix, comm_of: list[int], series: _SeriesMemo):
     return comm_of, q
 
 
-def _starts(n: int, cfg: OptimizerConfig):
+def _starts(n: int, seed: int, restarts: int):
     """Restart 0 starts from one all-in-one community, restart r > 0 from a
     seeded random assignment into min(n, 2 + r) groups."""
-    rng = random.Random(cfg.seed)
-    for r in range(cfg.restarts):
+    rng = random.Random(seed)
+    for r in range(restarts):
         if r == 0:
             yield [0] * n
         else:
@@ -164,11 +153,12 @@ def _starts(n: int, cfg: OptimizerConfig):
             yield [rng.randrange(g) for _ in range(n)]
 
 
-def optimize(sm: ScoreMatrix, cfg: OptimizerConfig | None = None) -> Partition:
+def optimize(sm: ScoreMatrix, *, seed: int = 0, restarts: int = 8) -> Partition:
     """Best partition across seeded restarts; deterministic for a given seed."""
-    cfg = cfg or OptimizerConfig()
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     best = None
-    for start in _starts(sm.n, cfg):
+    for start in _starts(sm.n, seed, restarts):
         assignment, q = _improve(sm, start, _SeriesMemo(sm.S))
         if best is None or q > best[0] or (q == best[0] and tuple(assignment) < tuple(best[1])):
             best = (q, assignment)

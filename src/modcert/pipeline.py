@@ -10,7 +10,7 @@ from .chains import DEFAULT_PATH_BUDGET, chain_component, find_penalized_chains,
 from .document import CertificateDocument, build_document, document_to_certificate, frac_str
 from .graph import Network
 from .lp import CertComponent, combine
-from .optimizer import OptimizerConfig, optimize
+from .optimizer import optimize
 from .scores import score_matrix, trivial_upper_bound
 from .subnets import Subnetwork, enumerate_subnetworks, partial_brute_force, reduce_weights
 from .verify import MAX_EXHAUSTIVE_NODES, verify_certificate
@@ -164,7 +164,7 @@ def certify(
     if path_budget < 0:
         raise ValueError("path_budget must be >= 0")
     sm = score_matrix(net)
-    achieved = optimize(sm, OptimizerConfig(seed=seed, restarts=restarts))
+    achieved = optimize(sm, seed=seed, restarts=restarts)
 
     provenance = {
         "tool": f"modcert {_version}",

@@ -115,10 +115,6 @@ class Partition:
     assignment: tuple[int, ...]
     modularity: Fraction
 
-    @property
-    def num_communities(self) -> int:
-        return len(set(self.assignment))
-
     @staticmethod
     def canonical_assignment(assignment: Sequence[int]) -> tuple[int, ...]:
         """Relabel community ids by first appearance (restricted growth form)."""
@@ -129,12 +125,6 @@ class Partition:
                 remap[c] = len(remap)
             out.append(remap[c])
         return tuple(out)
-
-    @classmethod
-    def from_assignment(cls, sm: ScoreMatrix, assignment: Sequence[int]) -> "Partition":
-        canon = cls.canonical_assignment(assignment)
-        q = modularity_of_assignment(sm, canon)
-        return cls(assignment=canon, modularity=q)
 
     def communities(self) -> list[list[int]]:
         groups: dict[int, list[int]] = {}
@@ -185,11 +175,6 @@ def modularity_of_assignment(sm: ScoreMatrix, assignment: Sequence[int]) -> Frac
             for b in members[i + 1:]:
                 total += row[b]
     return Fraction(total, sm.den)
-
-
-def modularity(sm: ScoreMatrix, p: Partition) -> Fraction:
-    """Exact modularity of a partition under the effective-score convention."""
-    return modularity_of_assignment(sm, p.assignment)
 
 
 def trivial_upper_bound(sm: ScoreMatrix) -> Fraction:

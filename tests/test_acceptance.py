@@ -17,7 +17,7 @@ from modcert.document import CertificateDocument, document_to_certificate
 from modcert.generator import generate_planted
 from modcert.graph import build_network
 from modcert.lp import combine
-from modcert.optimizer import OptimizerConfig, optimize
+from modcert.optimizer import optimize
 from modcert.pipeline import certify, chain_bound
 from modcert.scores import score_matrix, trivial_upper_bound
 from modcert.subnets import partial_brute_force, reduce_weights
@@ -39,7 +39,7 @@ def test_criterion_1_zachary_optimize():
     net = load_network("karate")
     sm = score_matrix(net)
     t0 = time.perf_counter()
-    part = optimize(sm, OptimizerConfig(seed=0, restarts=8))
+    part = optimize(sm, seed=0, restarts=8)
     dt = time.perf_counter() - t0
     ok = abs(float(part.modularity) - 0.419790) <= 1e-6 and dt < 10
     report(1, ok, f"Q={float(part.modularity):.6f} exact={part.modularity} in {dt:.2f}s")
@@ -49,7 +49,7 @@ def test_criterion_1_zachary_optimize():
 def test_criterion_2_zachary_chain_bound():
     net = load_network("karate")
     sm = score_matrix(net)
-    achieved = optimize(sm, OptimizerConfig(seed=0, restarts=8)).modularity
+    achieved = optimize(sm, seed=0, restarts=8).modularity
 
     result = chain_bound(sm, achieved=achieved)
     assert result.bound >= achieved, "validity is mandatory"
@@ -70,7 +70,7 @@ def test_criterion_3_knoki_certificate():
     net = load_network("knoki")
     sm = score_matrix(net)
     t0 = time.perf_counter()
-    q_brute, _ = brute_force_max(sm, limit=10)
+    q_brute, _ = brute_force_max(sm)
     doc = certify(net, method="chains", seed=0)
     dt = time.perf_counter() - t0
     ok = (
@@ -88,7 +88,7 @@ def test_criterion_3_knokm_certificate():
     net = load_network("knokm")
     sm = score_matrix(net)
     t0 = time.perf_counter()
-    q_brute, _ = brute_force_max(sm, limit=10)
+    q_brute, _ = brute_force_max(sm)
     doc = certify(net, method="chains", seed=0)
     dt = time.perf_counter() - t0
     ok = (

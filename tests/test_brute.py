@@ -49,9 +49,9 @@ def test_brute_singleton_self_loop():
 
 
 def test_brute_limit_refused():
-    sm = score_matrix(random_network(1, n=8))
-    with pytest.raises(ValueError, match="limited"):
-        brute_force_max(sm, limit=7)
+    sm = score_matrix(build_network([(i, i + 1) for i in range(12)]))  # a 13-node path
+    with pytest.raises(ValueError, match="limited to n <= 12, got n = 13"):
+        brute_force_max(sm)
 
 
 def test_brute_against_independent_enumeration():

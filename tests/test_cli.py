@@ -338,6 +338,7 @@ def test_verify_wrong_top_level_type_exits_2(tmp_path, capsys, field, value):
     ["certify", "karate", "--tries-per-k", "2"],
     ["bench", "knoki", "--out-csv", "x.csv"],
     ["bench", "knoki", "--data-dir", "d"],
+    ["gen", "--n", "5", "--communities", "2", "--p-in", "0.9", "--p-out", "0.1", "--weight-scale", "2"],
 ])
 def test_removed_flags_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -431,6 +432,30 @@ def test_gen_round_trip(tmp_path, capsys):
     assert doc["status"] in ("optimal-proved", "gap")
 
 
+# sha256 of `modcert gen` stdout: three planted-batch specs (n, communities,
+# seed at p_in 0.9, p_out 0.05), and one draw with no edge at all, which the
+# generator wires as one path per group
+GEN_PINNED = [
+    (["--n", "24", "--communities", "2", "--p-in", "0.9", "--p-out", "0.05", "--seed", "0"],
+     "4b4679afb0b5ca149717f3d9444dfd8d5da3320517fe7a40d200157fedd0a480"),
+    (["--n", "35", "--communities", "3", "--p-in", "0.9", "--p-out", "0.05", "--seed", "11"],
+     "1df86c1742da658c118711701bd5f09f54b9f71d754b597f11787fe883b88509"),
+    (["--n", "27", "--communities", "2", "--p-in", "0.9", "--p-out", "0.05", "--seed", "39"],
+     "ca5efcb0c16fc67e1ad4d2ac81ab9b975f2be6cc61b7736100a2b8d8dcb3c393"),
+    (["--n", "4", "--communities", "2", "--p-in", "0.01", "--p-out", "0", "--seed", "0"],
+     "6f813294c470a0b636d8cd4b6236178497af35a2638cb29a5b831be4e53cb882"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GEN_PINNED, ids=["n24", "n35", "n27", "degenerate"])
+def test_gen_output_pinned(capsys, argv, digest):
+    import hashlib
+
+    code, out, _ = run(capsys, "gen", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 BENCH_KNOKI_KNOKM = {
     "table": (
         "Network       Size     Achieved        Bound  Ratio, % Status           Time, s\n"
@@ -515,6 +540,36 @@ def test_emit_then_verify_separate_process(tmp_path):
     )
     assert r2.returncode == 0, r2.stdout + r2.stderr
     assert "verification passed" in r2.stdout
+
+
+CHECKS_WITHOUT_SOLVER = """
+import sys
+from fractions import Fraction
+
+from modcert import LinearProgram, solve_lp
+from modcert.cli import main
+
+for argv in (["verify", "knoki", sys.argv[1]], ["score", "karate"], ["optimize", "karate"],
+             ["gen", "--n", "12", "--communities", "2", "--p-in", "0.9", "--p-out", "0.1"]):
+    assert main(argv) == 0, argv
+assert "scipy.optimize" not in sys.modules, "a command without an LP loaded the solver"
+solve_lp(LinearProgram([Fraction(1)], [({0: Fraction(1)}, Fraction(2))]))
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_checking_never_loads_the_solver(tmp_path, capsys):
+    """verify, score, optimize and gen solve no LP, so they leave SciPy's HiGHS unloaded."""
+    import subprocess
+    import sys
+
+    cert = str(tmp_path / "knoki.cert.json")
+    code, _, _ = run(capsys, "certify", "knoki", "-o", cert)
+    assert code == 0
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    r = subprocess.run([sys.executable, "-c", CHECKS_WITHOUT_SOLVER, cert],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
 
 
 def test_bench_skips_missing(capsys, monkeypatch):

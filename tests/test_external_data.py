@@ -3,7 +3,7 @@
 import pytest
 
 from modcert.datasets import DatasetMissing, load_network
-from modcert.optimizer import OptimizerConfig, optimize
+from modcert.optimizer import optimize
 from modcert.scores import score_matrix
 
 
@@ -18,5 +18,5 @@ def test_lesmis_published_best_when_available():
     net = _try_load("lesmis")
     assert net.n == 77
     sm = score_matrix(net)
-    part = optimize(sm, OptimizerConfig(seed=0, restarts=16))
+    part = optimize(sm, seed=0, restarts=16)
     assert round(float(part.modularity), 6) == 0.566688

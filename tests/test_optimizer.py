@@ -8,27 +8,27 @@ from modcert.brute import brute_force_max
 from modcert.datasets import load_network
 from modcert.edgelist import parse_edge_list
 from modcert.graph import build_network
-from modcert.optimizer import MAX_PASSES, OptimizerConfig, optimize
+from modcert.optimizer import MAX_PASSES, optimize
 from modcert.scores import Partition, modularity_of_assignment, score_matrix
 
 
 def test_dyad_single_community():
     sm = score_matrix(build_network([("a", "b", 1)]))
-    p = optimize(sm, OptimizerConfig(seed=0, restarts=2))
+    p = optimize(sm, seed=0, restarts=2)
     assert p.modularity == 0
-    assert p.num_communities == 1
+    assert len(p.communities()) == 1
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        OptimizerConfig(restarts=0)
+    with pytest.raises(ValueError, match="restarts must be >= 1"):
+        optimize(score_matrix(build_network([("a", "b", 1)])), restarts=0)
 
 
 def test_determinism_same_seed():
     net = random_network(42, n=8)
     sm = score_matrix(net)
-    a = optimize(sm, OptimizerConfig(seed=5, restarts=4))
-    b = optimize(sm, OptimizerConfig(seed=5, restarts=4))
+    a = optimize(sm, seed=5, restarts=4)
+    b = optimize(sm, seed=5, restarts=4)
     assert a.assignment == b.assignment
     assert a.modularity == b.modularity
 
@@ -40,7 +40,7 @@ def test_oracle_parity_small_networks():
         net = random_network(seed, n=3 + seed % 7)  # n in 3..9
         sm = score_matrix(net)
         best, _ = brute_force_max(sm)
-        got = optimize(sm, OptimizerConfig(seed=seed, restarts=4))
+        got = optimize(sm, seed=seed, restarts=4)
         assert got.modularity <= best
         if got.modularity == best:
             hits += 1
@@ -51,13 +51,13 @@ def test_gain_below_float_resolution_is_found():
     sm = score_matrix(parse_edge_list(C4_NEAR_TIE))
     best, _ = brute_force_max(sm)
     assert best > 0
-    assert optimize(sm, OptimizerConfig(seed=0, restarts=1)).modularity == best
+    assert optimize(sm, seed=0, restarts=1).modularity == best
 
 
 def test_cached_modularity_consistent():
     net = random_network(3, n=8)
     sm = score_matrix(net)
-    p = optimize(sm, OptimizerConfig(seed=1, restarts=3))
+    p = optimize(sm, seed=1, restarts=3)
     assert modularity_of_assignment(sm, p.assignment) == p.modularity
 
 
@@ -172,27 +172,26 @@ class CheckedMemo(optimizer._SeriesMemo):
         return hit
 
 
-def assert_matches_reference(sm, cfg):
+def assert_matches_reference(sm, seed):
     """Every restart's result equals the reference's."""
-    for start in optimizer._starts(sm.n, cfg):
+    for start in optimizer._starts(sm.n, seed, 8):
         assert optimizer._improve(sm, start, CheckedMemo(sm.S)) == reference_improve(sm, start)
 
 
 def test_memoized_search_matches_reference():
     for seed in range(30):
         net = random_network(seed, n=6 + seed % 25, directed=bool(seed % 2), p=0.4)
-        assert_matches_reference(score_matrix(net), OptimizerConfig(seed=seed))
+        assert_matches_reference(score_matrix(net), seed)
     for name in ("karate", "knoki", "knokm"):
         sm = score_matrix(load_network(name))
         for seed in range(4):
-            assert_matches_reference(sm, OptimizerConfig(seed=seed))
+            assert_matches_reference(sm, seed)
 
 
 def test_series_memo_saves_calls(monkeypatch):
     sm = score_matrix(load_network("karate"))
-    cfg = OptimizerConfig(seed=0)
     reference_calls = [0]
-    for start in optimizer._starts(sm.n, cfg):
+    for start in optimizer._starts(sm.n, 0, 8):
         reference_improve(sm, start, reference_calls)
     calls = [0]
     kl_series = optimizer._kl_series
@@ -202,5 +201,5 @@ def test_series_memo_saves_calls(monkeypatch):
         return kl_series(*args)
 
     monkeypatch.setattr(optimizer, "_kl_series", counted)
-    optimize(sm, cfg)
+    optimize(sm)
     assert 0 < calls[0] < reference_calls[0]

@@ -7,7 +7,6 @@ from conftest import modularity_ordered, random_assignment, random_network, text
 from modcert.graph import build_network
 from modcert.scores import (
     Partition,
-    modularity,
     modularity_of_assignment,
     score_matrix,
     trivial_upper_bound,
@@ -123,10 +122,11 @@ def test_no_partition_beats_trivial_bound():
 
 def test_partition_canonical_and_cached_modularity():
     sm = path_abc()
-    p = Partition.from_assignment(sm, [5, 5, 9])
-    assert p.assignment == (0, 0, 1)
-    assert p.num_communities == 2
-    assert modularity(sm, p) == p.modularity
+    canon = Partition.canonical_assignment([5, 5, 9])
+    assert canon == (0, 0, 1)
+    p = Partition(assignment=canon, modularity=modularity_of_assignment(sm, canon))
+    assert p.communities() == [[0, 1], [2]]
+    assert modularity_of_assignment(sm, [5, 5, 9]) == p.modularity
 
 
 def test_lattice_matches_textbook_scores():
