@@ -12,7 +12,6 @@ from .scores import Partition, ScoreMatrix, modularity_of_assignment, score_matr
 from .brute import brute_force_max
 from .optimizer import optimize
 from .chains import (
-    ChainCertificate,
     chain_component,
     find_penalized_chains,
     greedy_certify,

@@ -16,10 +16,9 @@ certificate is the trivial bound minus the accumulated penalties.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .lp import CertComponent
+from .lp import CertComponent, CombinedCertificate
 from .scores import ScoreMatrix, chain_loads, trivial_upper_bound
 
 DEFAULT_PATH_BUDGET = 10_000_000
@@ -135,16 +134,9 @@ def has_remaining_penalized_chain(sm: ScoreMatrix) -> bool:
     return False
 
 
-@dataclass
-class ChainCertificate:
-    trivial_bound: Fraction
-    chains: tuple[CertComponent, ...]
-    bound: Fraction
-    residual: ScoreMatrix  # the greedy pass's copy of the lattice, every chain applied
-    truncated: bool = False
-
-
-def greedy_certify(sm: ScoreMatrix, path_budget: int = DEFAULT_PATH_BUDGET) -> ChainCertificate:
+def greedy_certify(
+    sm: ScoreMatrix, path_budget: int = DEFAULT_PATH_BUDGET
+) -> tuple[CombinedCertificate, bool]:
     """Greedy chain accumulation: k = 3 upward until no penalized chain remains.
 
     Each k-stage enumerates the length-k chains once and then repeatedly
@@ -154,9 +146,12 @@ def greedy_certify(sm: ScoreMatrix, path_budget: int = DEFAULT_PATH_BUDGET) -> C
     in a max-heap keyed (-penalty, nodes) with possibly stale penalties: a
     popped chain whose penalty is still current is the highest, and one
     that has weakened goes back with its new penalty unless it is dead.
+    Returns (certificate, truncated): every applied chain with multiplier 1
+    and the trivial bound less their penalties; truncated is set when the
+    path budget cut some enumeration short.
     """
     res = sm.copy()
-    applied: list[CertComponent] = []
+    applied: list[tuple[CertComponent, Fraction]] = []
     truncated_any = False
     k = 3
     while has_remaining_penalized_chain(res) and k <= sm.n:
@@ -168,14 +163,11 @@ def greedy_certify(sm: ScoreMatrix, path_budget: int = DEFAULT_PATH_BUDGET) -> C
             stale, nodes = heapq.heappop(heap)
             p = res.penalty(nodes)
             if p == -stale:
-                applied.append(chain_component(res, nodes))
+                applied.append((chain_component(res, nodes), Fraction(1)))
                 res.apply(nodes, p)
             elif p > 0:
                 heapq.heappush(heap, (-p, nodes))
         k += 1
 
-    trivial = trivial_upper_bound(sm)
-    bound = trivial - sum((c.penalty for c in applied), Fraction(0))
-    return ChainCertificate(
-        trivial_bound=trivial, chains=tuple(applied), bound=bound, residual=res, truncated=truncated_any
-    )
+    bound = trivial_upper_bound(sm) - sum(comp.penalty for comp, _ in applied)
+    return CombinedCertificate(components=tuple(applied), bound=bound), truncated_any

@@ -94,12 +94,12 @@ def cmd_bound(args) -> int:
         print(f"trivial bound: {_exact(trivial)}")
         return 0
     achieved = optimize(sm, seed=args.seed).modularity
-    result = chain_bound(sm, achieved=achieved, path_budget=args.path_budget)
+    greedy, tightened, truncated = chain_bound(sm, achieved=achieved, path_budget=args.path_budget)
     print(f"trivial bound: {_exact(trivial)}")
     print(f"achieved: {_exact(achieved)}")
-    print(f"greedy chains: {result.chains_applied}, greedy bound {float(result.greedy_bound):.6f}")
-    print(f"bound: {_exact(result.bound)}")
-    if result.truncated:
+    print(f"greedy chains: {len(greedy.components)}, greedy bound {_exact(greedy.bound)}")
+    print(f"bound: {_exact(tightened.bound)}")
+    if truncated:
         print("path budget exhausted: chain enumeration was cut short, so the bound may be weaker")
     return 0
 

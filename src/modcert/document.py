@@ -174,25 +174,21 @@ def deserialize_component(entry: dict, label_to_id: dict) -> tuple[CertComponent
 
 
 def build_document(
-    net: Network,
-    achieved: Partition,
-    components: list[tuple[CertComponent, Fraction]],
-    bound: Fraction,
-    status: str,
-    provenance: dict,
+    net: Network, achieved: Partition, cert: CombinedCertificate, provenance: dict
 ) -> CertificateDocument:
+    """The document of a bound on net: optimal-proved when it meets the achieved modularity."""
     labels = net.node_labels
     communities = [[labels[v] for v in group] for group in achieved.communities()]
     return CertificateDocument(
         fingerprint=network_fingerprint(net),
         achieved_communities=communities,
         achieved_modularity=achieved.modularity,
-        bound=bound,
+        bound=cert.bound,
         components=[
-            serialize_component(comp, lam, labels) for comp, lam in components if lam != 0
+            serialize_component(comp, lam, labels) for comp, lam in cert.components if lam != 0
         ],
-        status=status,
-        gap=bound - achieved.modularity,
+        status="optimal-proved" if cert.bound == achieved.modularity else "gap",
+        gap=cert.bound - achieved.modularity,
         provenance=provenance,
     )
 

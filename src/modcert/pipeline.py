@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__ as _version
 from .chains import DEFAULT_PATH_BUDGET, chain_component, find_penalized_chains, greedy_certify
 from .document import CertificateDocument, build_document, document_to_certificate, frac_str
 from .graph import Network
-from .lp import CertComponent, combine
+from .lp import CertComponent, CombinedCertificate, combine
 from .optimizer import optimize
 from .scores import score_matrix, trivial_upper_bound
 from .subnets import Subnetwork, enumerate_subnetworks, partial_brute_force, reduce_weights
@@ -23,62 +22,48 @@ class CertificationError(RuntimeError):
     """Emitted certificate failed its own verification (internal bug guard)."""
 
 
-@dataclass
-class BoundResult:
-    components: list[tuple[CertComponent, Fraction]]  # (component, lambda)
-    bound: Fraction
-    greedy_bound: Fraction
-    chains_applied: int
-    truncated: bool  # the path budget cut some chain enumeration short
-
-
 def chain_bound(
     sm, achieved: Fraction | None = None, path_budget: int = DEFAULT_PATH_BUDGET
-) -> BoundResult:
+) -> tuple[CombinedCertificate, CombinedCertificate, bool]:
     """Chain-based bound: greedy accumulation plus exact re-weighting.
 
     The greedy pass reduces a copy of sm chain by chain, with unit
     multipliers. If a gap remains, the chains it found are pooled with every
     penalized chain of sm itself of 3 to POOL_CHAIN_LENGTH nodes and the
-    multipliers re-optimized exactly (`_tighten`). A path budget that runs
-    out weakens the bound and sets `truncated`.
+    multipliers re-optimized exactly (`_tighten`). Returns (greedy,
+    tightened, truncated); a path budget that runs out weakens the bound
+    and sets truncated.
     """
     if path_budget < 0:
         raise ValueError("path_budget must be >= 0")
-    cert = greedy_certify(sm, path_budget=path_budget)
-    result = BoundResult(
-        components=[(comp, Fraction(1)) for comp in cert.chains],
-        bound=cert.bound,
-        greedy_bound=cert.bound,
-        chains_applied=len(cert.chains),
-        truncated=cert.truncated,
-    )
+    greedy, truncated = greedy_certify(sm, path_budget=path_budget)
 
     def stages():
+        nonlocal truncated
         for k in range(3, POOL_CHAIN_LENGTH + 1):
-            chains, truncated = find_penalized_chains(sm, k, path_budget)
-            result.truncated |= truncated
+            chains, cut = find_penalized_chains(sm, k, path_budget)
+            truncated |= cut
             yield [chain_component(sm, nodes) for nodes in chains]
 
-    best = (result.components, result.bound)
-    result.components, result.bound = _tighten(sm, best, stages(), achieved)
-    return result
+    tightened = _tighten(sm, greedy, stages(), achieved)
+    return greedy, tightened, truncated
 
 
-def _tighten(sm, best, stages, achieved):
+def _tighten(sm, best: CombinedCertificate, stages, achieved) -> CombinedCertificate:
     """Pool each stage's unseen components and keep each strictly tighter combination.
 
-    best is the starting (components, bound) and seeds the pool; stages yields
-    lists of components. The next stage is pulled only while the bound is not
-    achieved (None: run every stage). Returns the final (components, bound).
+    best is the starting certificate and its components seed the pool;
+    stages yields lists of components. The next stage is pulled only while
+    the bound is not achieved (None: run every stage). Returns the tightest
+    certificate found.
     """
     pool = None
-    while achieved is None or best[1] != achieved:
+    while achieved is None or best.bound != achieved:
         found = next(stages, None)
         if found is None:
             break
         if pool is None:  # built on the first pull: a bound proved up front never keys it
-            pool = [comp for comp, _ in best[0]]
+            pool = [comp for comp, _ in best.components]
             seen = {comp.dedupe_key() for comp in pool}
         pooled = len(pool)
         for comp in found:
@@ -88,8 +73,8 @@ def _tighten(sm, best, stages, achieved):
                 pool.append(comp)
         if len(pool) > pooled:
             combined = combine(pool, sm)
-            if combined.bound < best[1]:
-                best = (list(combined.components), combined.bound)
+            if combined.bound < best.bound:
+                best = combined
     return best
 
 
@@ -174,30 +159,19 @@ def certify(
         "max_subnet_size": max_subnet_size if method != "chains" else None,
     }
 
-    components: list[tuple[CertComponent, Fraction]] = []
-    bound = trivial_upper_bound(sm)
+    best = CombinedCertificate(components=(), bound=trivial_upper_bound(sm))
 
     if method in ("chains", "both"):
-        chain_result = chain_bound(sm, achieved=achieved.modularity, path_budget=path_budget)
-        components = chain_result.components
-        bound = chain_result.bound
-        provenance["greedy_chain_bound"] = frac_str(chain_result.greedy_bound)
-        if chain_result.truncated:
+        greedy, best, truncated = chain_bound(sm, achieved=achieved.modularity, path_budget=path_budget)
+        provenance["greedy_chain_bound"] = frac_str(greedy.bound)
+        if truncated:
             provenance["path_budget_exhausted"] = True
 
     if method in ("subnets", "both"):
         stages = _subnet_stages(sm, max_subnet_size, subnet_budget, provenance)
-        components, bound = _tighten(sm, (components, bound), stages, achieved.modularity)
+        best = _tighten(sm, best, stages, achieved.modularity)
 
-    status = "optimal-proved" if bound == achieved.modularity else "gap"
-    doc = build_document(
-        net=net,
-        achieved=achieved,
-        components=components,
-        bound=bound,
-        status=status,
-        provenance=provenance,
-    )
+    doc = build_document(net=net, achieved=achieved, cert=best, provenance=provenance)
     ok, why = verify_certificate(document_to_certificate(doc, net), sm)
     if not ok:
         raise CertificationError(f"emitted certificate failed verification: {why}")

@@ -51,7 +51,7 @@ def test_criterion_2_zachary_chain_bound():
     sm = score_matrix(net)
     achieved = optimize(sm, seed=0, restarts=8).modularity
 
-    result = chain_bound(sm, achieved=achieved)
+    greedy, result, _ = chain_bound(sm, achieved=achieved)
     assert result.bound >= achieved, "validity is mandatory"
     in_window = achieved <= result.bound <= F("0.4308")
     near_target = abs(float(result.bound) - 0.425789) <= 0.005
@@ -61,7 +61,7 @@ def test_criterion_2_zachary_chain_bound():
     report(
         2,
         in_window,
-        f"bound={float(result.bound):.6f} (greedy alone {float(result.greedy_bound):.6f}); "
+        f"bound={float(result.bound):.6f} (greedy alone {float(greedy.bound):.6f}); "
         f"target 0.425789 +/-0.005 {target_note}",
     )
 
@@ -133,10 +133,10 @@ def test_criterion_5_soundness_suite():
         )
         sm = score_matrix(net)
         q, _ = brute_force_max(sm)
-        chain_cert = greedy_certify(sm)
+        chain_cert, _ = greedy_certify(sm)
         docs = [certify(net, method="both", max_subnet_size=4, seed=seed)]
         bounds = [chain_cert.bound] + [d.bound for d in docs]
-        bounds.append(combine(list(chain_cert.chains), sm).bound)
+        bounds.append(combine([comp for comp, _ in chain_cert.components], sm).bound)
         count += 1
         for b in bounds:
             if b < q:
@@ -176,8 +176,8 @@ def test_criterion_7_worked_example():
         and sm.score(0, 2) == F(-1, 8)
         and trivial_upper_bound(sm) == F(1, 8)
     )
-    cert = greedy_certify(sm)
-    ok = ok and len(cert.chains) == 1 and cert.chains[0].penalty == F(1, 8)
+    cert, _ = greedy_certify(sm)
+    ok = ok and len(cert.components) == 1 and cert.components[0][0].penalty == F(1, 8)
     doc = certify(net, method="chains")
     ok = ok and doc.bound == 0 and doc.status == "optimal-proved"
     report(7, ok, "scores (1/4, 1/4, -1/8), trivial 1/8, one chain p=1/8, bound 0")

@@ -9,7 +9,7 @@ from modcert.chains import (
     has_remaining_penalized_chain,
 )
 from modcert.graph import build_network
-from modcert.scores import score_matrix
+from modcert.scores import score_matrix, trivial_upper_bound
 
 F = Fraction
 
@@ -28,6 +28,21 @@ def applied(sm, nodes):
     out = sm.copy()
     out.apply(nodes, out.penalty(nodes))
     return out
+
+
+def greedy_chains(sm):
+    """The greedy pass's chains, each checked to carry multiplier 1."""
+    cert, _ = greedy_certify(sm)
+    assert all(lam == 1 for _, lam in cert.components)
+    return cert, [comp for comp, _ in cert.components]
+
+
+def greedy_residual(sm, chains):
+    """A copy of sm with the greedy pass's chains applied in order."""
+    res = sm.copy()
+    for comp in chains:
+        res.apply(comp.nodes, (comp.penalty * sm.den).numerator)
+    return res
 
 
 def test_chain_penalty_path():
@@ -116,12 +131,12 @@ def test_has_remaining_transitions():
 
 def test_greedy_path_worked_example():
     sm = score_matrix(build_network([("a", "b", 1), ("b", "c", 1)]))
-    cert = greedy_certify(sm)
-    assert cert.trivial_bound == F(1, 8)
-    assert len(cert.chains) == 1
-    assert cert.chains[0].nodes == (0, 1, 2)
-    assert cert.chains[0].penalty == F(1, 8)
-    assert cert.trivial_bound - cert.bound == F(1, 8)
+    cert, chains = greedy_chains(sm)
+    assert trivial_upper_bound(sm) == F(1, 8)
+    assert len(chains) == 1
+    assert chains[0].nodes == (0, 1, 2)
+    assert chains[0].penalty == F(1, 8)
+    assert trivial_upper_bound(sm) - cert.bound == F(1, 8)
     assert cert.bound == 0
     q, _ = brute_force_max(sm)
     assert cert.bound == q
@@ -129,9 +144,9 @@ def test_greedy_path_worked_example():
 
 def test_greedy_deterministic_and_seeded():
     sm = score_matrix(random_network(11, n=8))
-    a = greedy_certify(sm)
-    b = greedy_certify(sm)
-    assert [c.nodes for c in a.chains] == [c.nodes for c in b.chains]
+    _, a = greedy_chains(sm)
+    _, b = greedy_chains(sm)
+    assert [c.nodes for c in a] == [c.nodes for c in b]
 
 
 def rescan_greedy(sm):
@@ -159,25 +174,25 @@ def rescan_greedy(sm):
 def test_greedy_heap_matches_rescan():
     for seed in range(30):
         sm = score_matrix(random_network(seed, n=6 + seed % 4, directed=bool(seed % 2), p=0.6))
-        cert = greedy_certify(sm)
-        assert [(c.nodes, c.penalty) for c in cert.chains] == rescan_greedy(sm)
+        _, chains = greedy_chains(sm)
+        assert [(c.nodes, c.penalty) for c in chains] == rescan_greedy(sm)
 
 
 def test_greedy_bound_arithmetic_invariant():
     for seed in range(10):
         sm = score_matrix(random_network(seed, n=7))
-        cert = greedy_certify(sm)
-        assert cert.bound == cert.trivial_bound - sum((c.penalty for c in cert.chains), F(0))
-        assert not has_remaining_penalized_chain(cert.residual)
+        cert, chains = greedy_chains(sm)
+        assert cert.bound == trivial_upper_bound(sm) - sum((c.penalty for c in chains), F(0))
+        assert not has_remaining_penalized_chain(greedy_residual(sm, chains))
         # every appended chain strictly tightens the running bound
-        assert all(c.penalty > 0 for c in cert.chains)
+        assert all(c.penalty > 0 for c in chains)
 
 
 def test_greedy_validity_against_brute_force():
     for seed in range(20):
         net = random_network(seed, n=3 + seed % 6)
         sm = score_matrix(net)
-        cert = greedy_certify(sm)
+        cert, _ = greedy_certify(sm)
         q, _ = brute_force_max(sm)
         assert cert.bound >= q
 
@@ -185,8 +200,8 @@ def test_greedy_validity_against_brute_force():
 def test_residual_sign_consistency_after_greedy():
     for seed in range(8):
         sm = score_matrix(random_network(seed, n=7))
-        cert = greedy_certify(sm)
-        res = cert.residual
+        _, chains = greedy_chains(sm)
+        res = greedy_residual(sm, chains)
         assert res.den == sm.den
         for a in range(sm.n):
             for b in range(a + 1, sm.n):
@@ -199,7 +214,7 @@ def test_residual_sign_consistency_after_greedy():
 def test_edge_disjoint_chains_bound_matches_plain_sum():
     # two separate path components: chains are edge-disjoint by construction
     sm = score_matrix(build_network([("a", "b", 1), ("b", "c", 1), ("x", "y", 1), ("y", "z", 1)]))
-    cert = greedy_certify(sm)
-    nodesets = [frozenset(c.nodes) for c in cert.chains]
+    cert, chains = greedy_chains(sm)
+    nodesets = [frozenset(c.nodes) for c in chains]
     assert len(nodesets) == len(set(nodesets))
-    assert cert.bound == cert.trivial_bound - sum((c.penalty for c in cert.chains), F(0))
+    assert cert.bound == trivial_upper_bound(sm) - sum((c.penalty for c in chains), F(0))

@@ -233,10 +233,10 @@ def test_combine_no_worse_than_unit_lambdas():
     for seed in range(10):
         net = random_network(seed, n=7)
         sm = score_matrix(net)
-        cert = greedy_certify(sm)
-        if not cert.chains:
+        cert, _ = greedy_certify(sm)
+        if not cert.components:
             continue
-        combined = combine(list(cert.chains), sm)
+        combined = combine([comp for comp, _ in cert.components], sm)
         assert combined.bound <= cert.bound
         q, _ = brute_force_max(sm)
         assert combined.bound >= q
@@ -244,8 +244,8 @@ def test_combine_no_worse_than_unit_lambdas():
 
 def test_combine_status_with_achieved():
     sm = score_matrix(build_network([("a", "b", 1), ("b", "c", 1)]))
-    cert = greedy_certify(sm)
-    combined = combine(list(cert.chains), sm)
+    cert, _ = greedy_certify(sm)
+    combined = combine([comp for comp, _ in cert.components], sm)
     # the bound meets the achieved optimum 0 (all singletons), so it is proven
     assert combined.bound == 0
 
@@ -277,7 +277,7 @@ def test_near_binding_row_solved_without_exact_simplex(monkeypatch):
 def _karate_chain_pools():
     """Karate's greedy chain pool, then the pool after each chain length 3 and 4."""
     sm = score_matrix(load_network("karate"))
-    pool = list(greedy_certify(sm).chains)
+    pool = [comp for comp, _ in greedy_certify(sm)[0].components]
     pools = [list(pool)]
     seen = {c.dedupe_key() for c in pool}
     for k in (3, 4):

@@ -95,7 +95,7 @@ def test_pentagon_needs_subnetworks():
     qmax, _ = brute_force_max(sm)
     assert qmax == 2
 
-    chains_only = chain_bound(sm, achieved=qmax)
+    _, chains_only, _ = chain_bound(sm, achieved=qmax)
     assert chains_only.bound >= qmax
     assert chains_only.bound > qmax  # fundamentally unresolvable by chains
 
@@ -114,8 +114,8 @@ def test_chain_bound_reports_greedy_and_lp():
     net = random_network(17, n=8, p=0.6)
     sm = score_matrix(net)
     q, _ = brute_force_max(sm)
-    r = chain_bound(sm, achieved=q)
-    assert r.bound <= r.greedy_bound
+    greedy, r, _ = chain_bound(sm, achieved=q)
+    assert r.bound <= greedy.bound
     assert r.bound >= q
 
 
@@ -200,13 +200,11 @@ def test_searches_leave_the_callers_lattice_unchanged():
     reduces a lattice, and only its own copy."""
     sm = score_matrix(load_network("karate"))
     before = copy.deepcopy(sm.S)
-    cert = greedy_certify(sm)
+    greedy_certify(sm)
     chain_bound(sm)
     find_penalized_chains(sm, 4)
     list(pipeline._subnet_stages(sm, 4, 100, {}))
     assert sm.S == before
-    assert cert.residual is not sm
-    assert cert.residual.S != before  # the copy was reduced
 
 
 @pytest.mark.parametrize("net,max_size", [

@@ -10,6 +10,7 @@ import modcert.lp
 import modcert.verify
 from conftest import random_network
 from modcert.chains import greedy_certify
+from modcert.datasets import load_network
 from modcert.document import (
     CertificateDocument,
     build_document,
@@ -42,26 +43,26 @@ def test_fingerprint_stable_and_discriminating():
 
 
 def test_chain_certificate_verifies():
-    for seed in range(10):
-        sm = score_matrix(random_network(seed, n=7))
-        cert = greedy_certify(sm)
-        components = tuple((comp, F(1)) for comp in cert.chains)
-        ok, why = verify_certificate(CombinedCertificate(components=components, bound=cert.bound), sm)
-        assert ok, why
+    """The greedy pass's certificate is checked as it is returned."""
+    nets = [load_network(name) for name in ("karate", "knoki", "knokm")]
+    for net in nets + [random_network(seed, n=7) for seed in range(10)]:
+        sm = score_matrix(net)
+        cert, _ = greedy_certify(sm)
+        assert verify_certificate(cert, sm) == (True, None)
 
 
 def test_combined_certificate_verifies():
     sm = score_matrix(random_network(4, n=7))
-    cert = greedy_certify(sm)
-    combined = combine(list(cert.chains), sm)
+    cert, _ = greedy_certify(sm)
+    combined = combine([comp for comp, _ in cert.components], sm)
     ok, why = verify_certificate(combined, sm)
     assert ok, why
 
 
 def _sample_combined(seed=4):
     sm = score_matrix(random_network(seed, n=7))
-    cert = greedy_certify(sm)
-    return sm, combine(list(cert.chains), sm)
+    cert, _ = greedy_certify(sm)
+    return sm, combine([comp for comp, _ in cert.components], sm)
 
 
 def test_tampered_lambda_fails_permissibility():
