@@ -23,7 +23,7 @@ from .document import CertificateDocument, document_to_certificate, frac_str, ne
 from .edgelist import parse_edge_list
 from .graph import GraphError
 from .optimizer import optimize
-from .pipeline import certify, chain_bound
+from .pipeline import METHODS, certify, chain_bound
 from .scores import score_matrix, trivial_upper_bound
 from .generator import generate_planted
 from .verify import verify_certificate
@@ -31,6 +31,8 @@ from .verify import verify_certificate
 
 def _load_input(path: str, directed: bool):
     if path in CORPUS and not os.path.exists(path):
+        if directed and not CORPUS[path].directed:
+            raise ValueError(f"--directed given, but corpus network {path!r} is undirected")
         return load_network(path)
     if path == "-":
         return parse_edge_list(sys.stdin.read(), directed=directed)
@@ -238,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("certify", help="emit a verified optimality certificate")
     _add_network(p)
-    p.add_argument("--method", choices=["chains", "subnets", "both"], default="both")
+    p.add_argument("--method", choices=list(METHODS), default="both")
     p.add_argument("--max-subnet-size", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=8)
@@ -254,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("bench", help="run the benchmark corpus")
     p.add_argument("networks", nargs="*", help="corpus names (default: all available)")
-    p.add_argument("--method", choices=["chains", "subnets", "both"], default="both")
+    p.add_argument("--method", choices=list(METHODS), default="both")
     p.add_argument("--max-subnet-size", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=200_000)

@@ -19,7 +19,7 @@ from .graph import Network
 from .lp import CertComponent, CombinedCertificate
 from .scores import Partition, chain_loads, pair_key
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # 2: the fingerprint hashes edge lines in sorted order
 
 
 def frac_str(f: Fraction) -> str:
@@ -48,11 +48,14 @@ def _json_list(value, what: str, length: int | None = None) -> list:
 
 
 def network_fingerprint(net: Network) -> dict:
-    """Stable identity of a network: counts plus a hash of its canonical form."""
-    lines = [f"directed={int(net.directed)}"]
-    for (a, b), w in sorted(net.edges.items()):
-        lines.append(f"{net.node_labels[a]}\t{net.node_labels[b]}\t{frac_str(w)}")
-    blob = "\n".join(lines).encode()
+    """Stable identity of a network: counts plus a hash of its canonical form.
+
+    The edge lines are hashed in sorted order, so the fingerprint does not
+    depend on the order the edges were listed in, which sets the node ids.
+    """
+    labels = net.node_labels
+    edges = sorted(f"{labels[a]}\t{labels[b]}\t{frac_str(w)}" for (a, b), w in net.edges.items())
+    blob = "\n".join([f"directed={int(net.directed)}", *edges]).encode()
     return {
         "nodes": net.n,
         "edges": len(net.edges),

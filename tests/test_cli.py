@@ -80,6 +80,12 @@ def test_bound_reports_path_budget_cut(capsys):
     assert "path budget" not in out
 
 
+def test_bound_prints_greedy_bound_exactly(capsys):
+    code, out, _ = run(capsys, "bound", "karate")
+    assert code == 0
+    assert "greedy chains: 168, greedy bound 0.447156 (5441/12168)\n" in out
+
+
 def test_certify_verify_round_trip(tmp_path, capsys):
     path = write_path_network(tmp_path)
     cert = str(tmp_path / "cert.json")
@@ -309,7 +315,9 @@ def test_verify_non_object_certificate_exits_2(tmp_path, capsys, body):
 
 @pytest.mark.parametrize("field,value", [
     ("status", 5), ("network", []), ("provenance", []), ("format_version", True),
-], ids=["status", "network", "provenance", "format-version"])
+    # version 1 hashed the edges in node-id order: refused, not a different network
+    ("format_version", 1),
+], ids=["status", "network", "provenance", "format-version", "format-version-1"])
 def test_verify_wrong_top_level_type_exits_2(tmp_path, capsys, field, value):
     cert = str(tmp_path / "knoki.cert.json")
     run(capsys, "certify", "knoki", "-o", cert)
@@ -396,6 +404,32 @@ def test_verify_wrong_network_fingerprint(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(other), cert)
     assert code == 1
     assert "fingerprint" in out
+
+
+def test_verify_reordered_edge_list(tmp_path, capsys):
+    """A certificate holds for the same network listed in another line order."""
+    r1, r2 = tmp_path / "r1.edges", tmp_path / "r2.edges"
+    lines = ["a b", "b c", "c d", "d a", "a c 2"]
+    r1.write_text("\n".join(lines) + "\n")
+    r2.write_text("\n".join(lines[i] for i in (2, 4, 3, 1, 0)) + "\n")
+    cert = str(tmp_path / "r1.cert.json")
+    assert run(capsys, "certify", str(r1), "-o", cert)[0] == 0
+    code, out, _ = run(capsys, "verify", str(r2), cert)
+    assert code == 0, out
+    assert "verification passed" in out
+
+
+def test_directed_flag_on_undirected_corpus_name_exits_2(capsys):
+    code, out, err = run(capsys, "score", "karate", "--directed")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "'karate'" in err
+
+
+def test_directed_flag_on_directed_corpus_name(capsys):
+    code, out, err = run(capsys, "score", "knoki", "--directed")
+    assert code == 0 and err == ""
+    assert out == run(capsys, "score", "knoki")[1]
 
 
 def test_malformed_input_exit_code(tmp_path, capsys):

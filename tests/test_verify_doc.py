@@ -40,6 +40,15 @@ def test_fingerprint_stable_and_discriminating():
     c = build_network([("a", "b", 1), ("b", "c", 2)])
     assert network_fingerprint(a) == network_fingerprint(b)
     assert network_fingerprint(a) != network_fingerprint(c)
+    # the same network listed in another order numbers its nodes differently
+    square = [("a", "b", 1), ("b", "c", 1), ("c", "d", 1), ("d", "a", 1), ("a", "c", 2)]
+    r1 = build_network(square)
+    r2 = build_network([square[i] for i in (2, 4, 3, 1, 0)])
+    assert r1.node_labels != r2.node_labels
+    assert network_fingerprint(r1) == network_fingerprint(r2)
+    for directed in (False, True):
+        assert (network_fingerprint(build_network(square, directed=directed))
+                == network_fingerprint(build_network(square[::-1], directed=directed)))
 
 
 def test_chain_certificate_verifies():
