@@ -133,16 +133,18 @@ def cmd_verify(args) -> int:
     try:
         with open(args.certificate) as fh:
             doc = CertificateDocument.loads(fh.read())
-        if doc.fingerprint != network_fingerprint(net):
-            print("verification failed: fingerprint-mismatch: certificate is for a different network")
-            return 1
-        cert = document_to_certificate(doc, net)
+        same_network = doc.fingerprint == network_fingerprint(net)
+        if same_network:
+            cert = document_to_certificate(doc, net)
     except KeyError as exc:
         print(f"cannot parse certificate: missing field {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError, TypeError) as exc:
         print(f"cannot parse certificate: {exc}", file=sys.stderr)
         return 2
+    if not same_network:
+        print("verification failed: fingerprint-mismatch: certificate is for a different network")
+        return 1
     ok, why = verify_certificate(cert, score_matrix(net))
     if not ok:
         print(f"verification failed: {why}")
@@ -279,7 +281,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader went away (`modcert score knoki | head -1`): point stdout
+        # at devnull so the flush at exit stays quiet, and exit as a process
+        # killed by SIGPIPE does, never as a pass, a violation or bad input
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except GraphError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

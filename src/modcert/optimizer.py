@@ -1,144 +1,213 @@
 """Merge/split/regroup local search for high-modularity partitions.
 
-Each pass scores, for every ordered pair of communities (src, dst), with dst
-possibly a new empty community, the best Kernighan-Lin series of single-node
-moves from src to dst, and applies the highest-gain one. The search sums the
-integer scores of the `ScoreMatrix` itself, so a series gain is the exact
-modularity increase in units of 1/den: every gain of at least 1/den is seen,
-and the reported modularity is exact and rises with every applied series.
+Each pass applies the best Kernighan-Lin series of single-node moves from
+one community src to another community dst or to a new empty one; a series
+can merge, split or regroup communities. The search sums the integer scores
+of the `ScoreMatrix` itself, so a series gain is the exact modularity
+increase in units of 1/den: every gain of at least 1/den is seen, and the
+reported modularity is exact and rises with every applied series.
 
-A series depends only on the two communities' node sets, so each restart
-computes each (src, dst) series once, and each community's connection vector
-once, and keeps them while both communities exist: a pass recomputes only the
-series that touch the two communities the last move changed.
+Pairs are ranked by a cheap exact upper bound, and a pair's series runs only
+when its bound reaches the top. With to_X(v) the sum of S[u][v] over the u
+in X, moving a set M of src's nodes to dst gains the sum over v in M of
+to_dst(v) - to_src(v) + to_M(v). Since to_M(v) is at most the positive part
+of v's row inside src, every prefix of the series gains at most
+
+    UB(src, dst) = sum over v in src of max(0, to_dst(v) + N_src(v)),
+
+where N_src(v) sums |S[u][v]| over the u in src with S[u][v] < 0.
+
+Communities are keyed by their smallest node, and the new community by n.
+Each pass takes the pair with the highest value, ties to the smaller src
+key and then the smaller dst key: a value is the pair's bound until its
+series has run and its exact gain after. While the top value is a bound,
+the pair's series runs and the top is taken again; the first exact value on
+top is the highest exact gain, since no bound is below its pair's gain. The
+pass applies that series, and the search stops when the top value is 0.
+
+A bound and a series depend only on the two communities' node sets, so each
+restart keeps them while both communities exist: a move bounds again only
+the pairs that touch the two communities it changed.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from heapq import heappop, heappush, heapreplace
 
 from .scores import Partition, ScoreMatrix, modularity_of_assignment
 
 MAX_PASSES = 1000  # guard on recombination passes per restart
-NEW_COMMUNITY = frozenset()
 
 
-def _kl_series(S, src, to_src, to_dst):
+def _kl_series(twice, src, d):
     """Best prefix of single-node best-gain moves from community src to dst.
 
-    to_src[v] and to_dst[v] are v's connections to all of src and dst.
-    Returns (gain, nodes_to_move) where nodes_to_move is the shortest prefix
-    of the move sequence with the highest cumulative gain, or (0, ()) if no
-    prefix gains.
+    src lists the community's nodes in ascending order, and d[v] is
+    to_dst(v) - to_src(v) for each v in src; moving v adds twice[v][u] =
+    2 S[v][u] to d[u], in place. Returns (gain, nodes_to_move) where
+    nodes_to_move is the shortest prefix of the move sequence with the
+    highest cumulative gain, or (0, ()) if no prefix gains.
     """
-    remaining = sorted(src)
-    # S has a zero diagonal, so to_src[v] is v's connection to the rest of
-    # src; the vectors are copied because the memo shares them
-    conn_src = list(to_src)
-    conn_dst = list(to_dst)
+    remaining = list(src)
     moved: list[int] = []
     cumulative = 0
     best_gain = 0
     best_len = 0
     while remaining:
-        # best single move at the current state; ties to the smallest node id
-        best_v = None
-        best_delta = None
-        for v in remaining:
-            delta = conn_dst[v] - conn_src[v]
-            if best_delta is None or delta > best_delta:
-                best_delta = delta
-                best_v = v
-        v = best_v
+        # max returns the first maximum: ties go to the smallest node id
+        v = max(remaining, key=d.__getitem__)
         remaining.remove(v)
         moved.append(v)
-        cumulative += best_delta
+        cumulative += d[v]
         if cumulative > best_gain:
             best_gain = cumulative
             best_len = len(moved)
-        row = S[v]
+        row = twice[v]
         for u in remaining:
-            conn_src[u] -= row[u]
-            conn_dst[u] += row[u]
-    if best_len == 0:
-        return 0, ()
+            d[u] += row[u]
     return best_gain, tuple(moved[:best_len])
 
 
-class _SeriesMemo:
-    """memo(src, dst) -> (gain, nodes) of `_kl_series`, each pair computed once
-    while both communities exist.
+def _row_sum(rows, nodes):
+    return [sum(column) for column in zip(*(rows[u] for u in nodes))]
 
-    src and dst are frozensets of node ids. A series is a function of the two
-    sets alone, so a memo hit returns what a fresh computation would give.
+
+class _Search:
+    """The search on one score matrix; `improve` runs one restart.
+
+    During a restart, members[c] lists community c's nodes in ascending
+    order, c being the smallest; conn[c][v] sums S[u][v] and neg[c][v] sums
+    max(0, -S[u][v]) over the u in c. entries[(src, dst)] is (value, nodes)
+    for each live ordered pair, nodes being None while value is the bound.
+    The heap holds (-value, src, dst) for every entry, and also for entries
+    since dropped or replaced: `_best` skips an item whose value is not its
+    pair's live value.
     """
 
-    def __init__(self, S):
-        self.S = S
-        self.conn: dict[frozenset, list[int]] = {}
-        self.series: dict[tuple[frozenset, frozenset], tuple] = {}
+    def __init__(self, sm: ScoreMatrix):
+        self.sm = sm
+        self.new = sm.n
+        self.twice = [[2 * x for x in row] for row in sm.S]
+        self.negative = [[-x if x < 0 else 0 for x in row] for row in sm.S]
 
-    def retain(self, communities) -> None:
-        """Drop every entry that touches a set not among `communities`."""
-        live = {NEW_COMMUNITY, *communities}
-        self.conn = {c: vec for c, vec in self.conn.items() if c in live}
-        self.series = {k: hit for k, hit in self.series.items() if k[0] in live and k[1] in live}
+    def bound(self, src, dst) -> int:
+        """UB(src, dst): no prefix of the series from src to dst gains more."""
+        neg = self.neg[src]
+        if dst == self.new:
+            return sum(neg[v] for v in self.members[src])
+        to_dst = self.conn[dst]
+        total = 0
+        for v in self.members[src]:
+            x = to_dst[v] + neg[v]
+            if x > 0:
+                total += x
+        return total
 
-    def _connection(self, c):
-        vec = self.conn.get(c)
-        if vec is None:
-            vec = [0] * len(self.S)
-            for u in c:  # S is symmetric: column u of S is row u
-                vec = [a + b for a, b in zip(vec, self.S[u])]
-            self.conn[c] = vec
-        return vec
+    def exact(self, src, dst):
+        """The (gain, nodes) of `_kl_series` from src to dst."""
+        to_src = self.conn[src]
+        if dst == self.new:
+            d = {v: -to_src[v] for v in self.members[src]}
+        else:
+            to_dst = self.conn[dst]
+            d = {v: to_dst[v] - to_src[v] for v in self.members[src]}
+        return _kl_series(self.twice, self.members[src], d)
 
-    def __call__(self, src, dst):
-        key = (src, dst)
-        hit = self.series.get(key)
-        if hit is None:
-            to_src, to_dst = self._connection(src), self._connection(dst)
-            hit = self.series[key] = _kl_series(self.S, src, to_src, to_dst)
-        return hit
+    def _add(self, src, dst) -> None:
+        value = self.bound(src, dst)
+        self.entries[(src, dst)] = (value, None)
+        heappush(self.heap, (-value, src, dst))
 
+    def _best(self):
+        """(gain, src, dst, nodes) of the pass's series, or None if none gains."""
+        heap, entries = self.heap, self.entries
+        while heap:
+            neg_value, src, dst = heap[0]
+            entry = entries.get((src, dst))
+            if entry is None or entry[0] != -neg_value:
+                heappop(heap)
+                continue
+            if neg_value == 0:
+                return None
+            if entry[1] is not None:
+                return entry[0], src, dst, entry[1]
+            gain, nodes = entries[(src, dst)] = self.exact(src, dst)
+            heapreplace(heap, (-gain, src, dst))
+        return None
 
-def _members_map(comm_of) -> dict[int, frozenset[int]]:
-    members: dict[int, list[int]] = {}
-    for v, c in enumerate(comm_of):
-        members.setdefault(c, []).append(v)
-    return {c: frozenset(nodes) for c, nodes in members.items()}
+    def move(self, src, dst, nodes) -> None:
+        """Move nodes from src to dst, rekey the two, and bound their pairs again."""
+        members, conn, neg, entries, new = self.members, self.conn, self.neg, self.entries, self.new
+        touched = (src,) if dst == new else (src, dst)
+        for t in touched:
+            entries.pop((t, new), None)
+            for c in members:
+                entries.pop((t, c), None)
+                entries.pop((c, t), None)
+        row = _row_sum(self.sm.S, nodes)
+        row_neg = _row_sum(self.negative, nodes)
+        changed = []
+        moved = set(nodes)
+        rest = [v for v in members.pop(src) if v not in moved]
+        conn_src, neg_src = conn.pop(src), neg.pop(src)
+        if rest:
+            c = rest[0]
+            members[c] = rest
+            conn[c] = [a - b for a, b in zip(conn_src, row)]
+            neg[c] = [a - b for a, b in zip(neg_src, row_neg)]
+            changed.append(c)
+        if dst == new:
+            joined, conn_dst, neg_dst = sorted(nodes), row, row_neg
+        else:
+            joined = sorted(members.pop(dst) + list(nodes))
+            conn_dst = [a + b for a, b in zip(conn.pop(dst), row)]
+            neg_dst = [a + b for a, b in zip(neg.pop(dst), row_neg)]
+        c = joined[0]
+        members[c], conn[c], neg[c] = joined, conn_dst, neg_dst
+        changed.append(c)
+        self._add_pairs(changed)
 
+    def _add_pairs(self, changed) -> None:
+        """Bound every live pair that touches a community in `changed`."""
+        members = self.members
+        for c in changed:
+            for x in members:
+                if x != c:
+                    self._add(c, x)
+                    if x not in changed:
+                        self._add(x, c)
+            if len(members[c]) > 1:
+                self._add(c, self.new)
 
-def _improve(sm: ScoreMatrix, comm_of: list[int], series: _SeriesMemo):
-    """Apply the best-gain recombination until none gains."""
-    comm_of = list(Partition.canonical_assignment(comm_of))
-    q = modularity_of_assignment(sm, comm_of)
-    for _ in range(MAX_PASSES):
-        members = _members_map(comm_of)
-        # an applied move replaced two communities; forget the old ones
-        series.retain(members.values())
-        comm_ids = sorted(members)
-        new_id = max(comm_ids) + 1
-        candidates = []
-        for src in comm_ids:
-            src_set = members[src]
-            for dst in comm_ids + [new_id]:
-                if dst == src:
-                    continue
-                if dst == new_id and len(src_set) < 2:
-                    continue
-                gain, nodes = series(src_set, members.get(dst, NEW_COMMUNITY))
-                if nodes:
-                    candidates.append((gain, src, dst, nodes))
-        if not candidates:
-            break
-        gain, _, dst, nodes = min(candidates, key=lambda c: (-c[0], c[1], c[2]))
-        for v in nodes:
-            comm_of[v] = dst
-        comm_of = list(Partition.canonical_assignment(comm_of))
-        q += Fraction(gain, sm.den)
-    return comm_of, q
+    def improve(self, comm_of):
+        """Apply the best-gain series until none gains; returns the
+        canonical assignment reached and its modularity."""
+        sm = self.sm
+        groups: dict[int, list[int]] = {}
+        for v, c in enumerate(comm_of):
+            groups.setdefault(c, []).append(v)
+        self.members = {nodes[0]: nodes for nodes in groups.values()}
+        self.conn = {c: _row_sum(sm.S, nodes) for c, nodes in self.members.items()}
+        self.neg = {c: _row_sum(self.negative, nodes) for c, nodes in self.members.items()}
+        self.entries = {}
+        self.heap = []
+        self._add_pairs(set(self.members))
+        total = 0
+        for _ in range(MAX_PASSES):
+            best = self._best()
+            if best is None:
+                break
+            gain, src, dst, nodes = best
+            self.move(src, dst, nodes)
+            total += gain
+        reached = [0] * sm.n
+        for c, nodes in self.members.items():
+            for v in nodes:
+                reached[v] = c
+        q = modularity_of_assignment(sm, comm_of) + Fraction(total, sm.den)
+        return list(Partition.canonical_assignment(reached)), q
 
 
 def _starts(n: int, seed: int, restarts: int):
@@ -157,9 +226,10 @@ def optimize(sm: ScoreMatrix, *, seed: int = 0, restarts: int = 8) -> Partition:
     """Best partition across seeded restarts; deterministic for a given seed."""
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    search = _Search(sm)
     best = None
     for start in _starts(sm.n, seed, restarts):
-        assignment, q = _improve(sm, start, _SeriesMemo(sm.S))
+        assignment, q = search.improve(start)
         if best is None or q > best[0] or (q == best[0] and tuple(assignment) < tuple(best[1])):
             best = (q, assignment)
     q, assignment = best

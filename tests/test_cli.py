@@ -1,6 +1,9 @@
+import errno
+import io
 import json
 import os
 import re
+import sys
 
 import pytest
 
@@ -417,6 +420,39 @@ def test_verify_reordered_edge_list(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(r2), cert)
     assert code == 0, out
     assert "verification passed" in out
+
+
+class ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("command", ["optimize", "verify"])
+def test_closed_stdout_exits_141_quietly(tmp_path, capsys, monkeypatch, command):
+    """A closed pipe exits 141 with nothing on stderr: not 0, which would read
+    as a pass, and not 1 or 2, which mean a violation and bad input."""
+    if command == "verify":
+        path, cert = write_c5_certificate(tmp_path, capsys)
+        argv = ["verify", path, cert]
+    else:
+        argv = ["optimize", "karate"]
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", ClosedPipe(fd))
+            code = main(argv)
+    finally:
+        os.close(fd)
+    assert code == 141
+    assert capsys.readouterr().err == ""
 
 
 def test_directed_flag_on_undirected_corpus_name_exits_2(capsys):

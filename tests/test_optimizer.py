@@ -151,34 +151,59 @@ def reference_improve(sm, comm_of, calls=None):
     return comm_of, q_exact
 
 
-class CheckedMemo(optimizer._SeriesMemo):
-    """A series memo that checks every series it returns against the
-    reference, and holds only the current communities' entries."""
+def reference_bound(S, src_nodes, dst_nodes):
+    """UB(src, dst) from its definition: the sum over v in src of
+    max(0, to_dst(v) + N_src(v))."""
+    total = 0
+    for v in src_nodes:
+        to_dst = sum(S[v][u] for u in dst_nodes)
+        n_src = sum(-S[v][u] for u in src_nodes if S[v][u] < 0)
+        total += max(0, to_dst + n_src)
+    return total
 
-    def retain(self, communities):
-        super().retain(communities)
-        live = {optimizer.NEW_COMMUNITY, *communities}
-        assert set(self.conn) <= live
-        assert all(src in live and dst in live for src, dst in self.series)
 
-    def __call__(self, src, dst):
-        hit = super().__call__(src, dst)
-        members = {}
-        for c, nodes in ((0, src), (1, dst)):
-            for v in sorted(nodes):
-                members.setdefault(c, set()).add(v)
-        gain, nodes = reference_kl_series(self.S, members, 0, 1)
+def series_members(search, src, dst):
+    """The reference's members map for the pair (src, dst) of a search."""
+    members = {0: set(search.members[src])}
+    if dst != search.new:
+        members[1] = set(search.members[dst])
+    return members
+
+
+class CheckedSearch(optimizer._Search):
+    """A search that checks every series it runs against the reference and,
+    after every move, that it holds one entry for each live ordered pair and
+    each community's connection and negative-part vectors summed afresh."""
+
+    def exact(self, src, dst):
+        hit = super().exact(src, dst)
+        gain, nodes = reference_kl_series(self.sm.S, series_members(self, src, dst), 0, 1)
         assert hit == (gain, tuple(nodes))
         return hit
+
+    def move(self, src, dst, nodes):
+        super().move(src, dst, nodes)
+        S, n = self.sm.S, self.sm.n
+        assert sorted(v for group in self.members.values() for v in group) == list(range(n))
+        live = set()
+        for c, group in self.members.items():
+            assert group == sorted(group) and c == group[0]
+            assert self.conn[c] == [sum(S[u][v] for u in group) for v in range(n)]
+            assert self.neg[c] == [sum(-S[u][v] for u in group if S[u][v] < 0) for v in range(n)]
+            live |= {(c, d) for d in self.members if d != c}
+            if len(group) > 1:
+                live.add((c, self.new))
+        assert set(self.entries) == live
 
 
 def assert_matches_reference(sm, seed):
     """Every restart's result equals the reference's."""
+    search = CheckedSearch(sm)
     for start in optimizer._starts(sm.n, seed, 8):
-        assert optimizer._improve(sm, start, CheckedMemo(sm.S)) == reference_improve(sm, start)
+        assert search.improve(start) == reference_improve(sm, start)
 
 
-def test_memoized_search_matches_reference():
+def test_search_matches_reference():
     for seed in range(30):
         net = random_network(seed, n=6 + seed % 25, directed=bool(seed % 2), p=0.4)
         assert_matches_reference(score_matrix(net), seed)
@@ -188,18 +213,62 @@ def test_memoized_search_matches_reference():
             assert_matches_reference(sm, seed)
 
 
-def test_series_memo_saves_calls(monkeypatch):
+class BoundChecked(optimizer._Search):
+    """A search that, before every move and after its last pass, checks that
+    every ordered pair's bound, the new-community target included, is UB
+    from its definition and is at least the reference series' gain."""
+
+    def check_bounds(self):
+        S = self.sm.S
+        for src in self.members:
+            for dst in [*self.members, self.new]:
+                if dst == src:
+                    continue
+                members = series_members(self, src, dst)
+                ub = self.bound(src, dst)
+                assert ub == reference_bound(S, members[0], members.get(1, ()))
+                assert ub >= reference_kl_series(S, members, 0, 1)[0]
+
+    def move(self, src, dst, nodes):
+        self.check_bounds()
+        super().move(src, dst, nodes)
+
+    def improve(self, comm_of):
+        reached = super().improve(comm_of)
+        self.check_bounds()
+        return reached
+
+
+def test_bound_is_at_least_every_series_gain():
+    networks = [random_network(seed, n=5 + seed % 12, directed=bool(seed % 2), p=0.3 + 0.1 * (seed % 5),
+                               loops=seed % 3 == 0)
+                for seed in range(40)]
+    networks += [load_network(name) for name in ("karate", "knoki", "knokm")]
+    for seed, net in enumerate(networks):
+        sm = score_matrix(net)
+        search = BoundChecked(sm)
+        for start in optimizer._starts(sm.n, seed, 8):
+            search.improve(start)
+
+
+def test_bounds_save_series(monkeypatch):
+    """On karate the search runs fewer series than the reference, which ran
+    one per live pair and pass, and fewer than the pairs it bounds."""
     sm = score_matrix(load_network("karate"))
     reference_calls = [0]
     for start in optimizer._starts(sm.n, 0, 8):
         reference_improve(sm, start, reference_calls)
-    calls = [0]
-    kl_series = optimizer._kl_series
+    calls = {"exact": 0, "bound": 0}
 
-    def counted(*args):
-        calls[0] += 1
-        return kl_series(*args)
+    class Counted(optimizer._Search):
+        def exact(self, src, dst):
+            calls["exact"] += 1
+            return super().exact(src, dst)
 
-    monkeypatch.setattr(optimizer, "_kl_series", counted)
+        def bound(self, src, dst):
+            calls["bound"] += 1
+            return super().bound(src, dst)
+
+    monkeypatch.setattr(optimizer, "_Search", Counted)
     optimize(sm)
-    assert 0 < calls[0] < reference_calls[0]
+    assert 0 < calls["exact"] < min(reference_calls[0], calls["bound"])
