@@ -5,18 +5,23 @@ re-accumulated pair by pair, each component's penalty is re-derived from the
 min rule on its node order or else re-proven by enumerating every partition
 of the component from scratch, and the trivial bound and a document's
 achieved modularity are re-summed from the scores. The scores themselves are
-not re-derived: callers hand in the builder's `score_matrix(net)`, and
-`ScoreMatrix` and `pair_key` come from `scores`, so a certificate that passes
+not re-derived: callers hand in the builder's `score_matrix(net)`, read here
+by attribute alone (`n`, `den`, `S` and `diag`), so a certificate that passes
 here is a proof provided `score_matrix` is right. `modcert verify` and the
 self-check at the end of `certify` both come here, through
 `document_to_certificate`.
+
+Every check runs in Python ints on two common denominators per certificate:
+Λ, the lcm of the multipliers' denominators, and D, the lcm of the lattice's
+`den` and of every load's and penalty's denominator. A multiplier is an
+integer over Λ, a load or penalty an integer over D, and a weighted load an
+integer over Λ·D. A `Fraction` is built only to write a violation's message.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-
-from .scores import Pair, ScoreMatrix, pair_key
 
 MAX_EXHAUSTIVE_NODES = 12
 
@@ -29,66 +34,84 @@ class Violation:
     STATUS_MISMATCH = "status-mismatch"
 
 
-def _check_permissibility(components, sm: ScoreMatrix) -> str | None:
-    loads: dict[Pair, Fraction] = {}
-    for comp, lam in components:
-        if lam < 0:
+def _scaled(components, den: int) -> tuple[int, int, list]:
+    """(Λ, D, rows): one row (component, λ, λ·Λ, penalty·D, {pair: load·D}) per component."""
+    lam_den = math.lcm(*{lam.denominator for _, lam in components})
+    dens = {v.denominator for comp, _ in components for v in comp.loads.values()}
+    dens.update(comp.penalty.denominator for comp, _ in components)
+    dens.add(den)
+    load_den = math.lcm(*dens)
+    up = {d: load_den // d for d in dens}
+    rows = [
+        (comp, lam, lam.numerator * (lam_den // lam.denominator),
+         comp.penalty.numerator * up[comp.penalty.denominator],
+         {q: v.numerator * up[v.denominator] for q, v in comp.loads.items()})
+        for comp, lam in components
+    ]
+    return lam_den, load_den, rows
+
+
+def _check_permissibility(rows, sm, lam_den: int, load_den: int) -> str | None:
+    S, diag, den = sm.S, sm.diag, sm.den
+    loads: dict[tuple[int, int], int] = {}  # over Λ·D
+    for _comp, lam, lam_int, _pen, scaled in rows:
+        if lam_int < 0:
             return f"{Violation.PERMISSIBILITY}: negative multiplier {lam}"
-        for q, v in comp.loads.items():
-            key = pair_key(*q)
-            base = sm.score(*key)
-            if v * base < 0:
+        for (a, b), v in scaled.items():
+            if a > b:
+                a, b = b, a
+            base = diag[a] if a == b else S[a][b]
+            if (v > 0 and base < 0) or (v < 0 and base > 0):
                 return (
-                    f"{Violation.PERMISSIBILITY}: load on pair {key} has sign "
-                    f"{'+' if v > 0 else '-'} against score {base}"
+                    f"{Violation.PERMISSIBILITY}: load on pair {(a, b)} has sign "
+                    f"{'+' if v > 0 else '-'} against score {Fraction(base, den)}"
                 )
-            loads[key] = loads.get(key, Fraction(0)) + lam * abs(v)
-    for key in sorted(loads):
-        cap = abs(sm.score(*key))
-        if loads[key] > cap:
-            return (
-                f"{Violation.PERMISSIBILITY}: pair {key} carries load {loads[key]} "
-                f"over capacity {cap}"
-            )
+            loads[a, b] = loads.get((a, b), 0) + lam_int * abs(v)
+    unit = lam_den * (load_den // den)  # one 1/den of capacity, over Λ·D
+    over = [(a, b) for (a, b), total in loads.items()
+            if total > abs(diag[a] if a == b else S[a][b]) * unit]
+    if over:
+        a, b = min(over)
+        cap = Fraction(abs(diag[a] if a == b else S[a][b]), den)
+        return (
+            f"{Violation.PERMISSIBILITY}: pair {(a, b)} carries load "
+            f"{Fraction(loads[a, b], lam_den * load_den)} over capacity {cap}"
+        )
     return None
 
 
-def _chain_penalty_ok(comp) -> bool:
-    """The min rule on the node order; loads on other pairs, if any, only
-    raise the positive total or lower what a partition collects."""
-    nodes = comp.nodes
+def _chain_penalty_ok(nodes, loads: dict, penalty: int) -> bool:
+    """The min rule on the node order, for a positive penalty: every
+    consecutive pair carries at least it and the closing pair at most its
+    negative. Loads on other pairs, if any, only raise the positive total or
+    lower what a partition collects."""
     if len(nodes) < 3 or len(set(nodes)) != len(nodes):
         return False
-    interior = []
     for u, v in zip(nodes, nodes[1:]):
-        val = comp.loads.get(pair_key(u, v))
-        if val is None or val <= 0:
+        val = loads.get((u, v) if u < v else (v, u))
+        if val is None or val < penalty:
             return False
-        interior.append(val)
-    closing = comp.loads.get(pair_key(nodes[0], nodes[-1]))
-    if closing is None or closing >= 0:
-        return False
-    return comp.penalty <= min(min(interior), -closing)
+    a, b = nodes[0], nodes[-1]
+    closing = loads.get((a, b) if a < b else (b, a))
+    return closing is not None and -closing >= penalty
 
 
-def _exhaustive_penalty_ok(comp) -> bool:
-    nodes = sorted(set(comp.nodes))
+def _exhaustive_penalty_ok(nodes, loads: dict, penalty: int) -> bool:
+    nodes = sorted(set(nodes))
     if len(nodes) > MAX_EXHAUSTIVE_NODES:
         return False  # cannot re-prove; refuse rather than trust
     index = {v: i for i, v in enumerate(nodes)}
     nn = len(nodes)
-    pos_total = sum((v for v in comp.loads.values() if v > 0), Fraction(0))
+    pos_total = sum(v for v in loads.values() if v > 0)
+    entries = [(index[a], index[b], v) for (a, b), v in loads.items()]
 
-    best = Fraction(0)  # all-singletons collects nothing
+    best = 0  # all-singletons collects nothing
     assignment = [0] * nn
 
     def rec(i: int, mx: int):
         nonlocal best
         if i == nn:
-            val = Fraction(0)
-            for (a, b), v in comp.loads.items():
-                if assignment[index[a]] == assignment[index[b]]:
-                    val += v
+            val = sum(v for a, b, v in entries if assignment[a] == assignment[b])
             if val > best:
                 best = val
             return
@@ -98,10 +121,27 @@ def _exhaustive_penalty_ok(comp) -> bool:
 
     if nn > 1:
         rec(1, 0)
-    return comp.penalty <= pos_total - best
+    return penalty <= pos_total - best
 
 
-def _check_claims(cert, sm: ScoreMatrix) -> str | None:
+def _check_penalties(rows) -> str | None:
+    """Each component's penalty, positive and re-proven on its own loads."""
+    for i, (comp, _lam, _lam_int, penalty, loads) in enumerate(rows):
+        nodes = set(comp.nodes)
+        if penalty <= 0:
+            why = f"claims penalty {comp.penalty}"
+        elif any(a == b or a not in nodes or b not in nodes for a, b in loads):
+            why = "has a load outside its node pairs"
+        elif not (_chain_penalty_ok(comp.nodes, loads, penalty)
+                  or _exhaustive_penalty_ok(comp.nodes, loads, penalty)):
+            why = f"does not prove penalty {comp.penalty}"
+        else:
+            continue
+        return f"{Violation.COMPONENT_PENALTY}: component {i} on nodes {comp.nodes} {why}"
+    return None
+
+
+def _check_claims(cert, sm) -> str | None:
     """A document's claims: the listed partition's modularity, the gap and the status."""
     assignment = cert.achieved.assignment
     if len(assignment) != sm.n:
@@ -120,10 +160,12 @@ def _check_claims(cert, sm: ScoreMatrix) -> str | None:
     return None
 
 
-def verify_certificate(cert, sm: ScoreMatrix) -> tuple[bool, str | None]:
+def verify_certificate(cert, sm) -> tuple[bool, str | None]:
     """Check a certificate against the score matrix it claims to bound.
 
-    cert is read by attribute only: `components`, (component, lambda) pairs
+    sm is read by attribute only: `n`, `den`, the integer rows `S` and the
+    integer diagonal terms `diag`, each score an integer over `den`. cert is
+    read by attribute only too: `components`, (component, lambda) pairs
     whose components carry `nodes`, `loads` and `penalty`; `bound`;
     and `achieved`, `gap` and `status`, the document's claims, read only
     when `achieved` is not None.
@@ -137,29 +179,27 @@ def verify_certificate(cert, sm: ScoreMatrix) -> tuple[bool, str | None]:
     "gap" otherwise. Returns (ok, first_violation).
     """
     components, claimed_bound = cert.components, cert.bound
+    lam_den, load_den, rows = _scaled(components, sm.den)
 
-    msg = _check_permissibility(components, sm)
+    msg = _check_permissibility(rows, sm, lam_den, load_den)
     if msg is not None:
         return False, msg
 
-    for i, (comp, _lam) in enumerate(components):
-        name = f"component {i} on nodes {comp.nodes}"
-        if comp.penalty <= 0:
-            return False, f"{Violation.COMPONENT_PENALTY}: {name} claims penalty {comp.penalty}"
-        nodes = set(comp.nodes)
-        if any(a == b or a not in nodes or b not in nodes for a, b in comp.loads):
-            return False, f"{Violation.COMPONENT_PENALTY}: {name} has a load outside its node pairs"
-        if not (_chain_penalty_ok(comp) or _exhaustive_penalty_ok(comp)):
-            return False, f"{Violation.COMPONENT_PENALTY}: {name} does not prove penalty {comp.penalty}"
+    msg = _check_penalties(rows)
+    if msg is not None:
+        return False, msg
 
-    # independent trivial bound: positive pair mass plus all diagonal terms
-    positive = sum(v for a, row in enumerate(sm.S) for v in row[a + 1:] if v > 0)
-    trivial = Fraction(positive + sum(sm.diag), sm.den)
-    total = sum((lam * comp.penalty for comp, lam in components), Fraction(0))
-    if trivial - total != claimed_bound:
+    # independent trivial bound: positive pair mass plus all diagonal terms,
+    # over den; the weighted penalties over Λ·D
+    positive = sum(sum([v for v in row[a + 1:] if v > 0]) for a, row in enumerate(sm.S))
+    trivial = positive + sum(sm.diag)
+    total = sum(lam_int * penalty for _, _, lam_int, penalty, _ in rows)
+    scale = lam_den * load_den
+    bound = trivial * lam_den * (load_den // sm.den) - total  # over Λ·D
+    if bound * claimed_bound.denominator != claimed_bound.numerator * scale:
         return False, (
             f"{Violation.BOUND_ARITHMETIC}: claimed bound {claimed_bound} != "
-            f"trivial {trivial} - penalties {total}"
+            f"trivial {Fraction(trivial, sm.den)} - penalties {Fraction(total, scale)}"
         )
     if cert.achieved is not None:
         msg = _check_claims(cert, sm)

@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from modcert.graph import Network, build_network
-from modcert.scores import ScoreMatrix
+from modcert.lp import CertComponent, CombinedCertificate
+from modcert.scores import ScoreMatrix, chain_loads, pair_key
 
 # A 4-cycle whose one improving split, {a, b} | {c, d}, raises modularity
 # from 0 by about 1.25e-16: below float resolution next to the scores summed.
@@ -118,3 +119,147 @@ def adjusted_rand_index(a, b) -> float:
     if max_index == expected:
         return 1.0
     return (sum_ij - expected) / (max_index - expected)
+
+
+def _fraction_permissibility(components, sm: ScoreMatrix) -> str | None:
+    loads: dict = {}
+    for comp, lam in components:
+        if lam < 0:
+            return f"permissibility: negative multiplier {lam}"
+        for q, v in comp.loads.items():
+            key = pair_key(*q)
+            base = sm.score(*key)
+            if v * base < 0:
+                return (f"permissibility: load on pair {key} has sign "
+                        f"{'+' if v > 0 else '-'} against score {base}")
+            loads[key] = loads.get(key, Fraction(0)) + lam * abs(v)
+    for key in sorted(loads):
+        cap = abs(sm.score(*key))
+        if loads[key] > cap:
+            return f"permissibility: pair {key} carries load {loads[key]} over capacity {cap}"
+    return None
+
+
+def _fraction_chain_penalty_ok(comp) -> bool:
+    nodes = comp.nodes
+    if len(nodes) < 3 or len(set(nodes)) != len(nodes):
+        return False
+    interior = []
+    for u, v in zip(nodes, nodes[1:]):
+        val = comp.loads.get(pair_key(u, v))
+        if val is None or val <= 0:
+            return False
+        interior.append(val)
+    closing = comp.loads.get(pair_key(nodes[0], nodes[-1]))
+    if closing is None or closing >= 0:
+        return False
+    return comp.penalty <= min(min(interior), -closing)
+
+
+def _fraction_exhaustive_penalty_ok(comp) -> bool:
+    nodes = sorted(set(comp.nodes))
+    if len(nodes) > 12:
+        return False
+    index = {v: i for i, v in enumerate(nodes)}
+    nn = len(nodes)
+    pos_total = sum((v for v in comp.loads.values() if v > 0), Fraction(0))
+    best = Fraction(0)
+    assignment = [0] * nn
+
+    def rec(i: int, mx: int):
+        nonlocal best
+        if i == nn:
+            val = Fraction(0)
+            for (a, b), v in comp.loads.items():
+                if assignment[index[a]] == assignment[index[b]]:
+                    val += v
+            best = max(best, val)
+            return
+        for c in range(mx + 2):
+            assignment[i] = c
+            rec(i + 1, max(mx, c))
+
+    if nn > 1:
+        rec(1, 0)
+    return comp.penalty <= pos_total - best
+
+
+def fraction_verify(cert, sm: ScoreMatrix) -> tuple[bool, str | None]:
+    """The certificate checks in `Fraction`s: loads summed pair by pair,
+    penalties re-proven and the bound compared as rationals. The oracle that
+    `verify_certificate` must agree with, verdict and message alike."""
+    msg = _fraction_permissibility(cert.components, sm)
+    if msg is not None:
+        return False, msg
+    for i, (comp, _lam) in enumerate(cert.components):
+        name = f"component {i} on nodes {comp.nodes}"
+        if comp.penalty <= 0:
+            return False, f"component-penalty: {name} claims penalty {comp.penalty}"
+        nodes = set(comp.nodes)
+        if any(a == b or a not in nodes or b not in nodes for a, b in comp.loads):
+            return False, f"component-penalty: {name} has a load outside its node pairs"
+        if not (_fraction_chain_penalty_ok(comp) or _fraction_exhaustive_penalty_ok(comp)):
+            return False, f"component-penalty: {name} does not prove penalty {comp.penalty}"
+    positive = sum(v for a, row in enumerate(sm.S) for v in row[a + 1:] if v > 0)
+    trivial = Fraction(positive + sum(sm.diag), sm.den)
+    total = sum((lam * comp.penalty for comp, lam in cert.components), Fraction(0))
+    if trivial - total != cert.bound:
+        return False, (f"bound-arithmetic: claimed bound {cert.bound} != "
+                       f"trivial {trivial} - penalties {total}")
+    if cert.achieved is not None:
+        assignment = cert.achieved.assignment
+        if len(assignment) != sm.n:
+            return False, f"achieved-mismatch: partition covers {len(assignment)} of {sm.n} nodes"
+        inside = sum(v for a, row in enumerate(sm.S) for b, v in enumerate(row[a + 1:], a + 1)
+                     if assignment[a] == assignment[b])
+        q = Fraction(inside + sum(sm.diag), sm.den)
+        if q != cert.achieved.modularity:
+            return False, "achieved-mismatch: stated modularity is not the partition's"
+        if cert.gap != cert.bound - q:
+            return False, "bound-arithmetic: gap field inconsistent"
+        if cert.status != ("optimal-proved" if cert.gap == 0 else "gap"):
+            return False, f"status-mismatch: status {cert.status!r} does not match gap"
+    return True, None
+
+
+def _unit_step(f: Fraction, step: int) -> Fraction:
+    """f moved by step units of its own denominator."""
+    return Fraction(f.numerator + step, f.denominator)
+
+
+def certificate_mutants(cert, spread: int = 8):
+    """Certificates one edit away from cert: lambda and penalty +-1 unit of
+    its own denominator (a chain's loads follow its penalty, as they do when
+    a document is read) on up to `spread` components spaced evenly from the
+    first (on all of them when there are no more), then one load +-1 unit (a
+    subnetwork's, when there is one), one load's sign flipped and one lambda
+    made negative."""
+    comps = list(cert.components)
+
+    def with_entry(i, comp, lam):
+        edited = comps[:i] + [(comp, lam)] + comps[i + 1:]
+        return CombinedCertificate(components=tuple(edited), bound=cert.bound,
+                                   achieved=cert.achieved, gap=cert.gap, status=cert.status)
+
+    for i in range(0, len(comps), max(1, math.ceil(len(comps) / spread))):
+        comp, lam = comps[i]
+        chain = comp.loads == chain_loads(comp.nodes, comp.penalty)
+        for step in (1, -1):
+            yield with_entry(i, comp, _unit_step(lam, step))
+            penalty = _unit_step(comp.penalty, step)
+            loads = chain_loads(comp.nodes, penalty) if chain else comp.loads
+            yield with_entry(i, CertComponent(comp.nodes, loads, penalty), lam)
+    if not comps:
+        return
+    subnets = [i for i, (comp, _) in enumerate(comps)
+               if comp.loads != chain_loads(comp.nodes, comp.penalty)]
+    i = subnets[0] if subnets else 0
+    comp, lam = comps[i]
+    q = min(comp.loads)
+    for step in (1, -1):
+        loads = {**comp.loads, q: _unit_step(comp.loads[q], step)}
+        yield with_entry(i, CertComponent(comp.nodes, loads, comp.penalty), lam)
+    comp, lam = comps[0]
+    q = min(comp.loads)
+    yield with_entry(0, CertComponent(comp.nodes, {**comp.loads, q: -comp.loads[q]}, comp.penalty), lam)
+    yield with_entry(0, comp, -lam if lam else Fraction(-1))

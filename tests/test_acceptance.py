@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import random_network
+from conftest import certificate_mutants, fraction_verify, random_network
 from modcert.brute import brute_force_max
 from modcert.chains import greedy_certify
 from modcert.datasets import load_network
@@ -232,8 +232,12 @@ def test_criterion_8_verifier_independence():
         for method in ("chains", "both"):
             doc = certify(net, method=method, max_subnet_size=5, seed=0)
             sm = score_matrix(net)
-            ok, why = verify_certificate(document_to_certificate(doc, net), sm)
+            cert = document_to_certificate(doc, net)
+            ok, why = verify_certificate(cert, sm)
             assert ok, f"{name}/{method}: emitted certificate rejected: {why}"
+            # the integer checks give the Fraction oracle's verdict and message
+            for checked in (cert, *certificate_mutants(cert)):
+                assert verify_certificate(checked, sm) == fraction_verify(checked, sm), name
             emitted.append((name, net, sm, doc))
 
     mutators = [_mutate_lambda, _mutate_subnet_penalty, _mutate_bound, _mutate_chain_penalty]
@@ -245,8 +249,9 @@ def test_criterion_8_verifier_independence():
             expected = mutate(data)
             if expected is None:
                 continue
-            mutant = CertificateDocument.from_json_dict(data)
-            ok, why = verify_certificate(document_to_certificate(mutant, net), sm)
+            mutant = document_to_certificate(CertificateDocument.from_json_dict(data), net)
+            ok, why = verify_certificate(mutant, sm)
+            assert (ok, why) == fraction_verify(mutant, sm)
             mutants += 1
             if ok or not why.startswith(expected):
                 wrong.append((name, mutate.__name__, why))

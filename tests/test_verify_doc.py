@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,7 +9,8 @@ import pytest
 import modcert.document
 import modcert.lp
 import modcert.verify
-from conftest import random_network
+from conftest import certificate_mutants, fraction_verify, lattice, random_network
+from modcert.cli import main
 from modcert.chains import greedy_certify
 from modcert.datasets import load_network
 from modcert.document import (
@@ -20,6 +22,7 @@ from modcert.document import (
     network_fingerprint,
     parse_frac,
 )
+from modcert.edgelist import parse_edge_list
 from modcert.graph import build_network
 from modcert.lp import CertComponent, CombinedCertificate, combine
 from modcert.pipeline import certify
@@ -240,9 +243,117 @@ def _imported_modules(module) -> set[str]:
 
 
 @pytest.mark.parametrize("module,builders", [
-    (modcert.verify, {"modcert.chains", "modcert.lp"}),
+    (modcert.verify, {"modcert.chains", "modcert.lp", "modcert.scores"}),
     (modcert.document, {"modcert.chains"}),
     (modcert.lp, {"modcert.chains", "modcert.subnets"}),
 ], ids=["verify", "document", "lp"])
 def test_checker_imports_no_builder(module, builders):
     assert not _imported_modules(module) & builders
+
+
+def _bench_networks(workdir):
+    """The benchmark's 44 networks with their certify options: the corpus at
+    both/6, karate at subnets/4 with budget 600, and the 40 planted networks
+    written by `modcert gen` and parsed back, at both/4 with budget 30000."""
+    out = [(load_network(name), {"method": "both", "max_subnet_size": 6})
+           for name in ("karate", "knoki", "knokm")]
+    out.append((load_network("karate"),
+                {"method": "subnets", "max_subnet_size": 4, "subnet_budget": 600}))
+    sizes = range(24, 36)
+    for i in range(40):
+        n = sizes[i % len(sizes)]
+        path = workdir / f"planted-{i:02d}.edges"
+        assert main(["gen", "--n", str(n), "--communities", str(max(2, round(n / 12))),
+                     "--p-in", "0.9", "--p-out", "0.05", "--seed", str(i), "-o", str(path)]) == 0
+        out.append((parse_edge_list(path.read_text()),
+                    {"method": "both", "max_subnet_size": 4, "subnet_budget": 30000}))
+    return out
+
+
+def test_integer_checks_match_fraction_oracle_on_bench_certificates(tmp_path):
+    """The 44 seed-0 bench certificates and their one-edit mutants get the
+    Fraction oracle's verdict and message."""
+    mutants = 0
+    verdicts = set()
+    for net, options in _bench_networks(tmp_path):
+        sm = score_matrix(net)
+        doc = certify(net, seed=0, **options)
+        cert = document_to_certificate(doc, net)
+        assert verify_certificate(cert, sm) == fraction_verify(cert, sm) == (True, None)
+        for mutant in certificate_mutants(cert):
+            got = verify_certificate(mutant, sm)
+            assert got == fraction_verify(mutant, sm)
+            verdicts.add(got[1].split(":")[0] if got[1] else None)
+            mutants += 1
+    assert mutants > 1000
+    assert {"permissibility", "component-penalty", "bound-arithmetic"} <= verdicts
+
+
+def _chain(penalty, nodes=(0, 1, 2)):
+    return CertComponent(nodes=nodes, loads=chain_loads(nodes, penalty), penalty=penalty)
+
+
+def _with_load(pair, value):
+    # the path 0-1-2 at penalty 1/8 plus one more load, on nodes 0 to 3
+    return CertComponent(nodes=(0, 1, 2, 3), loads={**chain_loads((0, 1, 2), F(1, 8)), pair: value},
+                         penalty=F(1, 8))
+
+
+@pytest.mark.parametrize("components,why", [
+    # lambda 7/6 and penalty 3/28 load (0, 2) with 1/8: its capacity over
+    # the common denominators 6 and 56
+    ([(_chain(F(3, 28)), F(7, 6))], None),
+    ([(_chain(F(3, 28)), F(7, 6)), (_chain(F(1, 56)), F(1, 6))],
+     "permissibility: pair (0, 2) carries load 43/336 over capacity 1/8"),
+    ([(_with_load((0, 3), F(0)), F(1))], None),
+    ([(_with_load((0, 3), F(-1, 16)), F(1))],
+     "permissibility: pair (0, 3) carries load 1/16 over capacity 0"),
+    ([(_with_load((1, 1), F(1, 8)), F(1))],
+     "permissibility: pair (1, 1) carries load 1/8 over capacity 0"),
+    ([(_with_load((2, 0), F(1, 8)), F(1))],
+     "permissibility: load on pair (0, 2) has sign + against score -1/8"),
+    ([(_chain(F(1, 24)), F(3))], None),
+    ([(_chain(F(1, 7)), F(1))], "permissibility: pair (0, 2) carries load 1/7 over capacity 1/8"),
+], ids=["at-capacity", "one-unit-over", "zero-load-on-zero-score", "load-on-zero-score",
+        "diagonal-pair", "sign-on-reversed-pair", "load-den-not-dividing-den", "over-by-a-seventh"])
+def test_integer_comparison_at_the_boundary(components, why):
+    # scores 1/4 on (0, 1) and (1, 2), -1/8 on (0, 2) and 0 on the rest, over den 8
+    sm = lattice(4, {(0, 1): F(1, 4), (1, 2): F(1, 4), (0, 2): F(-1, 8)})
+    bound = trivial_upper_bound(sm) - sum((lam * comp.penalty for comp, lam in components), F(0))
+    cert = CombinedCertificate(components=tuple(components), bound=bound)
+    assert verify_certificate(cert, sm) == fraction_verify(cert, sm) == (why is None, why)
+
+
+def test_min_rule_at_equality_past_enumeration():
+    """A 13-node chain is past exhaustive re-proof: the min rule alone proves
+    a penalty equal to its smallest load."""
+    sm = lattice(13, {**{(a, a + 1): F(1, 8) for a in range(12)}, (0, 12): F(-1, 4)})
+    chain = _chain(F(1, 8), tuple(range(13)))
+    cert = CombinedCertificate(components=((chain, F(1)),), bound=trivial_upper_bound(sm) - F(1, 8))
+    assert verify_certificate(cert, sm) == fraction_verify(cert, sm) == (True, None)
+
+
+def _primes_above(low, count):
+    out = []
+    p = low + 1
+    while len(out) < count:
+        if all(p % d for d in range(2, math.isqrt(p) + 1)):
+            out.append(p)
+        p += 1
+    return out
+
+
+def test_lambdas_on_sixty_distinct_prime_denominators():
+    """The common denominator of 60 multipliers over distinct primes above 10**6
+    runs past 360 digits; the check still agrees with the oracle."""
+    net = load_network("karate")
+    sm = score_matrix(net)
+    cert = document_to_certificate(certify(net, method="chains"), net)
+    primes = _primes_above(10**6, 60)
+    # each of the first 60 multipliers down to the next multiple of 1/p below it
+    comps = [(comp, F(math.ceil(lam * p) - 1, p)) for (comp, lam), p in zip(cert.components, primes)]
+    comps += cert.components[len(primes):]
+    bound = trivial_upper_bound(sm) - sum((lam * comp.penalty for comp, lam in comps), F(0))
+    floored = CombinedCertificate(components=tuple(comps), bound=bound)
+    assert math.lcm(*(lam.denominator for _, lam in comps)) > 10**360
+    assert verify_certificate(floored, sm) == fraction_verify(floored, sm) == (True, None)
