@@ -25,9 +25,9 @@ DEFAULT_PATH_BUDGET = 10_000_000
 
 
 def chain_component(sm: ScoreMatrix, nodes: tuple[int, ...]) -> CertComponent:
-    """A path as a combinable component: its penalty p on sm, +p along it, -p on its closing pair."""
-    p = Fraction(sm.penalty(nodes), sm.den)
-    return CertComponent(nodes=nodes, loads=chain_loads(nodes, p), penalty=p)
+    """A path as a combinable component: its penalty p on sm, +p along it, -p on its closing pair, over sm.den."""
+    p = sm.penalty(nodes)
+    return CertComponent(nodes=nodes, loads=chain_loads(nodes, p), penalty=p, den=sm.den)
 
 
 def find_penalized_chains(
@@ -169,5 +169,5 @@ def greedy_certify(
                 heapq.heappush(heap, (-p, nodes))
         k += 1
 
-    bound = trivial_upper_bound(sm) - sum(comp.penalty for comp, _ in applied)
+    bound = trivial_upper_bound(sm) - Fraction(sum(comp.penalty for comp, _ in applied), sm.den)
     return CombinedCertificate(components=tuple(applied), bound=bound), truncated_any

@@ -5,12 +5,15 @@ parsed document reproduces the exact values; a certificate whose meaning
 depended on float parsing would not be a proof.
 A component whose loads are `chain_loads(nodes, penalty)` is written as a
 "chain" entry without its loads, any other as a "subnetwork" with "scores".
+A component's integers over its den become rationals only here, written in
+lowest terms, and a parsed component is put on the lcm of its denominators.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -132,12 +135,12 @@ def serialize_component(comp: CertComponent, lam: Fraction, labels) -> dict:
     entry = {
         "kind": "chain" if chain else "subnetwork",
         "nodes": [labels[v] for v in comp.nodes],
-        "penalty": frac_str(comp.penalty),
+        "penalty": frac_str(Fraction(comp.penalty, comp.den)),
         "lambda": frac_str(lam),
     }
     if not chain:
         entry["scores"] = [
-            [labels[a], labels[b], frac_str(v)] for (a, b), v in sorted(comp.loads.items())
+            [labels[a], labels[b], frac_str(Fraction(v, comp.den))] for (a, b), v in sorted(comp.loads.items())
         ]
     return entry
 
@@ -159,21 +162,23 @@ def deserialize_component(entry: dict, label_to_id: dict) -> tuple[CertComponent
     if entry["kind"] == "chain":
         if len(nodes) < 3:  # chain_loads would overwrite the one pair of a 2-node chain
             raise ValueError(f"chain component lists {len(nodes)} node(s), fewer than 3")
-        loads = chain_loads(nodes, penalty)
-    elif entry["kind"] == "subnetwork":
-        loads = {}
-        for score in _json_list(entry["scores"], "subnetwork scores"):
-            la, lb, val = _json_list(score, "subnetwork score entry", 3)
-            a, b = _node_id(la, label_to_id), _node_id(lb, label_to_id)
-            if a == b:
-                raise ValueError(f"subnetwork component pairs node {la!r} with itself")
-            key = pair_key(a, b)
-            if key in loads:
-                raise ValueError(f"subnetwork component lists pair ({la}, {lb}) twice")
-            loads[key] = parse_frac(val)
-    else:
+        p = penalty.numerator
+        return CertComponent(nodes, chain_loads(nodes, p), p, penalty.denominator), lam
+    if entry["kind"] != "subnetwork":
         raise ValueError(f"unknown component kind: {entry['kind']!r}")
-    return CertComponent(nodes=nodes, loads=loads, penalty=penalty), lam
+    loads = {}
+    for score in _json_list(entry["scores"], "subnetwork scores"):
+        la, lb, val = _json_list(score, "subnetwork score entry", 3)
+        a, b = _node_id(la, label_to_id), _node_id(lb, label_to_id)
+        if a == b:
+            raise ValueError(f"subnetwork component pairs node {la!r} with itself")
+        key = pair_key(a, b)
+        if key in loads:
+            raise ValueError(f"subnetwork component lists pair ({la}, {lb}) twice")
+        loads[key] = parse_frac(val)
+    den = math.lcm(penalty.denominator, *(v.denominator for v in loads.values()))
+    return CertComponent(nodes, {q: v.numerator * (den // v.denominator) for q, v in loads.items()},
+                         penalty.numerator * (den // penalty.denominator), den), lam
 
 
 def build_document(

@@ -12,6 +12,8 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+MAX_DECIMAL_EXPONENT = 4300  # CPython's int <-> str digit limit, sys.int_info.default_max_str_digits
+
 
 class GraphError(ValueError):
     """Invalid network input: negative weights, empty networks, bad lines."""
@@ -20,7 +22,7 @@ class GraphError(ValueError):
 def as_fraction(value) -> Fraction:
     """Convert ints, Fractions, Decimals and decimal strings to an exact Fraction.
 
-    NaN and infinities, as strings, Decimals or floats, raise GraphError.
+    NaN, infinities and exponents past +-MAX_DECIMAL_EXPONENT raise GraphError.
     """
     if isinstance(value, Fraction):
         return value
@@ -41,6 +43,8 @@ def as_fraction(value) -> Fraction:
         raise GraphError(f"unsupported weight type: {type(value).__name__}")
     if not decimal.is_finite():
         raise GraphError(f"non-finite weight: {value!r}")
+    if abs(decimal.as_tuple().exponent) > MAX_DECIMAL_EXPONENT:
+        raise GraphError(f"weight exponent out of range: {value!r}")
     return Fraction(decimal)
 
 

@@ -7,7 +7,9 @@ and the weight-reduction LPs alike, takes one path. The LP is put once into
 an integer form (`IntegerLP`): integer rows and right-hand sides over one
 row denominator, integer costs over one cost denominator, and a positive
 unit per column, the gcd of its entries, so that a chain column of the
-combination LP becomes 0/1. HiGHS solves it in floating point, fed the float
+combination LP becomes 0/1. `IntegerLP.from_columns` builds it from columns
+of integers over each column's own denominator, as a `CertComponent` holds
+its penalty and loads. HiGHS solves it in floating point, fed the float
 of each of the LP's own rationals, and hands back only its optimal basis:
 the basic columns and the rows whose slacks are nonbasic. One basis step
 solves the primal and the dual of a basis exactly, in integers by
@@ -41,13 +43,9 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 from typing import Iterator, Sequence
 
 from .scores import Pair, Partition, ScoreMatrix, trivial_upper_bound
-
-Row = tuple[dict[int, Fraction], Fraction]  # sparse coeffs, rhs >= 0; relation <=
-
 
 # ---------------------------------------------------------------------------
 # exact linear systems (sparse fraction-free elimination)
@@ -181,33 +179,25 @@ class IntegerLP:
         )
 
     @classmethod
-    def from_rationals(cls, objective, rows: Sequence[dict[int, Rational]], rhs: list[int], den: int) -> "IntegerLP":
-        """The integer form of max objective.x s.t. rows.x <= rhs/den, x >= 0.
+    def from_columns(cls, columns: Sequence[tuple[int, dict[int, int], int]], rhs: list[int], den: int) -> "IntegerLP":
+        """The integer form of max c.x s.t. a.x <= rhs/den, x >= 0, given by columns.
 
-        Each column's unit is the gcd of its entries (numerators' gcd over
-        denominators' lcm), so the column divided by it is integer with
-        coprime entries. Built from numerators and denominators with int
-        operations only.
+        Column j is (cost, entries, d): c[j] = cost/d and a[i][j] = entries[i]/d.
+        Its unit is g/d in lowest terms, g the gcd of its entries (d if all are
+        0), so the column divided by it is integer with coprime entries and its
+        cost per scaled variable cost/g. Rows list columns in ascending order.
         """
-        nv = len(objective)
-        gnum, gden = [0] * nv, [1] * nv
-        for coeffs in rows:
-            for j, v in coeffs.items():
-                gnum[j] = math.gcd(gnum[j], v.numerator)
-                gden[j] = math.lcm(gden[j], v.denominator)
-        units = [(g, h) if g else (1, 1) for g, h in zip(gnum, gden)]
-        int_rows = [
-            {j: v.numerator // units[j][0] * (units[j][1] // v.denominator) for j, v in coeffs.items()}
-            for coeffs in rows
-        ]
-        # cost per scaled variable: c[j] / units[j], reduced, then on one denominator
-        scaled = []
-        for c, (u, v) in zip(objective, units):
-            num, d = c.numerator * v, c.denominator * u
-            g = math.gcd(num, d)
-            scaled.append((num // g, d // g))
-        cost_den = math.lcm(*(d for _, d in scaled))
-        return cls(int_rows, rhs, den, [num * (cost_den // d) for num, d in scaled], cost_den, units)
+        rows: list[dict[int, int]] = [{} for _ in rhs]
+        units, scaled = [], []
+        for j, (c, entries, d) in enumerate(columns):
+            g = math.gcd(*entries.values()) or d
+            for i, a in entries.items():
+                rows[i][j] = a // g
+            h, k = math.gcd(g, d), math.gcd(c, g)
+            units.append((g // h, d // h))
+            scaled.append((c // k, g // k))
+        cost_den = math.lcm(*(cd for _, cd in scaled))
+        return cls(rows, rhs, den, [num * (cost_den // cd) for num, cd in scaled], cost_den, units)
 
 
 # each thread's one HiGHS solver, made on the thread's first LP
@@ -415,7 +405,7 @@ class LinearProgram:
     """max objective . x subject to sparse rows (coeffs . x <= rhs), rhs >= 0, x >= 0."""
 
     objective: list[Fraction]
-    rows: list[Row]
+    rows: list[tuple[dict[int, Fraction], Fraction]]  # sparse coeffs, rhs >= 0; relation <=
 
     def __post_init__(self):
         for i, (coeffs, rhs) in enumerate(self.rows):
@@ -431,13 +421,14 @@ def solve_lp(lp: LinearProgram) -> tuple[list[Fraction], Fraction]:
 
     The LP is put into its integer form and solved there (see `_solve`).
     """
+    cols: list[dict[int, Fraction]] = [{} for _ in lp.objective]
+    for i, (coeffs, _) in enumerate(lp.rows):
+        for j, v in coeffs.items():
+            cols[j][i] = v
+    dens = [math.lcm(c.denominator, *(v.denominator for v in col.values())) for c, col in zip(lp.objective, cols)]
+    columns = [(int(c * d), {i: int(v * d) for i, v in col.items()}, d) for c, col, d in zip(lp.objective, cols, dens)]
     den = math.lcm(*(rhs.denominator for _, rhs in lp.rows))
-    ilp = IntegerLP.from_rationals(
-        lp.objective,
-        [coeffs for coeffs, _ in lp.rows],
-        [rhs.numerator * (den // rhs.denominator) for _, rhs in lp.rows],
-        den,
-    )
+    ilp = IntegerLP.from_columns(columns, [int(rhs * den) for _, rhs in lp.rows], den)
     return _exact_answer(ilp, *_solve(ilp))
 
 
@@ -479,16 +470,18 @@ def minimize_totals_exact(
 
 @dataclass
 class CertComponent:
-    """A proven penalized structure ready for linear combination."""
+    """A proven penalized structure ready for linear combination, every number an integer over den."""
 
     nodes: tuple[int, ...]
-    loads: dict[Pair, Fraction]  # signed reduced scores
-    penalty: Fraction
+    loads: dict[Pair, int]  # signed reduced scores
+    penalty: int
+    den: int
 
     def dedupe_key(self):
-        # chains keep their nodes in path order, subnetworks sorted: a 3-chain
-        # and the triangle on its nodes with equal loads are one component
-        return (tuple(sorted(self.nodes)), self.penalty, tuple(sorted(self.loads.items())))
+        # any node order, numbers in lowest terms: a 3-chain and a triangle loaded alike are one
+        g = math.gcd(self.den, self.penalty, *self.loads.values())
+        return (tuple(sorted(self.nodes)), self.den // g, self.penalty // g,
+                tuple(sorted((q, v // g) for q, v in self.loads.items())))
 
 
 @dataclass
@@ -508,7 +501,8 @@ def combine(components: Sequence[CertComponent], sm: ScoreMatrix) -> CombinedCer
 
     One variable per component, one capacity row per touched pair: the
     lambda-weighted absolute loads may not exceed the magnitude of the pair's
-    original score. Exact multipliers, exact bound.
+    original score. Each component is a column of `IntegerLP.from_columns` as
+    it stands, over its own den. Exact multipliers, exact bound.
     """
     trivial = trivial_upper_bound(sm)
     comps = list(components)
@@ -518,16 +512,15 @@ def combine(components: Sequence[CertComponent], sm: ScoreMatrix) -> CombinedCer
     pairs = sorted({q for comp in comps for q in comp.loads})
     pair_row = {q: i for i, q in enumerate(pairs)}
     S = sm.S
-    rows: list[dict[int, Fraction]] = [{} for _ in pairs]
+    columns = []
     for jc, comp in enumerate(comps):
+        entries = {}
         for q, load in comp.loads.items():
-            if load.numerator * S[q[0]][q[1]] < 0:
+            if load * S[q[0]][q[1]] < 0:
                 raise ValueError(f"component {jc} load on {q} contradicts the score sign")
-            rows[pair_row[q]][jc] = abs(load)
-    lp = IntegerLP.from_rationals(
-        [comp.penalty for comp in comps], rows, [abs(S[a][b]) for a, b in pairs], sm.den
-    )
-    del rows  # one Fraction per load; on a large pool, most of the solve's memory peak
+            entries[pair_row[q]] = abs(load)
+        columns.append((comp.penalty, entries, comp.den))
+    lp = IntegerLP.from_columns(columns, [abs(S[a][b]) for a, b in pairs], sm.den)
     try:
         lambdas, total = _exact_answer(lp, *_solve(lp))
     except ValueError:

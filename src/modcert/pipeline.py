@@ -23,7 +23,7 @@ class CertificationError(RuntimeError):
 
 
 def chain_bound(
-    sm, achieved: Fraction | None = None, path_budget: int = DEFAULT_PATH_BUDGET
+    sm, achieved: Fraction, path_budget: int = DEFAULT_PATH_BUDGET
 ) -> tuple[CombinedCertificate, CombinedCertificate, bool]:
     """Chain-based bound: greedy accumulation plus exact re-weighting.
 
@@ -54,11 +54,10 @@ def _tighten(sm, best: CombinedCertificate, stages, achieved) -> CombinedCertifi
 
     best is the starting certificate and its components seed the pool;
     stages yields lists of components. The next stage is pulled only while
-    the bound is not achieved (None: run every stage). Returns the tightest
-    certificate found.
+    the bound is not achieved. Returns the tightest certificate found.
     """
     pool = None
-    while achieved is None or best.bound != achieved:
+    while best.bound != achieved:
         found = next(stages, None)
         if found is None:
             break
@@ -84,17 +83,19 @@ def _resolve_and_reduce(sub: Subnetwork, shapes: dict) -> CertComponent | None:
     shapes maps a shape (the rows of the subnetwork's lattice, all on the
     run's one denominator) to its (penalty, reduced lattice). Resolution and
     reduction read positions only, so each shape is resolved and reduced once
-    and a repeat gets what a fresh run would give.
+    and a repeat gets what a fresh run would give. The component is over the
+    reduced lattice's den, a multiple of the penalty's denominator.
     """
     shape = tuple(map(tuple, sub.lattice.S))
     if shape not in shapes:
         resolved = partial_brute_force(sub)
         reduced = reduce_weights(resolved).lattice if resolved.penalty > 0 else None
         shapes[shape] = (resolved.penalty, reduced)
-    penalty, reduced = shapes[shape]
+    p, reduced = shapes[shape]
     if reduced is None:
         return None
-    return CertComponent(sub.nodes, Subnetwork(sub.nodes, reduced).loads(), penalty)
+    return CertComponent(sub.nodes, Subnetwork(sub.nodes, reduced).loads(),
+                         p.numerator * (reduced.den // p.denominator), reduced.den)
 
 
 def _subnet_stages(sm, max_subnet_size, subnet_budget, provenance):

@@ -23,7 +23,7 @@ def pair_key(a: int, b: int) -> Pair:
     return (a, b) if a < b else (b, a)
 
 
-def chain_loads(nodes: Sequence[int], p: Fraction) -> dict[Pair, Fraction]:
+def chain_loads(nodes: Sequence[int], p: int) -> dict[Pair, int]:
     """A chain's loads: +p on consecutive pairs of nodes, -p on the closing pair."""
     loads = {pair_key(u, v): p for u, v in zip(nodes, nodes[1:])}
     loads[pair_key(nodes[0], nodes[-1])] = -p

@@ -27,10 +27,10 @@ class Subnetwork:
     nodes: tuple[int, ...]  # ascending node ids
     lattice: ScoreMatrix  # scores on positions: lattice.S[i][j] is the pair (nodes[i], nodes[j])
 
-    def loads(self) -> dict[Pair, Fraction]:
-        """The nonzero scores keyed by node-id pairs, in ascending pair order."""
-        nodes, lattice = self.nodes, self.lattice
-        return {(nodes[i], nodes[j]): lattice.score(i, j) for i, j in _nonzero_pairs(lattice)}
+    def loads(self) -> dict[Pair, int]:
+        """The nonzero scores keyed by node-id pairs, in ascending pair order, over lattice.den."""
+        nodes, S = self.nodes, self.lattice.S
+        return {(nodes[i], nodes[j]): S[i][j] for i, j in _nonzero_pairs(self.lattice)}
 
 
 @dataclass

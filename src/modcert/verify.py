@@ -13,9 +13,10 @@ self-check at the end of `certify` both come here, through
 
 Every check runs in Python ints on two common denominators per certificate:
 Λ, the lcm of the multipliers' denominators, and D, the lcm of the lattice's
-`den` and of every load's and penalty's denominator. A multiplier is an
-integer over Λ, a load or penalty an integer over D, and a weighted load an
-integer over Λ·D. A `Fraction` is built only to write a violation's message.
+`den` and of every component's `den` (read from a document, the lcm of its
+loads' and penalty's denominators). A multiplier is an integer over Λ, a
+load or penalty an integer over D, and a weighted load an integer over Λ·D.
+A `Fraction` is built only to write a violation's message.
 """
 
 from __future__ import annotations
@@ -37,17 +38,12 @@ class Violation:
 def _scaled(components, den: int) -> tuple[int, int, list]:
     """(Λ, D, rows): one row (component, λ, λ·Λ, penalty·D, {pair: load·D}) per component."""
     lam_den = math.lcm(*{lam.denominator for _, lam in components})
-    dens = {v.denominator for comp, _ in components for v in comp.loads.values()}
-    dens.update(comp.penalty.denominator for comp, _ in components)
-    dens.add(den)
-    load_den = math.lcm(*dens)
-    up = {d: load_den // d for d in dens}
-    rows = [
-        (comp, lam, lam.numerator * (lam_den // lam.denominator),
-         comp.penalty.numerator * up[comp.penalty.denominator],
-         {q: v.numerator * up[v.denominator] for q, v in comp.loads.items()})
-        for comp, lam in components
-    ]
+    load_den = math.lcm(den, *{comp.den for comp, _ in components})
+    rows = []
+    for comp, lam in components:
+        up = load_den // comp.den
+        rows.append((comp, lam, lam.numerator * (lam_den // lam.denominator),
+                     comp.penalty * up, {q: v * up for q, v in comp.loads.items()}))
     return lam_den, load_den, rows
 
 
@@ -129,12 +125,12 @@ def _check_penalties(rows) -> str | None:
     for i, (comp, _lam, _lam_int, penalty, loads) in enumerate(rows):
         nodes = set(comp.nodes)
         if penalty <= 0:
-            why = f"claims penalty {comp.penalty}"
+            why = f"claims penalty {Fraction(comp.penalty, comp.den)}"
         elif any(a == b or a not in nodes or b not in nodes for a, b in loads):
             why = "has a load outside its node pairs"
         elif not (_chain_penalty_ok(comp.nodes, loads, penalty)
                   or _exhaustive_penalty_ok(comp.nodes, loads, penalty)):
-            why = f"does not prove penalty {comp.penalty}"
+            why = f"does not prove penalty {Fraction(comp.penalty, comp.den)}"
         else:
             continue
         return f"{Violation.COMPONENT_PENALTY}: component {i} on nodes {comp.nodes} {why}"
@@ -166,9 +162,9 @@ def verify_certificate(cert, sm) -> tuple[bool, str | None]:
     sm is read by attribute only: `n`, `den`, the integer rows `S` and the
     integer diagonal terms `diag`, each score an integer over `den`. cert is
     read by attribute only too: `components`, (component, lambda) pairs
-    whose components carry `nodes`, `loads` and `penalty`; `bound`;
-    and `achieved`, `gap` and `status`, the document's claims, read only
-    when `achieved` is not None.
+    whose components carry `nodes` and integer `loads` and `penalty` over
+    `den`; `bound`; and `achieved`, `gap` and `status`, the document's
+    claims, read only when `achieved` is not None.
 
     Conditions, in order: (a) the lambda-weighted loads stay within every
     pair's score magnitude with matching signs; (b) each component's penalty

@@ -97,6 +97,24 @@ def lattice(n: int, s: dict) -> ScoreMatrix:
     return ScoreMatrix(n=n, den=den, S=S, diag=(0,) * n)
 
 
+def component(nodes, loads: dict, penalty: Fraction) -> CertComponent:
+    """A CertComponent from Fraction loads and penalty, on the lcm of their denominators."""
+    den = math.lcm(penalty.denominator, *(v.denominator for v in loads.values()))
+    return CertComponent(tuple(nodes), {q: int(v * den) for q, v in loads.items()}, int(penalty * den), den)
+
+
+def reduced_component(red, penalty: Fraction) -> CertComponent:
+    """A reduced subnetwork as a component, its penalty put over the lattice's den."""
+    den = red.lattice.den
+    assert den % penalty.denominator == 0
+    return CertComponent(red.nodes, red.loads(), penalty.numerator * (den // penalty.denominator), den)
+
+
+def rational_loads(loads: dict, den: int) -> dict:
+    """Integer loads over den as Fractions."""
+    return {q: Fraction(v, den) for q, v in loads.items()}
+
+
 def random_assignment(rng: random.Random, n: int, groups: int | None = None):
     g = groups or rng.randint(1, n)
     return [rng.randrange(g) for _ in range(n)]
@@ -126,7 +144,7 @@ def _fraction_permissibility(components, sm: ScoreMatrix) -> str | None:
     for comp, lam in components:
         if lam < 0:
             return f"permissibility: negative multiplier {lam}"
-        for q, v in comp.loads.items():
+        for q, v in rational_loads(comp.loads, comp.den).items():
             key = pair_key(*q)
             base = sm.score(*key)
             if v * base < 0:
@@ -140,29 +158,28 @@ def _fraction_permissibility(components, sm: ScoreMatrix) -> str | None:
     return None
 
 
-def _fraction_chain_penalty_ok(comp) -> bool:
-    nodes = comp.nodes
+def _fraction_chain_penalty_ok(nodes, loads: dict, penalty: Fraction) -> bool:
     if len(nodes) < 3 or len(set(nodes)) != len(nodes):
         return False
     interior = []
     for u, v in zip(nodes, nodes[1:]):
-        val = comp.loads.get(pair_key(u, v))
+        val = loads.get(pair_key(u, v))
         if val is None or val <= 0:
             return False
         interior.append(val)
-    closing = comp.loads.get(pair_key(nodes[0], nodes[-1]))
+    closing = loads.get(pair_key(nodes[0], nodes[-1]))
     if closing is None or closing >= 0:
         return False
-    return comp.penalty <= min(min(interior), -closing)
+    return penalty <= min(min(interior), -closing)
 
 
-def _fraction_exhaustive_penalty_ok(comp) -> bool:
-    nodes = sorted(set(comp.nodes))
+def _fraction_exhaustive_penalty_ok(nodes, loads: dict, penalty: Fraction) -> bool:
+    nodes = sorted(set(nodes))
     if len(nodes) > 12:
         return False
     index = {v: i for i, v in enumerate(nodes)}
     nn = len(nodes)
-    pos_total = sum((v for v in comp.loads.values() if v > 0), Fraction(0))
+    pos_total = sum((v for v in loads.values() if v > 0), Fraction(0))
     best = Fraction(0)
     assignment = [0] * nn
 
@@ -170,7 +187,7 @@ def _fraction_exhaustive_penalty_ok(comp) -> bool:
         nonlocal best
         if i == nn:
             val = Fraction(0)
-            for (a, b), v in comp.loads.items():
+            for (a, b), v in loads.items():
                 if assignment[index[a]] == assignment[index[b]]:
                     val += v
             best = max(best, val)
@@ -181,11 +198,12 @@ def _fraction_exhaustive_penalty_ok(comp) -> bool:
 
     if nn > 1:
         rec(1, 0)
-    return comp.penalty <= pos_total - best
+    return penalty <= pos_total - best
 
 
 def fraction_verify(cert, sm: ScoreMatrix) -> tuple[bool, str | None]:
-    """The certificate checks in `Fraction`s: loads summed pair by pair,
+    """The certificate checks in `Fraction`s: each component's loads and
+    penalty read as Fraction(v, comp.den), loads summed pair by pair,
     penalties re-proven and the bound compared as rationals. The oracle that
     `verify_certificate` must agree with, verdict and message alike."""
     msg = _fraction_permissibility(cert.components, sm)
@@ -193,16 +211,18 @@ def fraction_verify(cert, sm: ScoreMatrix) -> tuple[bool, str | None]:
         return False, msg
     for i, (comp, _lam) in enumerate(cert.components):
         name = f"component {i} on nodes {comp.nodes}"
-        if comp.penalty <= 0:
-            return False, f"component-penalty: {name} claims penalty {comp.penalty}"
+        loads, penalty = rational_loads(comp.loads, comp.den), Fraction(comp.penalty, comp.den)
+        if penalty <= 0:
+            return False, f"component-penalty: {name} claims penalty {penalty}"
         nodes = set(comp.nodes)
-        if any(a == b or a not in nodes or b not in nodes for a, b in comp.loads):
+        if any(a == b or a not in nodes or b not in nodes for a, b in loads):
             return False, f"component-penalty: {name} has a load outside its node pairs"
-        if not (_fraction_chain_penalty_ok(comp) or _fraction_exhaustive_penalty_ok(comp)):
-            return False, f"component-penalty: {name} does not prove penalty {comp.penalty}"
+        if not (_fraction_chain_penalty_ok(comp.nodes, loads, penalty)
+                or _fraction_exhaustive_penalty_ok(comp.nodes, loads, penalty)):
+            return False, f"component-penalty: {name} does not prove penalty {penalty}"
     positive = sum(v for a, row in enumerate(sm.S) for v in row[a + 1:] if v > 0)
     trivial = Fraction(positive + sum(sm.diag), sm.den)
-    total = sum((lam * comp.penalty for comp, lam in cert.components), Fraction(0))
+    total = sum((lam * Fraction(comp.penalty, comp.den) for comp, lam in cert.components), Fraction(0))
     if trivial - total != cert.bound:
         return False, (f"bound-arithmetic: claimed bound {cert.bound} != "
                        f"trivial {trivial} - penalties {total}")
@@ -227,6 +247,12 @@ def _unit_step(f: Fraction, step: int) -> Fraction:
     return Fraction(f.numerator + step, f.denominator)
 
 
+def _unit_step_over(v: int, den: int, step: int) -> int:
+    """v / den moved by step units of its own denominator, still over den."""
+    f = Fraction(v, den)
+    return (f.numerator + step) * (den // f.denominator)
+
+
 def certificate_mutants(cert, spread: int = 8):
     """Certificates one edit away from cert: lambda and penalty +-1 unit of
     its own denominator (a chain's loads follow its penalty, as they do when
@@ -246,9 +272,9 @@ def certificate_mutants(cert, spread: int = 8):
         chain = comp.loads == chain_loads(comp.nodes, comp.penalty)
         for step in (1, -1):
             yield with_entry(i, comp, _unit_step(lam, step))
-            penalty = _unit_step(comp.penalty, step)
+            penalty = _unit_step_over(comp.penalty, comp.den, step)
             loads = chain_loads(comp.nodes, penalty) if chain else comp.loads
-            yield with_entry(i, CertComponent(comp.nodes, loads, penalty), lam)
+            yield with_entry(i, CertComponent(comp.nodes, loads, penalty, comp.den), lam)
     if not comps:
         return
     subnets = [i for i, (comp, _) in enumerate(comps)
@@ -257,9 +283,9 @@ def certificate_mutants(cert, spread: int = 8):
     comp, lam = comps[i]
     q = min(comp.loads)
     for step in (1, -1):
-        loads = {**comp.loads, q: _unit_step(comp.loads[q], step)}
-        yield with_entry(i, CertComponent(comp.nodes, loads, comp.penalty), lam)
+        loads = {**comp.loads, q: _unit_step_over(comp.loads[q], comp.den, step)}
+        yield with_entry(i, CertComponent(comp.nodes, loads, comp.penalty, comp.den), lam)
     comp, lam = comps[0]
     q = min(comp.loads)
-    yield with_entry(0, CertComponent(comp.nodes, {**comp.loads, q: -comp.loads[q]}, comp.penalty), lam)
+    yield with_entry(0, CertComponent(comp.nodes, {**comp.loads, q: -comp.loads[q]}, comp.penalty, comp.den), lam)
     yield with_entry(0, comp, -lam if lam else Fraction(-1))

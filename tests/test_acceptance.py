@@ -160,7 +160,7 @@ def test_criterion_6_partial_brute_force_oracle():
         if rs.penalty > 0:
             red = reduce_weights(rs)
             rcheck = partial_brute_force(red)
-            pos_total = sum((v for v in red.loads().values() if v > 0), F(0))
+            pos_total = F(sum(v for v in red.loads().values() if v > 0), red.lattice.den)
             if pos_total - rcheck.q_star_best < rs.penalty:
                 reduce_failures += 1
         resolved_checked += 1
@@ -177,7 +177,7 @@ def test_criterion_7_worked_example():
         and trivial_upper_bound(sm) == F(1, 8)
     )
     cert, _ = greedy_certify(sm)
-    ok = ok and len(cert.components) == 1 and cert.components[0][0].penalty == F(1, 8)
+    ok = ok and len(cert.components) == 1 and F(cert.components[0][0].penalty, cert.components[0][0].den) == F(1, 8)
     doc = certify(net, method="chains")
     ok = ok and doc.bound == 0 and doc.status == "optimal-proved"
     report(7, ok, "scores (1/4, 1/4, -1/8), trivial 1/8, one chain p=1/8, bound 0")

@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from conftest import lattice, random_network
+from conftest import lattice, random_network, rational_loads
 from modcert.brute import brute_force_max
 from modcert.chains import (
     chain_component,
@@ -41,7 +41,8 @@ def greedy_residual(sm, chains):
     """A copy of sm with the greedy pass's chains applied in order."""
     res = sm.copy()
     for comp in chains:
-        res.apply(comp.nodes, (comp.penalty * sm.den).numerator)
+        assert comp.den == sm.den
+        res.apply(comp.nodes, comp.penalty)
     return res
 
 
@@ -103,8 +104,8 @@ def test_find_chains_path():
     assert not truncated
     assert chains == [(0, 1, 2)]
     comp = chain_component(sm, chains[0])
-    assert comp.penalty == F(1, 8)
-    assert comp.loads == {(0, 1): F(1, 8), (1, 2): F(1, 8), (0, 2): F(-1, 8)}
+    assert F(comp.penalty, comp.den) == F(1, 8)
+    assert rational_loads(comp.loads, comp.den) == {(0, 1): F(1, 8), (1, 2): F(1, 8), (0, 2): F(-1, 8)}
     chains4, _ = find_penalized_chains(sm, 4)
     assert chains4 == []
 
@@ -135,7 +136,7 @@ def test_greedy_path_worked_example():
     assert trivial_upper_bound(sm) == F(1, 8)
     assert len(chains) == 1
     assert chains[0].nodes == (0, 1, 2)
-    assert chains[0].penalty == F(1, 8)
+    assert F(chains[0].penalty, chains[0].den) == F(1, 8)
     assert trivial_upper_bound(sm) - cert.bound == F(1, 8)
     assert cert.bound == 0
     q, _ = brute_force_max(sm)
@@ -175,14 +176,14 @@ def test_greedy_heap_matches_rescan():
     for seed in range(30):
         sm = score_matrix(random_network(seed, n=6 + seed % 4, directed=bool(seed % 2), p=0.6))
         _, chains = greedy_chains(sm)
-        assert [(c.nodes, c.penalty) for c in chains] == rescan_greedy(sm)
+        assert [(c.nodes, F(c.penalty, c.den)) for c in chains] == rescan_greedy(sm)
 
 
 def test_greedy_bound_arithmetic_invariant():
     for seed in range(10):
         sm = score_matrix(random_network(seed, n=7))
         cert, chains = greedy_chains(sm)
-        assert cert.bound == trivial_upper_bound(sm) - sum((c.penalty for c in chains), F(0))
+        assert cert.bound == trivial_upper_bound(sm) - sum((F(c.penalty, c.den) for c in chains), F(0))
         assert not has_remaining_penalized_chain(greedy_residual(sm, chains))
         # every appended chain strictly tightens the running bound
         assert all(c.penalty > 0 for c in chains)
@@ -217,4 +218,4 @@ def test_edge_disjoint_chains_bound_matches_plain_sum():
     cert, chains = greedy_chains(sm)
     nodesets = [frozenset(c.nodes) for c in chains]
     assert len(nodesets) == len(set(nodesets))
-    assert cert.bound == trivial_upper_bound(sm) - sum((c.penalty for c in chains), F(0))
+    assert cert.bound == trivial_upper_bound(sm) - sum((F(c.penalty, c.den) for c in chains), F(0))

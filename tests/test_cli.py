@@ -476,7 +476,7 @@ def test_malformed_input_exit_code(tmp_path, capsys):
     assert "line 1" in err
 
 
-@pytest.mark.parametrize("token", ["inf", "-Infinity", "nan"])
+@pytest.mark.parametrize("token", ["inf", "-Infinity", "nan", "1e5000", "1e-5000"])
 def test_non_finite_weight_is_input_error(tmp_path, capsys, token):
     bad = tmp_path / "bad.edges"
     bad.write_text(f"a b 1\nb c {token}\n")

@@ -1,9 +1,10 @@
+import time
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from modcert.graph import GraphError, as_fraction, build_network
+from modcert.graph import MAX_DECIMAL_EXPONENT, GraphError, as_fraction, build_network
 from modcert.edgelist import parse_edge_list
 
 
@@ -60,6 +61,28 @@ def test_as_fraction_rejects_non_finite(value):
         as_fraction(value)
     with pytest.raises(GraphError, match="non-finite weight"):
         build_network([("a", "b", value)])
+
+
+@pytest.mark.parametrize("value", ["1e5000", "1e-5000", "1E+4301", "0.1e-4300", Decimal("1e5000"), "1e999999999"],
+                         ids=repr)
+def test_as_fraction_rejects_huge_exponents(value):
+    # "1e10000000" alone would build a 33-million-bit integer
+    start = time.perf_counter()
+    with pytest.raises(GraphError, match="exponent out of range"):
+        as_fraction(value)
+    with pytest.raises(GraphError, match="line 2: bad weight"):
+        parse_edge_list(f"a b 1\nb c {value}\n")
+    assert time.perf_counter() - start < 1
+
+
+def test_as_fraction_keeps_exponents_in_range():
+    assert MAX_DECIMAL_EXPONENT == 4300
+    assert as_fraction("1e300") == 10**300
+    assert as_fraction("1e-3") == Fraction(1, 1000)
+    assert as_fraction("1e4300") == 10**4300
+    assert as_fraction("1e-4300") == Fraction(1, 10**4300)
+    assert as_fraction(0.1) == Fraction(0.1)
+    assert as_fraction(5e-324) == Fraction(5e-324)  # the least float, exponent -1074
 
 
 def test_parse_edge_list_defaults_and_comments():

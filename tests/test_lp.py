@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from conftest import lattice, random_network
+from conftest import component, lattice, random_network, rational_loads, reduced_component
 from modcert.brute import brute_force_max
 from modcert.chains import DEFAULT_PATH_BUDGET, chain_component, find_penalized_chains, greedy_certify
 from modcert.datasets import load_network
@@ -80,11 +80,52 @@ SMALL_OBJ = [F(3), F(5)]
 SMALL_ROWS = [({0: F(1)}, F(4)), ({1: F(2)}, F(12)), ({0: F(3), 1: F(2)}, F(18))]
 
 
+def from_rationals(objective, rows, rhs, den):
+    """The integer form of max objective.x s.t. rows.x <= rhs/den, x >= 0, from
+    Fraction coefficients: the oracle `IntegerLP.from_columns` must agree with.
+
+    Each column's unit is the gcd of its entries (numerators' gcd over
+    denominators' lcm), so the column divided by it is integer with coprime
+    entries.
+    """
+    nv = len(objective)
+    gnum, gden = [0] * nv, [1] * nv
+    for coeffs in rows:
+        for j, v in coeffs.items():
+            gnum[j] = math.gcd(gnum[j], v.numerator)
+            gden[j] = math.lcm(gden[j], v.denominator)
+    units = [(g, h) if g else (1, 1) for g, h in zip(gnum, gden)]
+    int_rows = [
+        {j: v.numerator // units[j][0] * (units[j][1] // v.denominator) for j, v in coeffs.items()}
+        for coeffs in rows
+    ]
+    # cost per scaled variable: c[j] / units[j], reduced, then on one denominator
+    scaled = []
+    for c, (u, v) in zip(objective, units):
+        num, d = c.numerator * v, c.denominator * u
+        g = math.gcd(num, d)
+        scaled.append((num // g, d // g))
+    cost_den = math.lcm(*(d for _, d in scaled))
+    return IntegerLP(int_rows, rhs, den, [num * (cost_den // d) for num, d in scaled], cost_den, units)
+
+
+def oracle_form(obj, rows, den):
+    """from_rationals on a Fraction LP's (objective, [(coeffs, rhs)]), rhs over den."""
+    return from_rationals(obj, [coeffs for coeffs, _ in rows], [int(rhs * den) for _, rhs in rows], den)
+
+
 def integer_form(obj, rows):
-    """The integer form solve_lp gives a Fraction LP."""
+    """The integer form solve_lp gives a Fraction LP: each column on the lcm of its denominators."""
+    cols = [{} for _ in obj]
+    for i, (coeffs, _) in enumerate(rows):
+        for j, v in coeffs.items():
+            cols[j][i] = v
+    columns = []
+    for c, col in zip(obj, cols):
+        d = math.lcm(c.denominator, *(v.denominator for v in col.values()))
+        columns.append((int(c * d), {i: int(v * d) for i, v in col.items()}, d))
     den = math.lcm(*(rhs.denominator for _, rhs in rows))
-    return IntegerLP.from_rationals(obj, [coeffs for coeffs, _ in rows],
-                                    [int(rhs * den) for _, rhs in rows], den)
+    return IntegerLP.from_columns(columns, [int(rhs * den) for _, rhs in rows], den)
 
 
 def test_exact_simplex_duals(monkeypatch):
@@ -177,24 +218,15 @@ def test_combine_shared_pair_capacity():
             (2, 3): F(0),
         },
     )
-    c1 = CertComponent(
-        nodes=(0, 1, 2),
-        loads={(0, 1): F(1, 10), (0, 2): F(1, 10), (1, 2): F(-1, 10)}, penalty=F(1, 10),
-    )
-    c2 = CertComponent(
-        nodes=(0, 1, 3),
-        loads={(0, 1): F(1, 10), (0, 3): F(1, 10), (1, 3): F(-1, 10)}, penalty=F(1, 10),
-    )
+    c1 = component((0, 1, 2), {(0, 1): F(1, 10), (0, 2): F(1, 10), (1, 2): F(-1, 10)}, F(1, 10))
+    c2 = component((0, 1, 3), {(0, 1): F(1, 10), (0, 3): F(1, 10), (1, 3): F(-1, 10)}, F(1, 10))
     cert = combine([c1, c2], sm)
     assert cert.bound == trivial_upper_bound(sm) - F(3, 20)
 
 
 def test_combine_single_component_lambda_at_least_one():
     sm = lattice(3, {(0, 1): F(1, 5), (0, 2): F(3, 10), (1, 2): F(-1, 10)})
-    comp = CertComponent(
-        nodes=(0, 1, 2),
-        loads={(0, 1): F(1, 10), (0, 2): F(1, 10), (1, 2): F(-1, 10)}, penalty=F(1, 10),
-    )
+    comp = component((0, 1, 2), {(0, 1): F(1, 10), (0, 2): F(1, 10), (1, 2): F(-1, 10)}, F(1, 10))
     cert = combine([comp], sm)
     assert cert.bound <= trivial_upper_bound(sm) - F(1, 10)
 
@@ -208,23 +240,34 @@ def test_combine_empty_pool_gives_trivial():
 
 def test_combine_unbounded_names_empty_loads():
     sm = lattice(3, {(0, 1): F(1), (0, 2): F(1), (1, 2): F(-1)})
-    empty = CertComponent(nodes=(0, 1, 2), loads={}, penalty=F(1, 4))
+    empty = component((0, 1, 2), {}, F(1, 4))
     with pytest.raises(ValueError, match="empty loads"):
         combine([empty], sm)
 
 
 def test_dedupe_key_ignores_node_order():
     # a chain keeps its path order, a subnetwork its sorted nodes
-    loads = chain_loads((0, 2, 1), F(1, 8))
-    chain = CertComponent(nodes=(0, 2, 1), loads=loads, penalty=F(1, 8))
-    subnet = CertComponent(nodes=(0, 1, 2), loads=dict(loads), penalty=F(1, 8))
+    loads = chain_loads((0, 2, 1), 1)
+    chain = CertComponent(nodes=(0, 2, 1), loads=loads, penalty=1, den=8)
+    subnet = CertComponent(nodes=(0, 1, 2), loads=dict(loads), penalty=1, den=8)
     assert chain.dedupe_key() == subnet.dedupe_key()
+    # the path a-b-c's 3-chain over the lattice's den 16 and its triangle,
+    # reduced in closed form over the penalty's denominator 8, are one component
+    sm = score_matrix(build_network([("a", "b", 1), ("b", "c", 1)]))
+    (sub,) = enumerate_subnetworks(sm, 3)
+    rs = partial_brute_force(sub)
+    triangle = reduced_component(reduce_weights(rs), rs.penalty)
+    path = chain_component(sm, (0, 1, 2))
+    assert (path.den, triangle.den) == (16, 8)
+    assert path.dedupe_key() == triangle.dedupe_key()
+    # a different penalty on the same loads is another component
+    weaker = CertComponent(nodes=(0, 1, 2), loads=dict(triangle.loads), penalty=triangle.penalty + 1, den=8)
+    assert weaker.dedupe_key() != triangle.dedupe_key()
 
 
 def test_combine_sign_violation_rejected():
     sm = lattice(3, {(0, 1): F(1), (0, 2): F(1), (1, 2): F(-1)})
-    bad = CertComponent(nodes=(0, 1, 2),
-                        loads={(0, 1): F(-1, 2)}, penalty=F(1, 4))
+    bad = component((0, 1, 2), {(0, 1): F(-1, 2)}, F(1, 4))
     with pytest.raises(ValueError, match="sign"):
         combine([bad], sm)
 
@@ -364,9 +407,9 @@ def combine_lp(comps, sm):
     pair_row = {q: i for i, q in enumerate(pairs)}
     rows = [({}, abs(sm.score(*q))) for q in pairs]
     for jc, comp in enumerate(comps):
-        for q, load in comp.loads.items():
+        for q, load in rational_loads(comp.loads, comp.den).items():
             rows[pair_row[q]][0][jc] = abs(load)
-    return [comp.penalty for comp in comps], rows
+    return [F(comp.penalty, comp.den) for comp in comps], rows
 
 
 def fraction_lp(form):
@@ -394,7 +437,7 @@ def _mixed_pools():
         for sub in itertools.islice(enumerate_subnetworks(sm, 4), 30):
             rs = partial_brute_force(sub)
             if rs.penalty > 0:
-                comps.append(CertComponent(sub.nodes, reduce_weights(rs).loads(), rs.penalty))
+                comps.append(reduced_component(reduce_weights(rs), rs.penalty))
         rng = random.Random(seed)
         if len(comps) > 2:
             pools.append((sm, rng.sample(comps, rng.randint(2, min(len(comps), 40)))))
@@ -413,7 +456,7 @@ def test_combine_integer_columns(monkeypatch):
             assert math.gcd(*column) == 1 and min(column) > 0
             if len(set(map(abs, comp.loads.values()))) == 1:
                 assert set(column) == {1}  # a chain column becomes 0/1
-            dens |= {v.denominator for v in comp.loads.values()}
+            dens |= {v.denominator for v in rational_loads(comp.loads, comp.den).values()}
     assert len(dens) > 5
 
 
@@ -448,6 +491,30 @@ def test_linprog_matches_scipy_linprog(monkeypatch):
         assert answer is not None
         x, _ = answer
         assert np.allclose([float(v) for v in x], res.x, rtol=0, atol=1e-9)
+
+
+def _fields(form):
+    return form.rows, form.rhs, form.den, form.cost, form.cost_den, form.units
+
+
+def test_from_columns_matches_from_rationals(monkeypatch):
+    """The column builder gives the Fraction oracle's integer form field for
+    field: on the 202 LPs above put through solve_lp, and on the combines of
+    karate's three chain pools."""
+    _, fraction_lps = _scipy_lps(monkeypatch)
+    sm, pools = _karate_chain_pools()
+    checked = []
+    for obj, rows in fraction_lps:
+        (form,) = _recorded_lps(monkeypatch, lambda: solve_lp(LinearProgram(obj, rows)))
+        den = math.lcm(*(rhs.denominator for _, rhs in rows))
+        assert _fields(form) == _fields(integer_form(obj, rows)) == _fields(oracle_form(obj, rows, den))
+        checked.append(len(obj))
+    for pool in pools:
+        (form,) = _recorded_lps(monkeypatch, lambda: combine(pool, sm))
+        obj, rows = combine_lp(pool, sm)
+        assert _fields(form) == _fields(oracle_form(obj, rows, sm.den))
+        checked.append(len(obj))
+    assert len(checked) == 205 and checked[-3:] == [168, 436, 1873]
 
 
 def _fresh_linprog(form):
@@ -544,7 +611,10 @@ def test_integer_form_floats_are_correctly_rounded():
     rhs = F(2**61 + 1, 3**41)
     obj = [big, F(1)]
     rows = [({0: big, 1: F(7, 3)}, rhs), ({0: 3 * big, 1: F(5, 2)}, F(2))]
-    form = IntegerLP.from_rationals(obj, [coeffs for coeffs, _ in rows], [int(rhs * 3**42), 2 * 3**42], 3**42)
+    # column 0 over 3**40 is big, 3big; column 1 over 6 is 1, 7/3, 5/2
+    columns = [(2**60 + 19, {0: 2**60 + 19, 1: 3 * (2**60 + 19)}, 3**40), (6, {0: 14, 1: 15}, 6)]
+    form = IntegerLP.from_columns(columns, [int(rhs * 3**42), 2 * 3**42], 3**42)
+    assert _fields(form) == _fields(oracle_form(obj, rows, 3**42))
     assert _same_lp(fraction_lp(form), (obj, rows))
     assert form.units == [(2**60 + 19, 3**40), (1, 6)]
     float_cost, float_rows, float_rhs = form.floats()

@@ -3,14 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import C4_NEAR_TIE, lattice, random_network
+from conftest import C4_NEAR_TIE, lattice, random_network, reduced_component
 from modcert.brute import brute_force_max
 from modcert.chains import find_penalized_chains, greedy_certify
 from modcert.datasets import load_network
 from modcert.document import CertificateDocument, document_to_certificate
 from modcert.edgelist import parse_edge_list
 from modcert.graph import build_network
-from modcert.lp import CertComponent, combine
+from modcert.lp import combine
+from modcert.optimizer import optimize
 from modcert import pipeline
 from modcert.pipeline import METHODS, CertificationError, certify, chain_bound
 from modcert.scores import score_matrix
@@ -55,8 +56,9 @@ def test_certify_method_validation():
             certify(c13, method=method, max_subnet_size=MAX_EXHAUSTIVE_NODES + 1)
     with pytest.raises(ValueError, match="subnet_budget must be >= 0"):
         certify(path, method="subnets", subnet_budget=-3)
+    sm = score_matrix(path)
     with pytest.raises(ValueError, match="path_budget must be >= 0"):
-        chain_bound(score_matrix(path), path_budget=-1)
+        chain_bound(sm, achieved=optimize(sm).modularity, path_budget=-1)
     # checked up front too, so a method without the chain stage rejects it
     for method in METHODS:
         with pytest.raises(ValueError, match="path_budget must be >= 0"):
@@ -105,7 +107,7 @@ def test_pentagon_needs_subnetworks():
             rs = partial_brute_force(sub)
             if rs.penalty > 0:
                 red = reduce_weights(rs)
-                pool.append(CertComponent(nodes=red.nodes, loads=red.loads(), penalty=rs.penalty))
+                pool.append(reduced_component(red, rs.penalty))
     combined = combine(pool, sm)
     assert combined.bound == qmax
 
@@ -201,7 +203,7 @@ def test_searches_leave_the_callers_lattice_unchanged():
     sm = score_matrix(load_network("karate"))
     before = copy.deepcopy(sm.S)
     greedy_certify(sm)
-    chain_bound(sm)
+    chain_bound(sm, achieved=optimize(sm).modularity)
     find_penalized_chains(sm, 4)
     list(pipeline._subnet_stages(sm, 4, 100, {}))
     assert sm.S == before
@@ -232,7 +234,7 @@ def test_shape_memo_matches_fresh_reduction(net, max_size):
             assert comp is None
             continue
         red = reduce_weights(rs)
-        assert comp == CertComponent(nodes=red.nodes, loads=red.loads(), penalty=rs.penalty)
+        assert comp == reduced_component(red, rs.penalty)
         assert list(comp.loads) == list(red.loads())
         lp_repeats += len(sub.nodes) > 3
     assert lp_repeats > 0  # repeats reduced by the LP, not only triangles

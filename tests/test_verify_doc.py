@@ -1,6 +1,8 @@
 import ast
+import itertools
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +11,7 @@ import pytest
 import modcert.document
 import modcert.lp
 import modcert.verify
-from conftest import certificate_mutants, fraction_verify, lattice, random_network
+from conftest import certificate_mutants, component, fraction_verify, lattice, random_network
 from modcert.cli import main
 from modcert.chains import greedy_certify
 from modcert.datasets import load_network
@@ -93,9 +95,9 @@ def test_tampered_penalty_fails_component_check():
     sm, combined = _sample_combined()
     comps = list(combined.components)
     comp, lam = comps[0]
-    worse = CertComponent(nodes=comp.nodes, loads=dict(comp.loads), penalty=comp.penalty * 2)
+    worse = CertComponent(nodes=comp.nodes, loads=dict(comp.loads), penalty=comp.penalty * 2, den=comp.den)
     comps[0] = (worse, lam)
-    total = sum((c.penalty * l for c, l in comps), F(0))
+    total = sum((F(c.penalty, c.den) * l for c, l in comps), F(0))
     bad = CombinedCertificate(components=tuple(comps), bound=trivial_upper_bound(sm) - total)
     ok, why = verify_certificate(bad, sm)
     assert not ok
@@ -203,8 +205,7 @@ def test_component_penalty_min_rule_then_exhaustive(nodes, extra, penalty):
     net = build_network([(x, y, 1) for x, y in zip("abcd", "bcde")])
     sm = score_matrix(net)
     chain = sorted(nodes)
-    comp = CertComponent(nodes=nodes, loads={**chain_loads(chain, F(1, 16)), **extra},
-                         penalty=penalty)
+    comp = component(nodes, {**chain_loads(chain, F(1, 16)), **extra}, penalty)
     cert = CombinedCertificate(components=((comp, F(1)),), bound=trivial_upper_bound(sm) - penalty)
     ok, why = verify_certificate(cert, sm)
     if penalty == F(1, 16):
@@ -289,14 +290,46 @@ def test_integer_checks_match_fraction_oracle_on_bench_certificates(tmp_path):
     assert {"permissibility", "component-penalty", "bound-arithmetic"} <= verdicts
 
 
+def _unreduced(text: str) -> str:
+    """Every rational "a/b" in a document's text written as "ka/kb", k cycling through 2, 3 and 7."""
+    factors = itertools.cycle((2, 3, 7))
+
+    def scale(m):
+        k = next(factors)
+        return f'"{k * int(m[1])}/{k * int(m[2])}"'
+    return re.sub(r'"(-?[0-9]+)/([0-9]+)"', scale, text)
+
+
+def test_unreduced_rationals_verify_as_their_reduced_twin():
+    """A document read back from unreduced rationals gets its reduced twin's
+    verdict and message, passing or failing, where one subnetwork's loads are
+    on different denominators."""
+    net = load_network("karate")
+    sm = score_matrix(net)
+    data = json.loads(certify(net, method="subnets", max_subnet_size=4, subnet_budget=450).dumps())
+    mixed = next(c for c in data["components"]
+                 if len({parse_frac(v).denominator for _, _, v in c.get("scores", [])}) > 1)
+    tampered = json.loads(json.dumps(data))
+    tampered["components"][data["components"].index(mixed)]["scores"][0][2] = "1/1"
+    verdicts = []
+    for reduced in (data, tampered):
+        text = json.dumps(reduced)
+        twin = _unreduced(text)
+        assert twin != text
+        got = [verify_certificate(document_to_certificate(CertificateDocument.loads(t), net), sm)
+               for t in (text, twin)]
+        assert got[0] == got[1]
+        verdicts.append(got[0])
+    assert verdicts[0] == (True, None) and verdicts[1][1].startswith("permissibility")
+
+
 def _chain(penalty, nodes=(0, 1, 2)):
-    return CertComponent(nodes=nodes, loads=chain_loads(nodes, penalty), penalty=penalty)
+    return component(nodes, chain_loads(nodes, penalty), penalty)
 
 
 def _with_load(pair, value):
     # the path 0-1-2 at penalty 1/8 plus one more load, on nodes 0 to 3
-    return CertComponent(nodes=(0, 1, 2, 3), loads={**chain_loads((0, 1, 2), F(1, 8)), pair: value},
-                         penalty=F(1, 8))
+    return component((0, 1, 2, 3), {**chain_loads((0, 1, 2), F(1, 8)), pair: value}, F(1, 8))
 
 
 @pytest.mark.parametrize("components,why", [
@@ -319,7 +352,7 @@ def _with_load(pair, value):
 def test_integer_comparison_at_the_boundary(components, why):
     # scores 1/4 on (0, 1) and (1, 2), -1/8 on (0, 2) and 0 on the rest, over den 8
     sm = lattice(4, {(0, 1): F(1, 4), (1, 2): F(1, 4), (0, 2): F(-1, 8)})
-    bound = trivial_upper_bound(sm) - sum((lam * comp.penalty for comp, lam in components), F(0))
+    bound = trivial_upper_bound(sm) - sum((lam * F(comp.penalty, comp.den) for comp, lam in components), F(0))
     cert = CombinedCertificate(components=tuple(components), bound=bound)
     assert verify_certificate(cert, sm) == fraction_verify(cert, sm) == (why is None, why)
 
@@ -353,7 +386,7 @@ def test_lambdas_on_sixty_distinct_prime_denominators():
     # each of the first 60 multipliers down to the next multiple of 1/p below it
     comps = [(comp, F(math.ceil(lam * p) - 1, p)) for (comp, lam), p in zip(cert.components, primes)]
     comps += cert.components[len(primes):]
-    bound = trivial_upper_bound(sm) - sum((lam * comp.penalty for comp, lam in comps), F(0))
+    bound = trivial_upper_bound(sm) - sum((lam * F(comp.penalty, comp.den) for comp, lam in comps), F(0))
     floored = CombinedCertificate(components=tuple(comps), bound=bound)
     assert math.lcm(*(lam.denominator for _, lam in comps)) > 10**360
     assert verify_certificate(floored, sm) == fraction_verify(floored, sm) == (True, None)
