@@ -1,8 +1,9 @@
 """Weighted network container with exact rational edge weights.
 
-All weights are stored as `fractions.Fraction` so that every quantity
-derived from them (edge scores, modularity values, bounds) is exact.
-Networks are value objects: construct once, then treat as read-only.
+Every weight is stored as an exact rational: a plain `int` when it is
+integral, a `fractions.Fraction` otherwise, so that every quantity derived
+from them (edge scores, modularity values, bounds) is exact. Networks are
+value objects: construct once, then treat as read-only.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 MAX_DECIMAL_EXPONENT = 4300  # CPython's int <-> str digit limit, sys.int_info.default_max_str_digits
+# it caps a decimal weight's exponent and its count of significant digits alike
 
 
 class GraphError(ValueError):
@@ -22,7 +24,8 @@ class GraphError(ValueError):
 def as_fraction(value) -> Fraction:
     """Convert ints, Fractions, Decimals and decimal strings to an exact Fraction.
 
-    NaN, infinities and exponents past +-MAX_DECIMAL_EXPONENT raise GraphError.
+    NaN, infinities, exponents past +-MAX_DECIMAL_EXPONENT and more than
+    MAX_DECIMAL_EXPONENT significant digits raise GraphError.
     """
     if isinstance(value, Fraction):
         return value
@@ -43,8 +46,13 @@ def as_fraction(value) -> Fraction:
         raise GraphError(f"unsupported weight type: {type(value).__name__}")
     if not decimal.is_finite():
         raise GraphError(f"non-finite weight: {value!r}")
-    if abs(decimal.as_tuple().exponent) > MAX_DECIMAL_EXPONENT:
+    exponent = decimal.as_tuple().exponent
+    if abs(exponent) > MAX_DECIMAL_EXPONENT:
         raise GraphError(f"weight exponent out of range: {value!r}")
+    # the digit count without building the digit tuple; converting a long
+    # coefficient to an integer takes time quadratic in its length
+    if decimal.adjusted() - exponent + 1 > MAX_DECIMAL_EXPONENT:
+        raise GraphError(f"weight has too many digits: {value!r}")
     return Fraction(decimal)
 
 
@@ -52,13 +60,14 @@ def as_fraction(value) -> Fraction:
 class Network:
     """Node-labelled weighted (di)graph.
 
-    `edges` maps ordered dense-id pairs (a, b) to the weight e(a, b).
-    Undirected networks store both orientations of every edge, so the
-    total weight T counts each undirected edge twice (self-loops once).
+    `edges` maps ordered dense-id pairs (a, b) to the weight e(a, b), an
+    `int` when it is integral and a `Fraction` otherwise (as `build_network`
+    stores it). Undirected networks store both orientations of every edge,
+    so the total weight T counts each undirected edge twice (self-loops once).
     """
 
     node_labels: tuple[str, ...]
-    edges: dict[tuple[int, int], Fraction]
+    edges: dict[tuple[int, int], int | Fraction]
     directed: bool
 
     def __post_init__(self):
@@ -82,6 +91,7 @@ def build_network(edge_list: Iterable[Sequence], directed: bool = False) -> Netw
 
     Labels are interned to dense ids in first-appearance order; duplicate
     (A, B) entries are summed. Undirected input stores both orientations.
+    An integral weight is stored as an `int`, any other as a `Fraction`.
     Raises GraphError on negative weights or zero total weight.
     """
     labels: list[str] = []
@@ -100,10 +110,9 @@ def build_network(edge_list: Iterable[Sequence], directed: bool = False) -> Netw
             la, lb = item
             w = 1
         else:
-            la, lb, raw = item
-            w = as_fraction(raw)
-            if w.denominator == 1:
-                w = w.numerator
+            la, lb, w = item
+            if type(w) is not int:
+                w = as_fraction(w)
         if w < 0:
             raise GraphError(f"negative weight in entry {lineno}: {item!r}")
         a, b = intern(la), intern(lb)
@@ -112,5 +121,6 @@ def build_network(edge_list: Iterable[Sequence], directed: bool = False) -> Netw
             sums[(b, a)] = sums.get((b, a), 0) + w
     if not sums:
         raise GraphError("no edges given")
-    edges = {pair: Fraction(w) for pair, w in sums.items()}
+    # a weight like "2.0", or fractions that sum to an integer, is stored as an int
+    edges = {pair: w.numerator if w.denominator == 1 else w for pair, w in sums.items()}
     return Network(node_labels=tuple(labels), edges=edges, directed=directed)

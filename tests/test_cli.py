@@ -476,7 +476,11 @@ def test_malformed_input_exit_code(tmp_path, capsys):
     assert "line 1" in err
 
 
-@pytest.mark.parametrize("token", ["inf", "-Infinity", "nan", "1e5000", "1e-5000"])
+@pytest.mark.parametrize("token", [
+    "inf", "-Infinity", "nan", "1e5000", "1e-5000",
+    pytest.param("1" + "0" * 4300, id="1e4300-written-out"),
+    pytest.param("9" * 4301, id="4301-digit-integer"),
+])
 def test_non_finite_weight_is_input_error(tmp_path, capsys, token):
     bad = tmp_path / "bad.edges"
     bad.write_text(f"a b 1\nb c {token}\n")

@@ -56,6 +56,27 @@ def test_fingerprint_stable_and_discriminating():
                 == network_fingerprint(build_network(square[::-1], directed=directed)))
 
 
+MIXED_EDGES = "a b 1/2\nb c 3\nc a 0.25\nc d 1\nd e 2/3\ne c 1\na a 1\nd b 5/4\n"
+
+
+@pytest.mark.parametrize("net, nodes, edges, sha256", [
+    (lambda: load_network("karate"), 34, 156,
+     "8b2d6f19834b59103c828ccd6d8fa768fd01f20a99e1daa40c36d20dc0564b4f"),
+    (lambda: load_network("knoki"), 10, 49,
+     "f2d8cb48275269c23e601a2448277965ac196d9321829064cf8cb4b34dc69fbc"),
+    (lambda: load_network("knokm"), 10, 22,
+     "619df32af4c414012caf439946508c6064de696ec26256c22991da956ec99aab"),
+    (lambda: parse_edge_list(MIXED_EDGES, directed=True), 5, 8,
+     "6953f2b809afbf8a50e2927a66401537a9e300fcefb00ca39086c053fce5a48f"),
+    # a-b listed twice (weights summed to 4) and a self-loop on c
+    (lambda: parse_edge_list("a b\nb c 2\nb a 3\nc c\nc d 1/2\n"), 4, 7,
+     "93b446f1315297b8601b21cc0c5a9cbf74160fb3caa093070f25de4595784949"),
+], ids=["karate", "knoki", "knokm", "mixed", "duplicate-and-loop"])
+def test_fingerprint_pinned(net, nodes, edges, sha256):
+    """Every certificate already written names its network by this hash."""
+    assert network_fingerprint(net()) == {"nodes": nodes, "edges": edges, "sha256": sha256}
+
+
 def test_chain_certificate_verifies():
     """The greedy pass's certificate is checked as it is returned."""
     nets = [load_network(name) for name in ("karate", "knoki", "knokm")]
