@@ -60,15 +60,15 @@ def cmd_score(args) -> int:
     rows = [(labels[a], labels[b], sm.score(a, b)) for a in range(n) for b in range(a + 1, n)]
     if args.format == "json":
         payload = {
-            "pairs": {f"{a}|{b}": frac_str(v) for a, b, v in rows},
+            "pairs": [[a, b, frac_str(v)] for a, b, v in rows],
             "diagonal": {labels[a]: frac_str(sm.score(a, a)) for a in range(n)},
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
+    elif args.format == "csv":
+        csv.writer(sys.stdout, lineterminator="\n").writerows((a, b, frac_str(v)) for a, b, v in rows)
     else:
-        sep = "," if args.format == "csv" else "\t"
         for a, b, v in rows:
-            print(f"{a}{sep}{b}{sep}{frac_str(v)} ({float(v):+.6f})" if args.format == "table"
-                  else f"{a}{sep}{b}{sep}{frac_str(v)}")
+            print(f"{a}\t{b}\t{frac_str(v)} ({float(v):+.6f})")
     return 0
 
 

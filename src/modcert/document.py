@@ -76,11 +76,10 @@ class CertificateDocument:
     status: str
     gap: Fraction
     provenance: dict
-    format_version: int = FORMAT_VERSION
 
     def to_json_dict(self) -> dict:
         return {
-            "format_version": self.format_version,
+            "format_version": FORMAT_VERSION,
             "network": dict(self.fingerprint),
             "achieved": {
                 "communities": [list(c) for c in self.achieved_communities],

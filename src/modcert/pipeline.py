@@ -77,25 +77,24 @@ def _tighten(sm, best: CombinedCertificate, stages, achieved) -> CombinedCertifi
     return best
 
 
-def _resolve_and_reduce(sub: Subnetwork, shapes: dict) -> CertComponent | None:
-    """A subnetwork's reduced component, None if it has no penalty.
+def _resolve_and_reduce(sub: Subnetwork, shapes: dict) -> CertComponent:
+    """An enumerated subnetwork's reduced component.
 
     shapes maps a shape (the rows of the subnetwork's lattice, all on the
     run's one denominator) to its (penalty, reduced lattice). Resolution and
     reduction read positions only, so each shape is resolved and reduced once
-    and a repeat gets what a fresh run would give. The component is over the
-    reduced lattice's den, a multiple of the penalty's denominator.
+    and a repeat gets what a fresh run would give. The penalty is an integer
+    over sub's den, positive since enumeration emits only subnetworks that
+    carry one; the component puts it on the reduced lattice's den, a
+    multiple of sub's.
     """
     shape = tuple(map(tuple, sub.lattice.S))
     if shape not in shapes:
         resolved = partial_brute_force(sub)
-        reduced = reduce_weights(resolved).lattice if resolved.penalty > 0 else None
-        shapes[shape] = (resolved.penalty, reduced)
+        shapes[shape] = (resolved.penalty, reduce_weights(resolved).lattice)
     p, reduced = shapes[shape]
-    if reduced is None:
-        return None
     return CertComponent(sub.nodes, Subnetwork(sub.nodes, reduced).loads(),
-                         p.numerator * (reduced.den // p.denominator), reduced.den)
+                         p * (reduced.den // sub.lattice.den), reduced.den)
 
 
 def _subnet_stages(sm, max_subnet_size, subnet_budget, provenance):
@@ -113,9 +112,7 @@ def _subnet_stages(sm, max_subnet_size, subnet_budget, provenance):
                 provenance["subnet_budget_exhausted"] = True
                 break
             spent += 1
-            comp = _resolve_and_reduce(sub, shapes)
-            if comp is not None:
-                found.append(comp)
+            found.append(_resolve_and_reduce(sub, shapes))
         provenance["subnetworks_examined"] = spent
         yield found
         if provenance.get("subnet_budget_exhausted"):

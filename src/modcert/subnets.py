@@ -8,14 +8,14 @@ node-id pairs. Resolving one means proving the exact maximum any partition of
 it can collect; the shortfall against its all-positives sum is a penalty that
 can be charged against the whole network. Reducing one shrinks its scores to
 the minimum weight that still proves the same penalty, so that many
-subnetworks can be combined.
+subnetworks can be combined. Every score and penalty here is an integer over
+a lattice's `den`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
 from . import lp
@@ -35,9 +35,11 @@ class Subnetwork:
 
 @dataclass
 class ResolvedSubnetwork:
+    """A subnetwork with its proven penalty: its positive total less the best
+    value any partition of it collects, an integer over sub.lattice.den."""
+
     sub: Subnetwork
-    q_star_best: Fraction
-    penalty: Fraction
+    penalty: int
     # position pairs costing each evaluated partition value (excluded positives
     # and negatives caught inside a group), one set per distinct non-empty pattern
     contributing_sets: frozenset[frozenset[Pair]]
@@ -56,31 +58,25 @@ def enumerate_subnetworks(sm: ScoreMatrix, size: int) -> Iterator[Subnetwork]:
     Connectivity is over positive pairs of sm, which provably still
     reaches every subnetwork able to carry a positive penalty (a penalty needs
     a negative pair inside a positively-connected group, and penalties add
-    over positively-connected parts). Only subsets with at least one negative
-    and at least two positive internal pairs are emitted, each with the
-    lattice sm induces on it. Deterministic order.
+    over positively-connected parts). Only subsets with a negative internal
+    pair are emitted, each with the lattice sm induces on it; being connected,
+    each also has at least size - 1 positive pairs and so a positive penalty.
+    Deterministic order.
     """
     if size < 3:
         raise ValueError("size must be >= 3")
     n = sm.n
     adj = [set(nbrs) for nbrs in sm.positive_adjacency()]
 
-    def make(sub: list[int]) -> Subnetwork | None:
-        nodes = tuple(sorted(sub))
-        S = [[sm.S[a][b] for b in nodes] for a in nodes]
-        upper = [v for i, row in enumerate(S) for v in row[i + 1:]]
-        if any(v < 0 for v in upper) and sum(v > 0 for v in upper) >= 2:
-            return Subnetwork(nodes, ScoreMatrix(n=size, den=sm.den, S=S, diag=(0,) * size))
-        return None
-
     # extension enumeration anchored at the smallest node id; new candidates
     # are exclusive neighbors of the just-added node, so every connected
     # subset appears exactly once
     def extend(sub: list[int], sub_set: set[int], ext: list[int], anchor: int):
         if len(sub) == size:
-            cand = make(sub)
-            if cand is not None:
-                yield cand
+            nodes = tuple(sorted(sub))
+            S = [[sm.S[a][b] for b in nodes] for a in nodes]
+            if any(v < 0 for i, row in enumerate(S) for v in row[i + 1:]):
+                yield Subnetwork(nodes, ScoreMatrix(n=size, den=sm.den, S=S, diag=(0,) * size))
             return
         for i, w in enumerate(ext):
             extra = []
@@ -164,8 +160,7 @@ def partial_brute_force(sub: Subnetwork) -> ResolvedSubnetwork:
 
     return ResolvedSubnetwork(
         sub=sub,
-        q_star_best=Fraction(best_val, lattice.den),
-        penalty=Fraction(pos_total - best_val, lattice.den),
+        penalty=pos_total - best_val,
         contributing_sets=frozenset(contributing_sets),
         final_m=m,
     )
@@ -190,8 +185,7 @@ def _minimum_weights(rs: ResolvedSubnetwork, pairs: list[Pair]) -> tuple[list[in
     answer is x[i] = nums[i] / xden.
     """
     lattice = rs.sub.lattice
-    S, den = lattice.S, lattice.den
-    p = rs.penalty.numerator * (den // rs.penalty.denominator)
+    S, den, p = lattice.S, lattice.den, rs.penalty
     caps = [abs(S[a][b]) for a, b in pairs]
     index = {q: i for i, q in enumerate(pairs)}
     constraint_sets = [sorted(index[q] for q in s) for s in _minimal_constraint_sets(rs)]
@@ -216,31 +210,31 @@ def reduce_weights(rs: ResolvedSubnetwork) -> Subnetwork:
     """Shrink a resolved subnetwork's scores while provably keeping its penalty.
 
     The scores become the reduction LP's minimizer (see _minimum_weights),
-    written as its numerators over its own denominator; a triangle gets it
-    in closed form. The result is re-verified by a fresh resolution run; on
-    any failure the original subnetwork is returned unchanged.
+    written as its numerators over its own denominator, a multiple of the
+    subnetwork's den; a triangle gets it in closed form over that den. The
+    result is re-verified by a fresh resolution run; on any failure the
+    original subnetwork is returned unchanged.
     """
-    p = rs.penalty
+    p, sub = rs.penalty, rs.sub
     if p <= 0:
-        return rs.sub
-    sub = rs.sub
-    S, k = sub.lattice.S, sub.lattice.n
+        return sub
+    S, k, den = sub.lattice.S, sub.lattice.n, sub.lattice.den
     pairs = _nonzero_pairs(sub.lattice)
     if k == 3 and len(pairs) == 3:
         # a penalized triangle is a positive path closed by a negative pair,
         # and p = min(u1, u2, |n|); each of its partitions pays exactly one
         # pair, so +-p on every pair is the LP's unique minimum
-        x = [p.numerator] * 3, p.denominator
+        x = [p] * 3, den
     else:
         x = _minimum_weights(rs, pairs)
         if x is None:
-            return rs.sub
+            return sub
 
-    nums, den = x
+    nums, xden = x
     reduced_S = [[0] * k for _ in range(k)]
     for (a, b), r in zip(pairs, nums):
         reduced_S[a][b] = reduced_S[b][a] = r if S[a][b] > 0 else -r
-    reduced = Subnetwork(sub.nodes, ScoreMatrix(n=k, den=den, S=reduced_S, diag=(0,) * k))
-    if partial_brute_force(reduced).penalty < p:
-        return rs.sub
+    reduced = Subnetwork(sub.nodes, ScoreMatrix(n=k, den=xden, S=reduced_S, diag=(0,) * k))
+    if partial_brute_force(reduced).penalty * den < p * xden:
+        return sub
     return reduced

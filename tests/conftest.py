@@ -103,9 +103,9 @@ def component(nodes, loads: dict, penalty: Fraction) -> CertComponent:
     return CertComponent(tuple(nodes), {q: int(v * den) for q, v in loads.items()}, int(penalty * den), den)
 
 
-def reduced_component(red, penalty: Fraction) -> CertComponent:
-    """A reduced subnetwork as a component, its penalty put over the lattice's den."""
-    den = red.lattice.den
+def reduced_component(red, rs) -> CertComponent:
+    """rs's reduced subnetwork red as a component, rs's penalty put over red's den."""
+    den, penalty = red.lattice.den, Fraction(rs.penalty, rs.sub.lattice.den)
     assert den % penalty.denominator == 0
     return CertComponent(red.nodes, red.loads(), penalty.numerator * (den // penalty.denominator), den)
 

@@ -145,7 +145,7 @@ def test_criterion_5_soundness_suite():
 
 
 def test_criterion_6_partial_brute_force_oracle():
-    from test_subnets import exhaustive_best, random_subnetwork
+    from test_subnets import best_value, exhaustive_best, random_subnetwork, rational_penalty
 
     resolved_checked = 0
     reduce_failures = 0
@@ -156,12 +156,11 @@ def test_criterion_6_partial_brute_force_oracle():
         if sub is None:
             continue
         rs = partial_brute_force(sub)
-        assert rs.q_star_best == exhaustive_best(sub), f"oracle mismatch at seed {seed}"
+        assert best_value(rs) == exhaustive_best(sub), f"oracle mismatch at seed {seed}"
         if rs.penalty > 0:
             red = reduce_weights(rs)
             rcheck = partial_brute_force(red)
-            pos_total = F(sum(v for v in red.loads().values() if v > 0), red.lattice.den)
-            if pos_total - rcheck.q_star_best < rs.penalty:
+            if rational_penalty(rcheck) < rational_penalty(rs):
                 reduce_failures += 1
         resolved_checked += 1
     report(6, reduce_failures == 0, f"{resolved_checked} subnetworks, {reduce_failures} reduction failures")

@@ -1,3 +1,4 @@
+import csv
 import errno
 import io
 import json
@@ -53,8 +54,33 @@ def test_score_json(tmp_path, capsys):
     code, out, _ = run(capsys, "score", path, "--format", "json")
     assert code == 0
     data = json.loads(out)
-    assert data["pairs"]["a|b"] == "1/4"
+    assert data["pairs"] == [["a", "b", "1/4"], ["a", "c", "-1/8"], ["b", "c", "1/4"]]
     assert data["diagonal"]["b"] == "-1/4"
+
+
+def test_score_json_keeps_pairs_whose_labels_join_alike(tmp_path, capsys):
+    """(x|y, z) and (x, y|z) are two pairs, though both labels joined by "|" read x|y|z."""
+    path = tmp_path / "bars.edges"
+    path.write_text("x|y z\nx y|z\n")
+    code, out, _ = run(capsys, "score", str(path), "--format", "json")
+    assert code == 0
+    pairs = [tuple(p[:2]) for p in json.loads(out)["pairs"]]
+    assert len(pairs) == 6 == len(run(capsys, "score", str(path))[1].splitlines())
+    assert ("x|y", "z") in pairs and ("x", "y|z") in pairs
+
+
+def test_score_csv(tmp_path, capsys):
+    code, out, _ = run(capsys, "score", write_path_network(tmp_path), "--format", "csv")
+    assert code == 0
+    assert out == "a,b,1/4\na,c,-1/8\nb,c,1/4\n"
+    # a label holding the delimiter or the quote character is quoted, and reads back whole
+    path = tmp_path / "quoted.edges"
+    path.write_text('x,y "q"\n"q" c\n')
+    code, out, _ = run(capsys, "score", str(path), "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [row[:2] for row in rows] == [["x,y", '"q"'], ["x,y", "c"], ['"q"', "c"]]
+    assert all(len(row) == 3 for row in rows)
 
 
 def test_optimize_command(tmp_path, capsys):
@@ -182,7 +208,9 @@ def test_verify_malformed_rational_exits_2(tmp_path, capsys, field, value):
     (lambda comp: comp["nodes"].pop(), "chain component lists 2 node(s), fewer than 3"),
     (lambda comp: comp.update(kind="subnetwork", scores=[[comp["nodes"][0], comp["nodes"][0], "1/2"]]),
      "subnetwork component pairs node 'a' with itself"),
-], ids=["no-penalty", "no-nodes", "unknown-label", "empty-nodes", "short-chain", "self-pair"])
+    (lambda comp: comp.update(kind="star"), "unknown component kind: 'star'"),
+], ids=["no-penalty", "no-nodes", "unknown-label", "empty-nodes", "short-chain", "self-pair",
+        "unknown-kind"])
 def test_verify_malformed_component_exits_2(tmp_path, capsys, mutate, message):
     path = write_path_network(tmp_path)
     cert = str(tmp_path / "cert.json")
@@ -474,6 +502,20 @@ def test_malformed_input_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "score", str(bad))
     assert code == 2
     assert "line 1" in err
+
+
+@pytest.mark.parametrize("text,message", [
+    ("a b 1\nb c -2\n", "line 2: negative weight -2"),
+    ("a b -0.5\n", "line 1: negative weight -1/2"),
+    ("# a comment\n\n", "no edges in input"),
+], ids=["negative-integer", "negative-decimal", "no-edges"])
+def test_edge_list_refusal_exits_2(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.edges"
+    bad.write_text(text)
+    code, out, err = run(capsys, "score", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == f"input error: {message}\n"
 
 
 @pytest.mark.parametrize("token", [

@@ -251,17 +251,17 @@ def test_dedupe_key_ignores_node_order():
     chain = CertComponent(nodes=(0, 2, 1), loads=loads, penalty=1, den=8)
     subnet = CertComponent(nodes=(0, 1, 2), loads=dict(loads), penalty=1, den=8)
     assert chain.dedupe_key() == subnet.dedupe_key()
-    # the path a-b-c's 3-chain over the lattice's den 16 and its triangle,
-    # reduced in closed form over the penalty's denominator 8, are one component
+    # the path a-b-c's 3-chain and its triangle, reduced in closed form, both
+    # over the lattice's den 16, are one component
     sm = score_matrix(build_network([("a", "b", 1), ("b", "c", 1)]))
     (sub,) = enumerate_subnetworks(sm, 3)
     rs = partial_brute_force(sub)
-    triangle = reduced_component(reduce_weights(rs), rs.penalty)
+    triangle = reduced_component(reduce_weights(rs), rs)
     path = chain_component(sm, (0, 1, 2))
-    assert (path.den, triangle.den) == (16, 8)
+    assert (path.den, triangle.den) == (16, 16)
     assert path.dedupe_key() == triangle.dedupe_key()
     # a different penalty on the same loads is another component
-    weaker = CertComponent(nodes=(0, 1, 2), loads=dict(triangle.loads), penalty=triangle.penalty + 1, den=8)
+    weaker = CertComponent(nodes=(0, 1, 2), loads=dict(triangle.loads), penalty=triangle.penalty + 1, den=16)
     assert weaker.dedupe_key() != triangle.dedupe_key()
 
 
@@ -437,7 +437,7 @@ def _mixed_pools():
         for sub in itertools.islice(enumerate_subnetworks(sm, 4), 30):
             rs = partial_brute_force(sub)
             if rs.penalty > 0:
-                comps.append(reduced_component(reduce_weights(rs), rs.penalty))
+                comps.append(reduced_component(reduce_weights(rs), rs))
         rng = random.Random(seed)
         if len(comps) > 2:
             pools.append((sm, rng.sample(comps, rng.randint(2, min(len(comps), 40)))))

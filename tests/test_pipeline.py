@@ -107,7 +107,7 @@ def test_pentagon_needs_subnetworks():
             rs = partial_brute_force(sub)
             if rs.penalty > 0:
                 red = reduce_weights(rs)
-                pool.append(reduced_component(red, rs.penalty))
+                pool.append(reduced_component(red, rs))
     combined = combine(pool, sm)
     assert combined.bound == qmax
 
@@ -230,11 +230,9 @@ def test_shape_memo_matches_fresh_reduction(net, max_size):
         if len(shapes) > known:
             continue
         rs = partial_brute_force(sub)
-        if rs.penalty <= 0:
-            assert comp is None
-            continue
+        assert rs.penalty > 0  # enumeration emits only penalized subnetworks
         red = reduce_weights(rs)
-        assert comp == reduced_component(red, rs.penalty)
+        assert comp == reduced_component(red, rs)
         assert list(comp.loads) == list(red.loads())
         lp_repeats += len(sub.nodes) > 3
     assert lp_repeats > 0  # repeats reduced by the LP, not only triangles

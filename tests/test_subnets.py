@@ -24,6 +24,17 @@ def rational_scores(sub: Subnetwork) -> dict:
     return rational_loads(sub.loads(), sub.lattice.den)
 
 
+def rational_penalty(rs) -> Fraction:
+    """A resolution's penalty as a Fraction."""
+    return F(rs.penalty, rs.sub.lattice.den)
+
+
+def best_value(rs) -> Fraction:
+    """The best partition value a resolution found: its positive total less its penalty."""
+    positives = sum(v for v in rs.sub.loads().values() if v > 0)
+    return F(positives - rs.penalty, rs.sub.lattice.den)
+
+
 def exhaustive_best(sub: Subnetwork) -> Fraction:
     """Full set-partition maximum of a subnetwork's scores (oracle)."""
     k = len(sub.nodes)
@@ -121,15 +132,15 @@ def test_enumerate_unique_and_complete():
 def test_partial_brute_force_triangle():
     sub = Subnetwork((0, 1, 2), lattice(3, {(0, 1): F(1, 5), (0, 2): F(3, 10), (1, 2): F(-1, 10)}))
     rs = partial_brute_force(sub)
-    assert rs.q_star_best == F(2, 5)
-    assert rs.penalty == F(1, 10)
+    assert best_value(rs) == F(2, 5)
+    assert rational_penalty(rs) == F(1, 10)
 
 
 def test_partial_brute_force_path_pattern():
     sub = Subnetwork((0, 1, 2), lattice(3, {(0, 1): F(1, 4), (1, 2): F(1, 4), (0, 2): F(-1, 8)}))
     rs = partial_brute_force(sub)
-    assert rs.q_star_best == F(3, 8)
-    assert rs.penalty == F(1, 8)
+    assert best_value(rs) == F(3, 8)
+    assert rational_penalty(rs) == F(1, 8)
 
 
 def test_star_without_negative_has_zero_penalty():
@@ -147,7 +158,7 @@ def test_oracle_equivalence_random_subnetworks():
         if sub is None:
             continue
         rs = partial_brute_force(sub)
-        assert rs.q_star_best == exhaustive_best(sub), f"seed {seed}"
+        assert best_value(rs) == exhaustive_best(sub), f"seed {seed}"
         checked += 1
 
 
@@ -160,8 +171,8 @@ def test_discard_rule_never_changes_result():
         best = exhaustive_best(sub)
         pairs = itertools.combinations(range(5), 2)
         positive_total = sum(max(sub.lattice.score(a, b), 0) for a, b in pairs)
-        assert rs.q_star_best == best, f"seed {seed}"
-        assert rs.penalty == positive_total - best, f"seed {seed}"
+        assert best_value(rs) == best, f"seed {seed}"
+        assert rational_penalty(rs) == positive_total - best, f"seed {seed}"
 
 
 def test_reduce_triangle_canonical():
@@ -194,14 +205,14 @@ def test_reduce_triangle_closed_form_is_lp_optimum():
         scores = {q: -n if q == neg else next(u) for q in pairs}
         p = min(u1, u2, n)
         rs = partial_brute_force(Subnetwork((0, 1, 2), lattice(3, scores)))
-        assert rs.penalty == p
+        assert rational_penalty(rs) == p
         red = reduce_weights(rs)
         assert rational_scores(red) == {q: p if v > 0 else -p for q, v in scores.items()}
         lat = rs.sub.lattice
         caps = [abs(lat.S[a][b]) for a, b in pairs]
         nums, xden = lp.minimize_totals_exact(caps, [[0], [1], [2]], int(p * lat.den), lat.den)
         assert [F(v, xden) for v in nums] == [p] * 3
-        assert partial_brute_force(red).penalty == p
+        assert rational_penalty(partial_brute_force(red)) == p
 
 
 def test_reduce_fixed_point():
@@ -229,5 +240,5 @@ def test_reduction_preserves_penalty_and_definition_bounds():
             assert v * orig > 0
             assert abs(v) <= abs(orig)
         rcheck = partial_brute_force(red)
-        assert sum(v for v in reduced.values() if v > 0) - rcheck.q_star_best >= rs.penalty
+        assert rational_penalty(rcheck) >= rational_penalty(rs)
         checked += 1

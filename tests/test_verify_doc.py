@@ -360,6 +360,8 @@ def _with_load(pair, value):
     ([(_chain(F(3, 28)), F(7, 6)), (_chain(F(1, 56)), F(1, 6))],
      "permissibility: pair (0, 2) carries load 43/336 over capacity 1/8"),
     ([(_with_load((0, 3), F(0)), F(1))], None),
+    ([(component((0, 1, 2), {**chain_loads((0, 1, 2), F(1, 8)), (0, 3): F(0)}, F(1, 8)), F(1))],
+     "component-penalty: component 0 on nodes (0, 1, 2) has a load outside its node pairs"),
     ([(_with_load((0, 3), F(-1, 16)), F(1))],
      "permissibility: pair (0, 3) carries load 1/16 over capacity 0"),
     ([(_with_load((1, 1), F(1, 8)), F(1))],
@@ -368,7 +370,7 @@ def _with_load(pair, value):
      "permissibility: load on pair (0, 2) has sign + against score -1/8"),
     ([(_chain(F(1, 24)), F(3))], None),
     ([(_chain(F(1, 7)), F(1))], "permissibility: pair (0, 2) carries load 1/7 over capacity 1/8"),
-], ids=["at-capacity", "one-unit-over", "zero-load-on-zero-score", "load-on-zero-score",
+], ids=["at-capacity", "one-unit-over", "zero-load-on-zero-score", "load-outside-nodes", "load-on-zero-score",
         "diagonal-pair", "sign-on-reversed-pair", "load-den-not-dividing-den", "over-by-a-seventh"])
 def test_integer_comparison_at_the_boundary(components, why):
     # scores 1/4 on (0, 1) and (1, 2), -1/8 on (0, 2) and 0 on the rest, over den 8
@@ -385,6 +387,18 @@ def test_min_rule_at_equality_past_enumeration():
     chain = _chain(F(1, 8), tuple(range(13)))
     cert = CombinedCertificate(components=((chain, F(1)),), bound=trivial_upper_bound(sm) - F(1, 8))
     assert verify_certificate(cert, sm) == fraction_verify(cert, sm) == (True, None)
+
+
+def test_non_chain_component_past_enumeration_refused():
+    """The same 13-node chain's loads and true penalty, its nodes listed out
+    of chain order: the min rule fails on that order, and 13 nodes are past
+    exhaustive re-proof, so the component is refused."""
+    sm = lattice(13, {**{(a, a + 1): F(1, 8) for a in range(12)}, (0, 12): F(-1, 4)})
+    nodes = (1, 0, *range(2, 13))
+    comp = component(nodes, chain_loads(tuple(range(13)), F(1, 8)), F(1, 8))
+    cert = CombinedCertificate(components=((comp, F(1)),), bound=trivial_upper_bound(sm) - F(1, 8))
+    why = f"component-penalty: component 0 on nodes {nodes} does not prove penalty 1/8"
+    assert verify_certificate(cert, sm) == fraction_verify(cert, sm) == (False, why)
 
 
 def _primes_above(low, count):
