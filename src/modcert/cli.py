@@ -23,7 +23,7 @@ from .document import CertificateDocument, document_to_certificate, frac_str, ne
 from .edgelist import parse_edge_list
 from .graph import GraphError
 from .optimizer import optimize
-from .pipeline import METHODS, certify, chain_bound
+from .pipeline import METHODS, _search_and_chain, certify
 from .scores import score_matrix, trivial_upper_bound
 from .generator import generate_planted
 from .verify import verify_certificate
@@ -95,10 +95,10 @@ def cmd_bound(args) -> int:
     if args.method == "trivial":
         print(f"trivial bound: {_exact(trivial)}")
         return 0
-    achieved = optimize(sm, seed=args.seed).modularity
-    greedy, tightened, truncated = chain_bound(sm, achieved=achieved, path_budget=args.path_budget)
+    achieved, greedy, tightened, truncated = _search_and_chain(
+        sm, seed=args.seed, path_budget=args.path_budget)
     print(f"trivial bound: {_exact(trivial)}")
-    print(f"achieved: {_exact(achieved)}")
+    print(f"achieved: {_exact(achieved.modularity)}")
     print(f"greedy chains: {len(greedy.components)}, greedy bound {_exact(greedy.bound)}")
     print(f"bound: {_exact(tightened.bound)}")
     if truncated:

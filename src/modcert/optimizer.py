@@ -41,12 +41,12 @@ from .scores import Partition, ScoreMatrix, modularity_of_assignment
 MAX_PASSES = 1000  # guard on recombination passes per restart
 
 
-def _kl_series(twice, src, d):
+def _kl_series(S, src, d):
     """Best prefix of single-node best-gain moves from community src to dst.
 
     src lists the community's nodes in ascending order, and d[v] is
-    to_dst(v) - to_src(v) for each v in src; moving v adds twice[v][u] =
-    2 S[v][u] to d[u], in place. Returns (gain, nodes_to_move) where
+    to_dst(v) - to_src(v) for each v in src; moving v adds 2 S[v][u] to
+    d[u], in place. Returns (gain, nodes_to_move) where
     nodes_to_move is the shortest prefix of the move sequence with the
     highest cumulative gain, or (0, ()) if no prefix gains.
     """
@@ -64,9 +64,9 @@ def _kl_series(twice, src, d):
         if cumulative > best_gain:
             best_gain = cumulative
             best_len = len(moved)
-        row = twice[v]
+        row = S[v]
         for u in remaining:
-            d[u] += row[u]
+            d[u] += 2 * row[u]
     return best_gain, tuple(moved[:best_len])
 
 
@@ -74,12 +74,20 @@ def _row_sum(rows, nodes):
     return [sum(column) for column in zip(*(rows[u] for u in nodes))]
 
 
+def _negative_parts(S, nodes):
+    """{v: N(v)} for each v in nodes, N(v) summing max(0, -S[u][v]) over the
+    u in nodes; S is symmetric, so that is row v's negative entries there."""
+    # (0).__gt__(x) is 0 > x: keep the negative entries
+    return {v: -sum(filter((0).__gt__, map(S[v].__getitem__, nodes))) for v in nodes}
+
+
 class _Search:
     """The search on one score matrix; `improve` runs one restart.
 
     During a restart, members[c] lists community c's nodes in ascending
-    order, c being the smallest; conn[c][v] sums S[u][v] and neg[c][v] sums
-    max(0, -S[u][v]) over the u in c. entries[(src, dst)] is (value, nodes)
+    order, c being the smallest; conn[c][v] sums S[u][v] over the u in c,
+    and neg[c] maps each v in c, the only nodes `bound` reads it at, to
+    N_c(v). entries[(src, dst)] is (value, nodes)
     for each live ordered pair, nodes being None while value is the bound.
     The heap holds (-value, src, dst) for every entry, and also for entries
     since dropped or replaced: `_best` skips an item whose value is not its
@@ -89,14 +97,12 @@ class _Search:
     def __init__(self, sm: ScoreMatrix):
         self.sm = sm
         self.new = sm.n
-        self.twice = [[2 * x for x in row] for row in sm.S]
-        self.negative = [[-x if x < 0 else 0 for x in row] for row in sm.S]
 
     def bound(self, src, dst) -> int:
         """UB(src, dst): no prefix of the series from src to dst gains more."""
         neg = self.neg[src]
         if dst == self.new:
-            return sum(neg[v] for v in self.members[src])
+            return sum(neg.values())
         to_dst = self.conn[dst]
         total = 0
         for v in self.members[src]:
@@ -113,7 +119,7 @@ class _Search:
         else:
             to_dst = self.conn[dst]
             d = {v: to_dst[v] - to_src[v] for v in self.members[src]}
-        return _kl_series(self.twice, self.members[src], d)
+        return _kl_series(self.sm.S, self.members[src], d)
 
     def _add(self, src, dst) -> None:
         value = self.bound(src, dst)
@@ -146,26 +152,27 @@ class _Search:
             for c in members:
                 entries.pop((t, c), None)
                 entries.pop((c, t), None)
-        row = _row_sum(self.sm.S, nodes)
-        row_neg = _row_sum(self.negative, nodes)
+        S = self.sm.S
+        row = _row_sum(S, nodes)
         changed = []
         moved = set(nodes)
         rest = [v for v in members.pop(src) if v not in moved]
-        conn_src, neg_src = conn.pop(src), neg.pop(src)
+        conn_src = conn.pop(src)
+        del neg[src]
         if rest:
             c = rest[0]
             members[c] = rest
             conn[c] = [a - b for a, b in zip(conn_src, row)]
-            neg[c] = [a - b for a, b in zip(neg_src, row_neg)]
+            neg[c] = _negative_parts(S, rest)
             changed.append(c)
         if dst == new:
-            joined, conn_dst, neg_dst = sorted(nodes), row, row_neg
+            joined, conn_dst = sorted(nodes), row
         else:
             joined = sorted(members.pop(dst) + list(nodes))
             conn_dst = [a + b for a, b in zip(conn.pop(dst), row)]
-            neg_dst = [a + b for a, b in zip(neg.pop(dst), row_neg)]
+            del neg[dst]
         c = joined[0]
-        members[c], conn[c], neg[c] = joined, conn_dst, neg_dst
+        members[c], conn[c], neg[c] = joined, conn_dst, _negative_parts(S, joined)
         changed.append(c)
         self._add_pairs(changed)
 
@@ -190,7 +197,7 @@ class _Search:
             groups.setdefault(c, []).append(v)
         self.members = {nodes[0]: nodes for nodes in groups.values()}
         self.conn = {c: _row_sum(sm.S, nodes) for c, nodes in self.members.items()}
-        self.neg = {c: _row_sum(self.negative, nodes) for c, nodes in self.members.items()}
+        self.neg = {c: _negative_parts(sm.S, nodes) for c, nodes in self.members.items()}
         self.entries = {}
         self.heap = []
         self._add_pairs(set(self.members))

@@ -119,6 +119,30 @@ def _subnet_stages(sm, max_subnet_size, subnet_budget, provenance):
             return
 
 
+def _search_and_chain(sm, *, seed: int, path_budget: int, restarts: int = 8, chains: bool = True):
+    """The partition to certify and its bound so far: restart 0 first, every restart only if unproven.
+
+    Restart 0 (one all-in-one community, the same for every seed) runs
+    first, and with chains the chain stage takes its modularity as the
+    target. Only if the bound (the chain bound, else the trivial one) does
+    not equal it does the full search of `restarts` restarts run, restart 0
+    again included. The chain certificate stays valid for that search's
+    result: `_tighten` keeps the first certificate that reaches its running
+    minimum, so it returns the same one for any target at or below the
+    value finally achieved. Returns (achieved, greedy, best, truncated),
+    with greedy None and truncated False without chains.
+    """
+    achieved = optimize(sm, seed=seed, restarts=1)
+    greedy, truncated = None, False
+    if chains:
+        greedy, best, truncated = chain_bound(sm, achieved=achieved.modularity, path_budget=path_budget)
+    else:
+        best = CombinedCertificate(components=(), bound=trivial_upper_bound(sm))
+    if best.bound != achieved.modularity:
+        achieved = optimize(sm, seed=seed, restarts=restarts)
+    return achieved, greedy, best, truncated
+
+
 def certify(
     net: Network,
     method: str = "both",
@@ -130,11 +154,14 @@ def certify(
 ) -> CertificateDocument:
     """Produce a verified certificate document for a network.
 
-    Runs the partition search, then the chain certifier, and, if a gap
-    remains and the method allows, resolves small subnetworks and
-    re-optimizes all multipliers by LP. Budget exhaustion weakens the bound
-    but never its validity, and provenance records it. The emitted document
-    is verified before return.
+    Runs restart 0 of the partition search, then the chain certifier. Only
+    if that does not prove restart 0's partition optimal does the search
+    run all `restarts` restarts (a ceiling, not a count), and then, if a gap
+    remains and the method allows, small subnetworks are resolved and all
+    multipliers re-optimized by LP. When several partitions reach a proven
+    optimum, the one reported is restart 0's. Budget exhaustion weakens the
+    bound but never its validity, and provenance records it. The emitted
+    document is verified before return.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
@@ -146,8 +173,11 @@ def certify(
         raise ValueError("subnet_budget must be >= 0")
     if path_budget < 0:
         raise ValueError("path_budget must be >= 0")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     sm = score_matrix(net)
-    achieved = optimize(sm, seed=seed, restarts=restarts)
+    achieved, greedy, best, truncated = _search_and_chain(
+        sm, seed=seed, restarts=restarts, path_budget=path_budget, chains=method != "subnets")
 
     provenance = {
         "tool": f"modcert {_version}",
@@ -157,10 +187,7 @@ def certify(
         "max_subnet_size": max_subnet_size if method != "chains" else None,
     }
 
-    best = CombinedCertificate(components=(), bound=trivial_upper_bound(sm))
-
-    if method in ("chains", "both"):
-        greedy, best, truncated = chain_bound(sm, achieved=achieved.modularity, path_budget=path_budget)
+    if greedy is not None:
         provenance["greedy_chain_bound"] = frac_str(greedy.bound)
         if truncated:
             provenance["path_budget_exhausted"] = True

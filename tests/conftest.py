@@ -139,6 +139,22 @@ def adjusted_rand_index(a, b) -> float:
     return (sum_ij - expected) / (max_index - expected)
 
 
+@pytest.fixture
+def optimize_restarts(monkeypatch) -> list[int]:
+    """The restarts of each `pipeline.optimize` call the test makes, in call order."""
+    from modcert import pipeline
+
+    calls = []
+    real = pipeline.optimize
+
+    def recording(sm, **kwargs):
+        calls.append(kwargs["restarts"])
+        return real(sm, **kwargs)
+
+    monkeypatch.setattr(pipeline, "optimize", recording)
+    return calls
+
+
 def _fraction_permissibility(components, sm: ScoreMatrix) -> str | None:
     loads: dict = {}
     for comp, lam in components:

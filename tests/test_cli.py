@@ -115,6 +115,18 @@ def test_bound_prints_greedy_bound_exactly(capsys):
     assert "greedy chains: 168, greedy bound 0.447156 (5441/12168)\n" in out
 
 
+def test_bound_searches_every_restart_only_when_restart_0_is_unproved(optimize_restarts, capsys):
+    """knokm's restart 0 misses the optimum that every restart together finds;
+    the printed values are those of that search and its bound."""
+    code, out, _ = run(capsys, "bound", "knokm")
+    assert code == 0
+    assert optimize_restarts == [1, 8]
+    assert out == ("trivial bound: 0.274793 (133/484)\n"
+                   "achieved: 0.148760 (18/121)\n"
+                   "greedy chains: 11, greedy bound 0.154959 (75/484)\n"
+                   "bound: 0.148760 (18/121)\n")
+
+
 def test_certify_verify_round_trip(tmp_path, capsys):
     path = write_path_network(tmp_path)
     cert = str(tmp_path / "cert.json")
@@ -398,12 +410,13 @@ def test_removed_flags_exit_2(capsys, argv):
     (["bound", "PATH", "--path-budget", "-1"], "path_budget must be >= 0"),
     (["certify", "PATH", "--method", "subnets", "--path-budget", "-5"], "path_budget must be >= 0"),
     (["optimize", "PATH", "--restarts", "0"], "restarts must be >= 1"),
+    (["certify", "PATH", "--restarts", "0"], "restarts must be >= 1"),
     (["gen", "--n", "5", "--communities", "0", "--p-in", "0.9", "--p-out", "0.1"],
      "communities must be between 1 and n"),
     (["bench", "nosuch"], "unknown corpus network: 'nosuch' (known: ['dolphins', 'football', "
      "'karate', 'knoki', 'knokm', 'lesmis', 'polbooks'])"),
 ], ids=["subnets-size", "both-size", "c13-size", "subnet-budget", "path-budget",
-        "subnets-path-budget", "restarts", "communities", "bench-unknown"])
+        "subnets-path-budget", "restarts", "certify-restarts", "communities", "bench-unknown"])
 def test_invalid_argument_value_exits_2(tmp_path, capsys, argv, message):
     files = {"PATH": write_path_network(tmp_path), "C13": str(tmp_path / "c13.edges")}
     with open(files["C13"], "w") as fh:

@@ -189,7 +189,7 @@ class CheckedSearch(optimizer._Search):
         for c, group in self.members.items():
             assert group == sorted(group) and c == group[0]
             assert self.conn[c] == [sum(S[u][v] for u in group) for v in range(n)]
-            assert self.neg[c] == [sum(-S[u][v] for u in group if S[u][v] < 0) for v in range(n)]
+            assert self.neg[c] == {v: sum(-S[u][v] for u in group if S[u][v] < 0) for v in group}
             live |= {(c, d) for d in self.members if d != c}
             if len(group) > 1:
                 live.add((c, self.new))

@@ -7,7 +7,7 @@ from conftest import C4_NEAR_TIE, lattice, random_network, reduced_component
 from modcert.brute import brute_force_max
 from modcert.chains import find_penalized_chains, greedy_certify
 from modcert.datasets import load_network
-from modcert.document import CertificateDocument, document_to_certificate
+from modcert.document import CertificateDocument, build_document, document_to_certificate
 from modcert.edgelist import parse_edge_list
 from modcert.graph import build_network
 from modcert.lp import combine
@@ -63,6 +63,10 @@ def test_certify_method_validation():
     for method in METHODS:
         with pytest.raises(ValueError, match="path_budget must be >= 0"):
             certify(path, method=method, path_budget=-5)
+    # checked up front too: restart 0 alone proves the path optimal, so the
+    # full search would never run
+    with pytest.raises(ValueError, match="restarts must be >= 1"):
+        certify(path, restarts=0)
 
 
 def test_certify_small_random_soundness():
@@ -242,3 +246,64 @@ def test_certify_subnets_is_repeatable():
     net = load_network("karate")
     first = certify(net, method="subnets", max_subnet_size=4, subnet_budget=300).dumps()
     assert certify(net, method="subnets", max_subnet_size=4, subnet_budget=300).dumps() == first
+
+
+@pytest.mark.parametrize("name,options,expected", [
+    ("karate", {"method": "both", "max_subnet_size": 4}, [1]),
+    ("knokm", {"method": "both", "max_subnet_size": 4}, [1, 8]),
+    ("karate", {"method": "subnets", "max_subnet_size": 4, "subnet_budget": 100}, [1, 8]),
+], ids=["karate-proved-by-restart-0", "knokm-restart-0-unproved", "karate-subnets"])
+def test_full_search_runs_only_when_restart_0_is_unproved(optimize_restarts, name, options, expected):
+    certify(load_network(name), **options)
+    assert optimize_restarts == expected
+
+
+def old_order(net, method, max_subnet_size):
+    """certify's document, chains or both, as it was built before restart 0
+    came first: every restart, then the chain stage and the subnet stage
+    against that result."""
+    sm = score_matrix(net)
+    achieved = optimize(sm, restarts=8)
+    _, best, _ = chain_bound(sm, achieved=achieved.modularity)
+    if method == "both":
+        stages = pipeline._subnet_stages(sm, max_subnet_size, None, {})
+        best = pipeline._tighten(sm, best, stages, achieved.modularity)
+    return build_document(net=net, achieved=achieved, cert=best, provenance={})
+
+
+SWEEP_FAMILIES = [
+    {"n": 10, "p": 0.4, "rational_weights": False},
+    {"n": 9, "p": 0.3, "directed": True},
+    {"n": 8, "p": 0.5, "loops": True},
+]
+
+
+def test_restart_0_first_matches_the_old_order():
+    """Restart 0 first changes no bound, status, achieved value or component,
+    both where restart 0 is proved and where the full search finds more."""
+    missed = 0
+    for seed in range(60):
+        net = random_network(seed, **SWEEP_FAMILIES[seed % 3])
+        sm = score_matrix(net)
+        missed += optimize(sm, restarts=1).modularity < optimize(sm).modularity
+        for method in ("chains", "both"):
+            doc = certify(net, method=method, max_subnet_size=4)
+            oracle = old_order(net, method, 4)
+            assert doc.bound == oracle.bound, (seed, method)
+            assert doc.status == oracle.status, (seed, method)
+            assert doc.achieved_modularity == oracle.achieved_modularity, (seed, method)
+            assert doc.components == oracle.components, (seed, method)
+    assert missed > 0  # the sweep reaches the full search's better partitions
+
+
+def test_proved_tie_reports_restart_0s_partition():
+    """Restart 0's partition and another reach the same proved optimum; the
+    certificate lists restart 0's, where the full search would pick the other."""
+    net = random_network(112, n=6, rational_weights=False)
+    sm = score_matrix(net)
+    first, full = optimize(sm, restarts=1), optimize(sm, restarts=8)
+    assert first.assignment != full.assignment
+    doc = certify(net)
+    assert doc.status == "optimal-proved"
+    assert doc.achieved_communities == [[net.node_labels[v] for v in c] for c in first.communities()]
+    assert doc.achieved_modularity == first.modularity == full.modularity
