@@ -126,7 +126,11 @@ class CertificateDocument:
 
     @classmethod
     def loads(cls, text: str) -> "CertificateDocument":
-        return cls.from_json_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except RecursionError:  # json's decoder recurses once per nested array or object
+            raise ValueError("certificate nests arrays or objects too deeply") from None
+        return cls.from_json_dict(data)
 
 
 def serialize_component(comp: CertComponent, lam: Fraction, labels) -> dict:

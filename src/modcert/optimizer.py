@@ -7,34 +7,18 @@ of the `ScoreMatrix` itself, so a series gain is the exact modularity
 increase in units of 1/den: every gain of at least 1/den is seen, and the
 reported modularity is exact and rises with every applied series.
 
-Pairs are ranked by a cheap exact upper bound, and a pair's series runs only
-when its bound reaches the top. With to_X(v) the sum of S[u][v] over the u
-in X, moving a set M of src's nodes to dst gains the sum over v in M of
-to_dst(v) - to_src(v) + to_M(v). Since to_M(v) is at most the positive part
-of v's row inside src, every prefix of the series gains at most
-
-    UB(src, dst) = sum over v in src of max(0, to_dst(v) + N_src(v)),
-
-where N_src(v) sums |S[u][v]| over the u in src with S[u][v] < 0.
-
-Communities are keyed by their smallest node, and the new community by n.
-Each pass takes the pair with the highest value, ties to the smaller src
-key and then the smaller dst key: a value is the pair's bound until its
-series has run and its exact gain after. While the top value is a bound,
-the pair's series runs and the top is taken again; the first exact value on
-top is the highest exact gain, since no bound is below its pair's gain. The
-pass applies that series, and the search stops when the top value is 0.
-
-A bound and a series depend only on the two communities' node sets, so each
-restart keeps them while both communities exist: a move bounds again only
-the pairs that touch the two communities it changed.
+Each restart keeps every live ordered pair's series, which depends only on
+the two communities' node sets, and a move runs again only the series of
+the pairs that touch the two communities it changed. Communities are keyed
+by their smallest node and the new community by n; each pass applies the
+series with the highest gain, ties to the smaller (src, dst) key, and the
+search stops when that gain is 0.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from heapq import heappop, heappush, heapreplace
 
 from .scores import Partition, ScoreMatrix, modularity_of_assignment
 
@@ -74,42 +58,18 @@ def _row_sum(rows, nodes):
     return [sum(column) for column in zip(*(rows[u] for u in nodes))]
 
 
-def _negative_parts(S, nodes):
-    """{v: N(v)} for each v in nodes, N(v) summing max(0, -S[u][v]) over the
-    u in nodes; S is symmetric, so that is row v's negative entries there."""
-    # (0).__gt__(x) is 0 > x: keep the negative entries
-    return {v: -sum(filter((0).__gt__, map(S[v].__getitem__, nodes))) for v in nodes}
-
-
 class _Search:
     """The search on one score matrix; `improve` runs one restart.
 
     During a restart, members[c] lists community c's nodes in ascending
     order, c being the smallest; conn[c][v] sums S[u][v] over the u in c,
-    and neg[c] maps each v in c, the only nodes `bound` reads it at, to
-    N_c(v). entries[(src, dst)] is (value, nodes)
-    for each live ordered pair, nodes being None while value is the bound.
-    The heap holds (-value, src, dst) for every entry, and also for entries
-    since dropped or replaced: `_best` skips an item whose value is not its
-    pair's live value.
+    and entries[(src, dst)] is the (gain, nodes) of `exact` for each live
+    ordered pair.
     """
 
     def __init__(self, sm: ScoreMatrix):
         self.sm = sm
         self.new = sm.n
-
-    def bound(self, src, dst) -> int:
-        """UB(src, dst): no prefix of the series from src to dst gains more."""
-        neg = self.neg[src]
-        if dst == self.new:
-            return sum(neg.values())
-        to_dst = self.conn[dst]
-        total = 0
-        for v in self.members[src]:
-            x = to_dst[v] + neg[v]
-            if x > 0:
-                total += x
-        return total
 
     def exact(self, src, dst):
         """The (gain, nodes) of `_kl_series` from src to dst."""
@@ -121,72 +81,46 @@ class _Search:
             d = {v: to_dst[v] - to_src[v] for v in self.members[src]}
         return _kl_series(self.sm.S, self.members[src], d)
 
-    def _add(self, src, dst) -> None:
-        value = self.bound(src, dst)
-        self.entries[(src, dst)] = (value, None)
-        heappush(self.heap, (-value, src, dst))
-
-    def _best(self):
-        """(gain, src, dst, nodes) of the pass's series, or None if none gains."""
-        heap, entries = self.heap, self.entries
-        while heap:
-            neg_value, src, dst = heap[0]
-            entry = entries.get((src, dst))
-            if entry is None or entry[0] != -neg_value:
-                heappop(heap)
-                continue
-            if neg_value == 0:
-                return None
-            if entry[1] is not None:
-                return entry[0], src, dst, entry[1]
-            gain, nodes = entries[(src, dst)] = self.exact(src, dst)
-            heapreplace(heap, (-gain, src, dst))
-        return None
-
     def move(self, src, dst, nodes) -> None:
-        """Move nodes from src to dst, rekey the two, and bound their pairs again."""
-        members, conn, neg, entries, new = self.members, self.conn, self.neg, self.entries, self.new
+        """Move nodes from src to dst, rekey the two, and run their pairs' series again."""
+        members, conn, entries, new = self.members, self.conn, self.entries, self.new
         touched = (src,) if dst == new else (src, dst)
         for t in touched:
             entries.pop((t, new), None)
             for c in members:
                 entries.pop((t, c), None)
                 entries.pop((c, t), None)
-        S = self.sm.S
-        row = _row_sum(S, nodes)
+        row = _row_sum(self.sm.S, nodes)
         changed = []
         moved = set(nodes)
         rest = [v for v in members.pop(src) if v not in moved]
         conn_src = conn.pop(src)
-        del neg[src]
         if rest:
             c = rest[0]
             members[c] = rest
             conn[c] = [a - b for a, b in zip(conn_src, row)]
-            neg[c] = _negative_parts(S, rest)
             changed.append(c)
         if dst == new:
             joined, conn_dst = sorted(nodes), row
         else:
             joined = sorted(members.pop(dst) + list(nodes))
             conn_dst = [a + b for a, b in zip(conn.pop(dst), row)]
-            del neg[dst]
         c = joined[0]
-        members[c], conn[c], neg[c] = joined, conn_dst, _negative_parts(S, joined)
+        members[c], conn[c] = joined, conn_dst
         changed.append(c)
         self._add_pairs(changed)
 
     def _add_pairs(self, changed) -> None:
-        """Bound every live pair that touches a community in `changed`."""
-        members = self.members
+        """Run the series of every live pair that touches a community in `changed`."""
+        members, entries, exact = self.members, self.entries, self.exact
         for c in changed:
             for x in members:
                 if x != c:
-                    self._add(c, x)
+                    entries[(c, x)] = exact(c, x)
                     if x not in changed:
-                        self._add(x, c)
+                        entries[(x, c)] = exact(x, c)
             if len(members[c]) > 1:
-                self._add(c, self.new)
+                entries[(c, self.new)] = exact(c, self.new)
 
     def improve(self, comm_of):
         """Apply the best-gain series until none gains; returns the
@@ -197,17 +131,16 @@ class _Search:
             groups.setdefault(c, []).append(v)
         self.members = {nodes[0]: nodes for nodes in groups.values()}
         self.conn = {c: _row_sum(sm.S, nodes) for c, nodes in self.members.items()}
-        self.neg = {c: _negative_parts(sm.S, nodes) for c, nodes in self.members.items()}
-        self.entries = {}
-        self.heap = []
+        entries = self.entries = {}
         self._add_pairs(set(self.members))
         total = 0
         for _ in range(MAX_PASSES):
-            best = self._best()
-            if best is None:
+            # the highest gain, ties to the smaller (src, dst) key
+            pair = min(entries, key=lambda p: (-entries[p][0], p), default=None)
+            if pair is None or entries[pair][0] == 0:
                 break
-            gain, src, dst, nodes = best
-            self.move(src, dst, nodes)
+            gain, nodes = entries[pair]
+            self.move(*pair, nodes)
             total += gain
         reached = [0] * sm.n
         for c, nodes in self.members.items():

@@ -5,6 +5,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import __version__ as _version
+# certify calls each stage through this module's own names, because
+# perfbench/run.py's WRAPS patches them here (pipeline.optimize,
+# pipeline.chain_bound, pipeline.combine and the other stage names) and its
+# warm-up imports modcert.LinearProgram and modcert.solve_lp: renaming or
+# inlining any of them crashes the traced benchmark gates.
 from .chains import DEFAULT_PATH_BUDGET, chain_component, find_penalized_chains, greedy_certify
 from .document import CertificateDocument, build_document, document_to_certificate, frac_str
 from .graph import Network

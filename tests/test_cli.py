@@ -177,14 +177,24 @@ def test_verify_accepts_legacy_provenance_keys(tmp_path, capsys):
     assert "verification passed" in out
 
 
-def test_verify_truncated_exits_2(tmp_path, capsys):
+DEEP_NEST = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("damage", [
+    pytest.param(lambda text: text[:80], id="truncated"),
+    pytest.param(lambda text: DEEP_NEST, id="deep-nest"),
+    pytest.param(lambda text: '{"network": ' + DEEP_NEST + "}", id="deep-nest-network"),
+])
+def test_verify_truncated_exits_2(tmp_path, capsys, damage):
     path = write_path_network(tmp_path)
     cert = str(tmp_path / "cert.json")
     run(capsys, "certify", path, "--method", "chains", "-o", cert)
-    text = open(cert).read()[:80]
+    text = damage(open(cert).read())
     open(cert, "w").write(text)
-    code, _, err = run(capsys, "verify", path, cert)
+    code, out, err = run(capsys, "verify", path, cert)
     assert code == 2
+    assert "cannot parse certificate:" in err
+    assert "verification" not in out
 
 
 @pytest.mark.parametrize("field,value", [
