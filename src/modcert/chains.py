@@ -11,6 +11,11 @@ Every search here reads a `ScoreMatrix`. Applying a chain
 it to the closing negative pair; the greedy pass does this on its own copy
 of the lattice, on which further chains remain independently valid. The
 certificate is the trivial bound minus the accumulated penalties.
+
+The searches read the lattice's positive pairs as one bitmask (a Python int)
+per node, bit b of node a's mask set iff S[a][b] > 0: enumeration keeps, per
+closing endpoint, the masks of the nodes within each number of positive
+steps of it, and the component test grows components a mask at a time.
 """
 
 from __future__ import annotations
@@ -30,81 +35,94 @@ def chain_component(sm: ScoreMatrix, nodes: tuple[int, ...]) -> CertComponent:
     return CertComponent(nodes=nodes, loads=chain_loads(nodes, p), penalty=p, den=sm.den)
 
 
+def _neighbours(nbr: list[int], m: int) -> int:
+    """The union of the positive-neighbour masks of the nodes in mask m."""
+    out = 0
+    while m:
+        low = m & -m
+        out |= nbr[low.bit_length() - 1]
+        m ^= low
+    return out
+
+
+def _within(nbr: list[int], b: int, depth: int) -> list[int]:
+    """Masks of the nodes within d positive steps of b, for d = 0..depth."""
+    reach = frontier = 1 << b
+    levels = [reach]
+    for _ in range(depth):
+        frontier = _neighbours(nbr, frontier) & ~reach
+        reach |= frontier
+        levels.append(reach)
+    return levels
+
+
 def find_penalized_chains(
     sm: ScoreMatrix, k: int, path_budget: int = DEFAULT_PATH_BUDGET
 ) -> tuple[list[tuple[int, ...]], bool]:
     """The node tuples of all chains of exactly k nodes on sm.
 
-    Enumeration is deterministic: negative pairs in sorted order, then DFS in
-    ascending neighbor order from the smaller endpoint. Each chain is emitted
-    once, oriented from its smaller endpoint. Returns (chains, truncated);
-    truncated is set when the shared path budget ran out.
+    Enumeration is deterministic: negative pairs (a, b) in sorted order, then
+    DFS from a in ascending neighbor order. Each chain is emitted once,
+    oriented from its smaller endpoint. The search reads one bitmask of
+    positive neighbours per node: a DFS step from u with s nodes still to
+    place takes the unused neighbours of u within s - 1 positive steps of b,
+    and the last interior node is an unused common neighbour of u and b.
+    Every interior node placed and every arrival at b costs one step of the
+    shared path budget. Returns (chains, truncated); truncated is set when
+    the budget ran out.
     """
     if k < 3:
         raise ValueError("chain length k must be >= 3")
-    n = sm.n
-    adj = sm.positive_adjacency()
+    nbr = sm.positive_masks()
     chains: list[tuple[int, ...]] = []
     visited = 0
     truncated = False
+    within_cache: dict[int, list[int]] = {}
+    # rebound for each negative pair (a, b): b, its mask, the path from a and
+    # b's distance masks
+    b = nbr_b = 0
+    path: list[int] = []
+    within: list[int] = []
 
-    # distance pruning: BFS over positive adjacency, one per distinct endpoint
-    dist_cache: dict[int, list[int]] = {}
-
-    def bfs_dist(src: int) -> list[int]:
-        cached = dist_cache.get(src)
-        if cached is not None:
-            return cached
-        dist = [-1] * n
-        dist[src] = 0
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if dist[v] < 0:
-                        dist[v] = dist[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        dist_cache[src] = dist
-        return dist
-
-    for a, b in sm.negative_pairs():
-        dist_b = bfs_dist(b)
-        if dist_b[a] < 0 or dist_b[a] > k - 1:
-            continue
-        path = [a]
-        on_path = {a}
-
-        def dfs(u: int):
-            nonlocal visited, truncated
-            if truncated:
-                return
-            steps_left = k - len(path)
-            if steps_left == 0:
-                if u == b:
-                    chains.append(tuple(path))
-                return
-            for v in adj[u]:
-                if truncated:
-                    return
-                if v in on_path:
-                    continue
-                if v == b and steps_left != 1:
-                    continue
-                if dist_b[v] < 0 or dist_b[v] > steps_left - 1:
-                    continue
-                visited += 1
+    def dfs(u: int, used: int, steps_left: int) -> None:
+        # steps_left >= 2 nodes still to place, b last among them
+        nonlocal visited, truncated
+        if steps_left == 2:
+            m = nbr[u] & nbr_b & ~used
+            while m:
+                low = m & -m
+                visited += 2
                 if visited > path_budget:
                     truncated = True
                     return
-                path.append(v)
-                on_path.add(v)
-                dfs(v)
-                path.pop()
-                on_path.remove(v)
+                chains.append((*path, low.bit_length() - 1, b))
+                m ^= low
+            return
+        m = nbr[u] & within[steps_left - 1] & ~used
+        while m:
+            low = m & -m
+            visited += 1
+            if visited > path_budget:
+                truncated = True
+                return
+            v = low.bit_length() - 1
+            path.append(v)
+            dfs(v, used | low, steps_left - 1)
+            path.pop()
+            if truncated:
+                return
+            m ^= low
 
-        dfs(a)
+    for a, b in sm.negative_pairs():
+        if k > 3:  # a 3-chain's one interior node is a common neighbour: no distances
+            within = within_cache.get(b)
+            if within is None:
+                within = within_cache[b] = _within(nbr, b, k - 1)
+            if not within[k - 1] >> a & 1:
+                continue
+        nbr_b = nbr[b]
+        path = [a]
+        dfs(a, 1 << a | 1 << b, k - 1)
         if truncated:
             break
     return chains, truncated
@@ -112,25 +130,25 @@ def find_penalized_chains(
 
 def has_remaining_penalized_chain(sm: ScoreMatrix) -> bool:
     """True iff some component of sm's positive pairs contains an internal negative pair."""
-    n = sm.n
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in range(n):
-        row = sm.S[a]
-        for b in range(a + 1, n):
-            if row[b] > 0:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[rb] = ra
-    for a, b in sm.negative_pairs():
-        if find(a) == find(b):
-            return True
+    nbr = sm.positive_masks()
+    S = sm.S
+    unseen = (1 << sm.n) - 1
+    while unseen:
+        comp = frontier = unseen & -unseen
+        while frontier:
+            frontier = _neighbours(nbr, frontier) & ~comp
+            comp |= frontier
+        unseen &= ~comp
+        members = []
+        while comp:
+            low = comp & -comp
+            members.append(low.bit_length() - 1)
+            comp ^= low
+        for i, x in enumerate(members):
+            row = S[x]
+            for y in members[i + 1:]:
+                if row[y] < 0:
+                    return True
     return False
 
 
@@ -145,29 +163,39 @@ def greedy_certify(
     disappear or weaken as reductions are applied, so the stage keeps them
     in a max-heap keyed (-penalty, nodes) with possibly stale penalties: a
     popped chain whose penalty is still current is the highest, and one
-    that has weakened goes back with its new penalty unless it is dead.
+    that has weakened goes back with its new penalty unless it is dead. The
+    heap is split in two: the enumerated chains ranked once by `sorted`, and
+    a small heap of the re-pushed ones; keys are unique, so always taking
+    the smaller head pops in the one heap's order.
     Returns (certificate, truncated): every applied chain with multiplier 1
     and the trivial bound less their penalties; truncated is set when the
     path budget cut some enumeration short.
     """
     res = sm.copy()
+    den = res.den
+    one = Fraction(1)
     applied: list[tuple[CertComponent, Fraction]] = []
     truncated_any = False
     k = 3
     while has_remaining_penalized_chain(res) and k <= sm.n:
         chains, truncated = find_penalized_chains(res, k, path_budget)
         truncated_any |= truncated
-        heap = [(-res.penalty(nodes), nodes) for nodes in chains]
-        heapq.heapify(heap)
-        while heap:
-            stale, nodes = heapq.heappop(heap)
+        ranked = sorted([(-res.penalty(nodes), nodes) for nodes in chains])
+        heap: list[tuple[int, tuple[int, ...]]] = []
+        i, end = 0, len(ranked)
+        while i < end or heap:
+            if heap and (i == end or heap[0] < ranked[i]):
+                stale, nodes = heapq.heappop(heap)
+            else:
+                stale, nodes = ranked[i]
+                i += 1
             p = res.penalty(nodes)
             if p == -stale:
-                applied.append((chain_component(res, nodes), Fraction(1)))
+                applied.append((CertComponent(nodes=nodes, loads=chain_loads(nodes, p), penalty=p, den=den), one))
                 res.apply(nodes, p)
             elif p > 0:
                 heapq.heappush(heap, (-p, nodes))
         k += 1
 
-    bound = trivial_upper_bound(sm) - Fraction(sum(comp.penalty for comp, _ in applied), sm.den)
+    bound = trivial_upper_bound(sm) - Fraction(sum(comp.penalty for comp, _ in applied), den)
     return CombinedCertificate(components=tuple(applied), bound=bound), truncated_any

@@ -25,8 +25,9 @@ def pair_key(a: int, b: int) -> Pair:
 
 def chain_loads(nodes: Sequence[int], p: int) -> dict[Pair, int]:
     """A chain's loads: +p on consecutive pairs of nodes, -p on the closing pair."""
-    loads = {pair_key(u, v): p for u, v in zip(nodes, nodes[1:])}
-    loads[pair_key(nodes[0], nodes[-1])] = -p
+    loads = {(u, v) if u < v else (v, u): p for u, v in zip(nodes, nodes[1:])}
+    a, b = nodes[0], nodes[-1]
+    loads[(a, b) if a < b else (b, a)] = -p
     return loads
 
 
@@ -65,6 +66,17 @@ class ScoreMatrix:
                     adj[b].append(a)
         return adj
 
+    def positive_masks(self) -> list[int]:
+        """Each node's positive neighbours as a bitmask: bit b of entry a is set iff S[a][b] > 0."""
+        masks = []
+        for row in self.S:
+            m = 0
+            for b, v in enumerate(row):
+                if v > 0:
+                    m |= 1 << b
+            masks.append(m)
+        return masks
+
     def negative_pairs(self) -> list[Pair]:
         out = []
         for a in range(self.n):
@@ -82,17 +94,18 @@ class ScoreMatrix:
         enumeration guarantees it.
         """
         S = self.S
-        worst = None
-        for u, v in zip(nodes, nodes[1:]):
-            r = S[u][v]
-            if r <= 0:
-                return 0
-            if worst is None or r < worst:
-                worst = r
-        closing = -S[nodes[0]][nodes[-1]]
-        if closing <= 0:
+        u = nodes[0]
+        p = -S[u][nodes[-1]]
+        if p <= 0:
             return 0
-        return min(worst, closing)
+        for v in nodes[1:]:
+            r = S[u][v]
+            if r < p:
+                if r <= 0:
+                    return 0
+                p = r
+            u = v
+        return p
 
     def apply(self, nodes: Sequence[int], p: int) -> None:
         """Apply a chain in place: its consecutive pairs lose p, its closing pair gains p.

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 from conftest import lattice, random_network, rational_loads
@@ -8,10 +9,91 @@ from modcert.chains import (
     greedy_certify,
     has_remaining_penalized_chain,
 )
+from modcert.datasets import load_network
 from modcert.graph import build_network
 from modcert.scores import score_matrix, trivial_upper_bound
 
 F = Fraction
+
+
+def reference_chains(sm, k, path_budget):
+    """The chain enumeration on lists: a BFS over positive adjacency from
+    each closing endpoint b prunes a DFS from a. Returns (chains, truncated,
+    steps), steps being the path-budget steps taken; the oracle that
+    `find_penalized_chains` must agree with at every budget."""
+    n = sm.n
+    adj = sm.positive_adjacency()
+    chains = []
+    visited = 0
+    truncated = False
+    dist_cache = {}
+
+    def bfs_dist(src):
+        if src not in dist_cache:
+            dist = [-1] * n
+            dist[src] = 0
+            frontier = [src]
+            while frontier:
+                nxt = []
+                for u in frontier:
+                    for v in adj[u]:
+                        if dist[v] < 0:
+                            dist[v] = dist[u] + 1
+                            nxt.append(v)
+                frontier = nxt
+            dist_cache[src] = dist
+        return dist_cache[src]
+
+    for a, b in sm.negative_pairs():
+        dist_b = bfs_dist(b)
+        if dist_b[a] < 0 or dist_b[a] > k - 1:
+            continue
+        path = [a]
+
+        def dfs(u):
+            nonlocal visited, truncated
+            steps_left = k - len(path)
+            if steps_left == 0:
+                if u == b:
+                    chains.append(tuple(path))
+                return
+            for v in adj[u]:
+                if truncated:
+                    return
+                if v in path or (v == b and steps_left != 1):
+                    continue
+                if dist_b[v] < 0 or dist_b[v] > steps_left - 1:
+                    continue
+                visited += 1
+                if visited > path_budget:
+                    truncated = True
+                    return
+                path.append(v)
+                dfs(v)
+                path.pop()
+
+        dfs(a)
+        if truncated:
+            break
+    return chains, truncated, visited
+
+
+def reference_has_remaining(sm):
+    """The remaining-chain test by union-find over positive pairs, then a
+    scan of the negative pairs for one inside a component."""
+    parent = list(range(sm.n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a in range(sm.n):
+        for b in range(a + 1, sm.n):
+            if sm.S[a][b] > 0:
+                parent[find(b)] = find(a)
+    return any(find(a) == find(b) for a, b in sm.negative_pairs())
 
 
 def path_lattice():
@@ -120,6 +202,57 @@ def test_find_chains_budget_truncates():
     sm = score_matrix(random_network(0, n=8, p=0.8))
     chains, truncated = find_penalized_chains(sm, 5, path_budget=3)
     assert truncated
+
+
+def oracle_networks():
+    """Undirected and directed, weighted and unit-weight random networks with 6 to 8 nodes."""
+    for seed in range(12):
+        yield random_network(seed, n=6 + seed % 3, directed=seed % 2 == 1,
+                             p=0.6, rational_weights=seed % 4 != 3)
+
+
+def assert_enumeration_matches_reference(sm, k, budgets):
+    for budget in budgets:
+        want, cut, _ = reference_chains(sm, k, budget)
+        assert find_penalized_chains(sm, k, budget) == (want, cut), (k, budget)
+
+
+def test_enumeration_matches_reference_at_every_budget():
+    for net in oracle_networks():
+        sm = score_matrix(net)
+        for k in range(3, 7):
+            _, cut, steps = reference_chains(sm, k, 10**9)
+            assert not cut
+            assert_enumeration_matches_reference(sm, k, range(steps + 2))
+
+
+def test_enumeration_matches_reference_on_karate():
+    sm = score_matrix(load_network("karate"))
+    for k in range(3, 7):
+        chains, cut, steps = reference_chains(sm, k, 10**9)
+        assert not cut and chains
+        assert find_penalized_chains(sm, k) == (chains, False)
+        # k = 3 at every budget; longer chains at a spread of budgets and
+        # around the untruncated step count
+        budgets = range(steps + 2) if k == 3 else [*range(0, steps, steps // 8), steps - 1, steps, steps + 1]
+        assert_enumeration_matches_reference(sm, k, budgets)
+
+
+def test_has_remaining_matches_reference():
+    rng = random.Random(5)
+    for seed in range(40):
+        sm = score_matrix(random_network(seed, n=3 + seed % 8, directed=seed % 2 == 1, p=0.2 + 0.1 * (seed % 6)))
+        assert has_remaining_penalized_chain(sm) == reference_has_remaining(sm)
+        # reduce a copy by random chains at random fractions of their
+        # penalties, checking after each
+        res = sm.copy()
+        for _ in range(12):
+            chains = [c for k in (3, 4) for c in find_penalized_chains(res, k)[0]]
+            if not chains:
+                break
+            nodes = rng.choice(chains)
+            res.apply(nodes, rng.randint(1, res.penalty(nodes)) if rng.random() < 0.3 else res.penalty(nodes))
+            assert has_remaining_penalized_chain(res) == reference_has_remaining(res)
 
 
 def test_has_remaining_transitions():

@@ -9,7 +9,7 @@ from modcert.datasets import load_network
 from modcert.edgelist import parse_edge_list
 from modcert.graph import build_network
 from modcert.optimizer import MAX_PASSES, optimize
-from modcert.scores import Partition, modularity_of_assignment, score_matrix
+from modcert.scores import Partition, ScoreMatrix, modularity_of_assignment, score_matrix
 
 
 def test_dyad_single_community():
@@ -52,6 +52,15 @@ def test_gain_below_float_resolution_is_found():
     best, _ = brute_force_max(sm)
     assert best > 0
     assert optimize(sm, seed=0, restarts=1).modularity == best
+
+
+def test_gain_of_one_lattice_unit_is_applied():
+    # splitting the dyad gains exactly 1/den over restart 0's one community
+    for den in (7, 10**30):
+        sm = ScoreMatrix(n=2, den=den, S=[[0, -1], [-1, 0]], diag=(0, 0))
+        got = optimize(sm, restarts=1)
+        assert got.assignment == (0, 1)
+        assert got.modularity == 0
 
 
 def test_cached_modularity_consistent():
